@@ -1,9 +1,9 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 Just enough ops for an attention message-passing network and a listwise
-loss: broadcast arithmetic, matmul, exp/log, reductions, row gather with
-scatter-add backward, and segment sums. Values are float64 throughout; the
-backward pass walks a topologically sorted tape of closures.
+loss: broadcast arithmetic, matmul, two-operand einsum, exp/log, reductions,
+row gather with scatter-add backward, and segment sums. Values are float64
+throughout; the backward pass walks a topologically sorted tape of closures.
 """
 
 from __future__ import annotations
@@ -154,17 +154,6 @@ class Tensor:
         out.backward_fn = backward
         return out
 
-    def slice_cols(self, start: int, stop: int):
-        out = Tensor(self.value[:, start:stop], parents=(self,))
-
-        def backward(g):
-            if self.requires_grad:
-                full = np.zeros_like(self.value)
-                full[:, start:stop] = g
-                self._accumulate(full)
-        out.backward_fn = backward
-        return out
-
     # reductions and indexing ------------------------------------------------
 
     def sum(self, axis=None, keepdims=False):
@@ -257,11 +246,33 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
     return out
 
 
+def einsum(spec: str, a: Tensor, b: Tensor) -> Tensor:
+    """Two-operand ``np.einsum`` with explicit output, e.g. "nhi,rhij->rnhj".
+
+    Each operand's gradient is one more einsum of the output gradient with
+    the other operand, so every index of an operand must appear in the other
+    operand or in the output, and no operand may repeat an index; numpy
+    rejects the gradient spec otherwise.
+    """
+    operands, out_idx = spec.split("->")
+    a_idx, b_idx = operands.split(",")
+    out = Tensor(np.einsum(spec, a.value, b.value), parents=(a, b))
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(np.einsum(f"{out_idx},{b_idx}->{a_idx}", g, b.value))
+        if b.requires_grad:
+            b._accumulate(np.einsum(f"{out_idx},{a_idx}->{b_idx}", g, a.value))
+    out.backward_fn = backward
+    return out
+
+
 def segment_softmax(logits: Tensor, segments: np.ndarray, num_segments: int) -> Tensor:
-    """Softmax over groups of a 1-D logit vector, numerically shifted by the
-    per-segment max (a constant, so gradients stay exact)."""
+    """Softmax over groups of rows of ``logits`` (shape (E,) or (E, H); each
+    column is normalized on its own), numerically shifted by the per-segment
+    max (a constant, so gradients stay exact)."""
     segments = np.asarray(segments, dtype=np.int64)
-    seg_max = np.full(num_segments, -np.inf)
+    seg_max = np.full((num_segments,) + logits.shape[1:], -np.inf)
     np.maximum.at(seg_max, segments, logits.value)
     seg_max[~np.isfinite(seg_max)] = 0.0
     shifted = logits - Tensor.const(seg_max[segments])

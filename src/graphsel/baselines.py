@@ -16,7 +16,7 @@ import numpy as np
 
 from .learner import LearnerConfig, select_model, train
 from .metrics import _average_ranks_desc
-from .perf import PerformanceMatrix, factorize, fit_factor_estimator
+from .perf import PerformanceMatrix, factorize, fit_factor_estimator, standardize
 from .ranking import ScoreSheet
 
 BASELINE_KINDS = ("random", "gb_avgperf", "gb_avgrank", "isac",
@@ -33,13 +33,6 @@ def _masked_column_means(values: np.ndarray, observed: np.ndarray) -> np.ndarray
     if (~seen).any():
         means[~seen] = means[seen].mean() if seen.any() else 0.0
     return means
-
-
-def _standardize(f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    mean = f.mean(axis=0)
-    scale = f.std(axis=0)
-    scale[scale == 0.0] = 1.0
-    return (f - mean) / scale, mean, scale
 
 
 class RandomSelector:
@@ -130,7 +123,7 @@ class IsacSelector:
     def fit(self, features: np.ndarray, perf: PerformanceMatrix):
         self.model_ids = list(perf.model_ids)
         f = np.asarray(features, dtype=np.float64)
-        fs, self.mean, self.scale = _standardize(f)
+        fs, self.mean, self.scale = standardize(f)
         k = self.n_clusters if self.n_clusters > 0 else int(np.ceil(np.sqrt(f.shape[0])))
         self.centroids, assign = kmeans(fs, k, self.seed)
         global_scores = _masked_column_means(perf.filled(), perf.observed)

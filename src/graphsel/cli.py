@@ -41,7 +41,6 @@ def _learner_config(cfg: RunConfig) -> LearnerConfig:
         max_epochs=cfg.get("hyper", "max_epochs"), patience=cfg.get("hyper", "patience"),
         min_epochs=cfg.get("hyper", "min_epochs"),
         seed=cfg.get("hyper", "seed"), ridge_lambda=cfg.get("hyper", "ridge_lambda"),
-        optimizer=cfg.get("hyper", "optimizer"),
         nmf_mean_prior=cfg.get("hyper", "nmf_mean_prior"))
 
 
@@ -118,7 +117,7 @@ def cmd_features(cfg: RunConfig) -> int:
 
 
 def read_features_csv(path: Path) -> tuple[list[str], np.ndarray]:
-    ids, rows = [], []
+    ids, rows, seen = [], [], set()
     schema_seen = None
     with open(path) as fh:
         header = None
@@ -137,6 +136,9 @@ def read_features_csv(path: Path) -> tuple[list[str], np.ndarray]:
             cells = line.split(",")
             if len(cells) != FEATURE_DIM + 1:
                 raise DataError(f"bad feature row for {cells[0]!r} in {path}")
+            if cells[0] in seen:
+                raise DataError(f"duplicate graph id {cells[0]!r} in {path}")
+            seen.add(cells[0])
             ids.append(cells[0])
             rows.append([float(c) for c in cells[1:]])
     if schema_seen is not None and schema_seen != SCHEMA_VERSION:

@@ -63,7 +63,6 @@ SCHEMA: dict[tuple[str, str], tuple] = {
     ("hyper", "ridge_lambda"): (_auto_float, None, lambda v: v is None or v > 0),
     ("hyper", "nmf_mean_prior"): (float, 0.1, lambda v: 0 <= v <= 1),
     ("hyper", "seed"): (int, 0, lambda v: v >= 0),
-    ("hyper", "optimizer"): (str, "adam", lambda v: v in ("adam", "sgd")),
 
     ("eval", "folds"): (int, 5, lambda v: v >= 2),
     ("eval", "selectors"): (_str_list,

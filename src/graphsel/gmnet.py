@@ -167,12 +167,3 @@ def extend_with_test(net: GMNetwork, m_test: np.ndarray, u_hat_test: np.ndarray)
     ext.validate()
     return ext
 
-
-def edge_list_dump(net: GMNetwork) -> str:
-    """Debug rendering: one 'relation src dst' line per edge, sorted."""
-    lines = []
-    for rel in RELATIONS:
-        arr = net.edges[rel]
-        order = np.lexsort((arr[:, 1], arr[:, 0]))
-        lines.extend(f"{rel} {arr[i, 0]} {arr[i, 1]}" for i in order)
-    return "\n".join(lines) + "\n"

@@ -17,16 +17,17 @@ from typing import Callable
 
 import numpy as np
 
-from .autodiff import Tensor, concat, segment_softmax
+from .autodiff import Tensor, concat, einsum, segment_softmax
 from .features import SCHEMA_VERSION
 from .gmnet import GMNetwork, RELATIONS, REL_TYPES, build_train_network, extend_with_test
 from .metrics import label_top1, mrr
-from .perf import FactorEstimator, PerformanceMatrix, factorize, fit_factor_estimator
+from .perf import (FactorEstimator, PerformanceMatrix, factorize, fit_factor_estimator,
+                   standardize)
 from .ranking import ScoreSheet
 
 log = logging.getLogger(__name__)
 
-BUNDLE_FORMAT_VERSION = 1
+BUNDLE_FORMAT_VERSION = 2
 
 
 @dataclass
@@ -43,7 +44,6 @@ class LearnerConfig:
     seed: int = 0
     ridge_lambda: float | None = None    # None: leave-one-out selection
     val_fraction: float = 0.1
-    optimizer: str = "adam"
     nmf_max_iter: int = 500
     nmf_mean_prior: float = 0.1
 
@@ -97,10 +97,10 @@ def init_params(rng: np.random.Generator, meta_dim: int, k: int, layers: int,
             params[f"l{layer}.M.{t}"] = glorot(k, k)
             params[f"l{layer}.O.{t}"] = glorot(k, k) * 0.01
             params[f"l{layer}.alpha.{t}"] = np.array(1.0)
-        for rel in RELATIONS:
-            params[f"l{layer}.mu.{rel}"] = np.array(1.0)
-            for h in range(heads):
-                params[f"l{layer}.att.{rel}.{h}"] = glorot(dk, dk)
+        # (R, H, dk, dk) in RELATIONS order, drawn relation-major
+        params[f"l{layer}.att"] = np.stack(
+            [[glorot(dk, dk) for _ in range(heads)] for _ in RELATIONS])
+        params[f"l{layer}.mu"] = np.ones(len(RELATIONS))
     return params
 
 
@@ -123,63 +123,38 @@ def embed_network(pt: dict[str, Tensor], net: GMNetwork, hyper: dict) -> tuple[T
     zg = Tensor.const(net.graph_features) @ pt["W"].transpose()
     zm = pt["V"]
 
-    rel_edges = []
-    for rel in RELATIONS:
+    # one node index over both types: graphs first, then models
+    offset = (0, ng)
+    src, dst, rel_id = [], [], []
+    for r, rel in enumerate(RELATIONS):
         arr = net.edges[rel]
-        if arr.shape[0] == 0:
-            continue
         st, tt = REL_TYPES[rel]
-        seg = arr[:, 1] + (ng if tt == 1 else 0)
-        rel_edges.append((rel, arr, st, tt, seg))
-    if rel_edges:
-        seg_all = np.concatenate([seg for *_, seg in rel_edges])
-
+        src.append(arr[:, 0] + offset[st])
+        dst.append(arr[:, 1] + offset[tt])
+        rel_id.append(np.full(arr.shape[0], r))
+    src, dst, rel_id = (np.concatenate(parts) for parts in (src, dst, rel_id))
+    keyed_rows = rel_id * n_total + src
     graph_rows = np.arange(ng)
     model_rows = ng + np.arange(m)
 
     for layer in range(layers):
-        alpha_g = pt[f"l{layer}.alpha.g"]
-        alpha_m = pt[f"l{layer}.alpha.m"]
-        if not rel_edges:
-            zg = zg * alpha_g
-            zm = zm * alpha_m
-            continue
-        proj = {}
-        for name in ("K", "Q", "M"):
-            proj[name, 0] = zg @ pt[f"l{layer}.{name}.g"]
-            proj[name, 1] = zm @ pt[f"l{layer}.{name}.m"]
-        k_src = {rel: proj["K", st].gather(arr[:, 0]) for rel, arr, st, tt, _ in rel_edges}
-        q_dst = {rel: proj["Q", tt].gather(arr[:, 1]) for rel, arr, st, tt, _ in rel_edges}
-        m_src = {rel: proj["M", st].gather(arr[:, 0]) for rel, arr, st, tt, _ in rel_edges}
+        def project(name):
+            both = concat([zg @ pt[f"l{layer}.{name}.g"], zm @ pt[f"l{layer}.{name}.m"]])
+            return both.reshape(n_total, heads, dk)
 
-        head_aggs = []
-        for h in range(heads):
-            lo, hi = h * dk, (h + 1) * dk
-            logit_parts = []
-            msg_parts = []
-            for rel, arr, st, tt, seg in rel_edges:
-                ks = k_src[rel].slice_cols(lo, hi)
-                qd = q_dst[rel].slice_cols(lo, hi)
-                att_w = pt[f"l{layer}.att.{rel}.{h}"]
-                mu = pt[f"l{layer}.mu.{rel}"]
-                logit = ((ks @ att_w) * qd).sum(axis=1) * mu * (1.0 / np.sqrt(dk))
-                logit_parts.append(logit)
-                msg_parts.append(m_src[rel].slice_cols(lo, hi))
-            logits = concat(logit_parts)
-            att = segment_softmax(logits, seg_all, n_total)
-            msgs = concat(msg_parts)
-            weighted = msgs * att.reshape(-1, 1)
-            head_aggs.append(weighted.segment_sum(seg_all, n_total))
-        agg = head_aggs[0] if heads == 1 else concat(head_aggs, axis=1)
-        zg = zg * alpha_g + agg.gather(graph_rows) @ pt[f"l{layer}.O.g"]
-        zm = zm * alpha_m + agg.gather(model_rows) @ pt[f"l{layer}.O.m"]
+        keys, queries, msgs = project("K"), project("Q"), project("M")
+        # every node's keys through every relation's bilinear form, flattened
+        # so that row r * n_total + i is node i under relation r
+        keyed = einsum("nhi,rhij->rnhj", keys, pt[f"l{layer}.att"]).reshape(-1, heads, dk)
+        mu = pt[f"l{layer}.mu"].gather(rel_id).reshape(-1, 1)
+        logits = (keyed.gather(keyed_rows) * queries.gather(dst)).sum(axis=2) * mu \
+            * (1.0 / np.sqrt(dk))
+        att = segment_softmax(logits, dst, n_total)
+        weighted = msgs.gather(src) * att.reshape(-1, heads, 1)
+        agg = weighted.segment_sum(dst, n_total).reshape(n_total, k)
+        zg = zg * pt[f"l{layer}.alpha.g"] + agg.gather(graph_rows) @ pt[f"l{layer}.O.g"]
+        zm = zm * pt[f"l{layer}.alpha.m"] + agg.gather(model_rows) @ pt[f"l{layer}.O.m"]
     return zg, zm
-
-
-def graph_input_feature(m_vec: np.ndarray, phi: FactorEstimator, w: np.ndarray) -> np.ndarray:
-    """Input state of one graph node: W @ [m; phi(m)]."""
-    m_vec = np.asarray(m_vec, dtype=np.float64).ravel()
-    return np.asarray(w, dtype=np.float64) @ np.concatenate([m_vec, phi.predict(m_vec)])
 
 
 def estimate_performance(graph_emb: np.ndarray, model_emb: np.ndarray) -> np.ndarray:
@@ -264,11 +239,6 @@ class Adam:
             p -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-def _sgd_step(params, grads, lr, weight_decay):
-    for name, p in params.items():
-        p -= lr * (grads[name] + weight_decay * p)
-
-
 # --- training --------------------------------------------------------------
 
 def _largest_divisor_at_most(n: int, cap: int) -> int:
@@ -324,9 +294,7 @@ def train(features: np.ndarray, perf: PerformanceMatrix, config: LearnerConfig) 
     val_rows = np.sort(perm[:n_val])
     train_rows = np.sort(perm[n_val:])
 
-    mean = f[train_rows].mean(axis=0)
-    scale = f[train_rows].std(axis=0)
-    scale[scale == 0.0] = 1.0
+    _, mean, scale = standardize(f[train_rows])
     fs = (f - mean) / scale
 
     k_eff = min(config.k, train_rows.size, m)
@@ -352,9 +320,7 @@ def train(features: np.ndarray, perf: PerformanceMatrix, config: LearnerConfig) 
 
     pv = p_train.filled()
     obs = p_train.observed
-    opt = Adam(params) if config.optimizer == "adam" else None
-    if config.optimizer not in ("adam", "sgd"):
-        raise ValueError(f"unknown optimizer {config.optimizer!r}")
+    opt = Adam(params)
 
     # a holdout row with a single observed entry has zero listwise loss, so
     # it cannot score candidate parameters; with fewer than two multi-entry
@@ -399,10 +365,7 @@ def train(features: np.ndarray, perf: PerformanceMatrix, config: LearnerConfig) 
         loss, grads = _loss_and_grads(params, net, hyper, pv, obs)
         if not np.isfinite(loss):
             raise RuntimeError(f"non-finite training loss at epoch {epoch}")
-        if opt is not None:
-            opt.step(params, grads, config.lr, config.weight_decay)
-        else:
-            _sgd_step(params, grads, config.lr, config.weight_decay)
+        opt.step(params, grads, config.lr, config.weight_decay)
         score, val_mrr = validation_score()
         if np.isnan(score):
             score = -loss            # no usable holdout rows: monitor the loss
@@ -436,20 +399,20 @@ def select_model(state: MetaLearnerState, net: GMNetwork, m_feat: np.ndarray) ->
 
 # --- gradient checking -----------------------------------------------------
 
-def make_tiny_problem(seed: int = 0):
-    """n=4 graphs, m=3 models, k=4, 1 layer, 1 head: small enough to
-    finite-difference every coordinate."""
+def make_tiny_problem(seed: int = 0, layers: int = 1, heads: int = 1):
+    """n=4 graphs, m=3 models, k=4 (1 layer and 1 head by default): small
+    enough to finite-difference every coordinate."""
     rng = np.random.default_rng(seed)
     n, m, k, meta_dim = 4, 3, 4, 6
     feats = rng.normal(size=(n, meta_dim))
     u = rng.uniform(0.1, 1.0, size=(n, k))
     v = rng.uniform(0.1, 1.0, size=(m, k))
     net = build_train_network(u, v, feats, top_k=2)
-    params = init_params(rng, meta_dim, k, layers=1, heads=1, n_models=m, v_init=v)
+    params = init_params(rng, meta_dim, k, layers=layers, heads=heads, n_models=m, v_init=v)
     pv = rng.uniform(0.0, 1.0, size=(n, m))
     obs = rng.random((n, m)) < 0.8
     obs[0, 0] = True                 # keep at least one observed entry
-    hyper = {"k": k, "layers": 1, "heads": 1, "top_k": 2, "meta_dim": meta_dim}
+    hyper = {"k": k, "layers": layers, "heads": heads, "top_k": 2, "meta_dim": meta_dim}
     return net, params, pv, obs, hyper
 
 

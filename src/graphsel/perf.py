@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import logging
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +40,10 @@ class PerformanceMatrix:
             raise ValueError("values and observed must be equal-shape 2-D arrays")
         if len(self.graph_ids) != v.shape[0] or len(self.model_ids) != v.shape[1]:
             raise ValueError("id lists must match matrix shape")
+        for kind, ids in (("graph", self.graph_ids), ("model", self.model_ids)):
+            dup = sorted(i for i, c in Counter(ids).items() if c > 1)
+            if dup:
+                raise ValueError(f"duplicate {kind} ids: {', '.join(dup)}")
         obs_vals = v[o]
         if obs_vals.size and (np.any(~np.isfinite(obs_vals))
                               or obs_vals.min() < 0.0 or obs_vals.max() > 1.0):
@@ -201,6 +206,15 @@ class FactorEstimator:
         return out[0] if single else out
 
 
+def standardize(f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Column z-scores of a 2-D array: (z, mean, scale). Zero-variance
+    columns get scale 1, so they map to 0 instead of NaN."""
+    mean = f.mean(axis=0)
+    scale = f.std(axis=0)
+    scale[scale == 0.0] = 1.0
+    return (f - mean) / scale, mean, scale
+
+
 def _loocv_ridge_lambda(z: np.ndarray, uc: np.ndarray) -> float:
     """Leave-one-out optimal ridge penalty, closed form.
 
@@ -255,10 +269,7 @@ def fit_factor_estimator(features: np.ndarray, u: np.ndarray,
         raise ValueError("features and factors must share the row dimension")
     if ridge_lambda is not None and ridge_lambda <= 0:
         raise ValueError("ridge_lambda must be positive")
-    mean = f.mean(axis=0)
-    scale = f.std(axis=0)
-    scale[scale == 0.0] = 1.0
-    z = (f - mean) / scale
+    z, mean, scale = standardize(f)
     uc = u - u.mean(axis=0)
     if ridge_lambda is None:
         ridge_lambda = _loocv_ridge_lambda(z, uc)

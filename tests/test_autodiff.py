@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from graphsel.autodiff import Tensor, concat, segment_softmax
+from graphsel.autodiff import Tensor, concat, einsum, segment_softmax
 
 
 def fd_grad(loss_fn, x, step=1e-6):
@@ -60,10 +60,24 @@ def test_matmul_exp_log_grads():
     check_op(lambda a, b: (a @ b).exp(), (2, 3), (3, 2))
 
 
+def test_einsum_values_and_grads():
+    rng = np.random.default_rng(5)
+    k, att = rng.normal(size=(4, 2, 3)), rng.normal(size=(5, 2, 3, 3))
+    out = einsum("nhi,rhij->rnhj", Tensor.const(k), Tensor.const(att))
+    want = np.array([[[k[n, h] @ att[r, h] for h in range(2)] for n in range(4)]
+                     for r in range(5)])
+    assert np.allclose(out.value, want, atol=1e-12)
+
+    check_op(lambda a, b: einsum("nhi,rhij->rnhj", a, b), (4, 2, 3), (5, 2, 3, 3))
+    check_op(lambda a, b: einsum("ij,jk->ik", a, b), (3, 4), (4, 2))
+    check_op(lambda a, b: einsum("ij,j->i", a, b), (3, 4), (4,))
+    # a reused operand collects both gradients
+    check_op(lambda a: einsum("ij,kj->ik", a, a), (3, 4))
+
+
 def test_shape_op_grads():
     check_op(lambda a: a.reshape(6, 2), (3, 4))
     check_op(lambda a: a.transpose(), (3, 4))
-    check_op(lambda a: a.slice_cols(1, 3), (4, 5))
     check_op(lambda a: a.sum(), (3, 4))
     check_op(lambda a: a.sum(axis=0), (3, 4))
     check_op(lambda a: a.sum(axis=1, keepdims=True), (3, 4))
@@ -94,6 +108,15 @@ def test_segment_softmax_values_and_grads():
     check_op(lambda a: segment_softmax(a, seg, 3), (7,))
     # empty segments are allowed: num_segments larger than used labels
     check_op(lambda a: segment_softmax(a, seg, 5), (7,))
+
+    # (E, H) logits: each column is its own softmax over the same groups
+    wide = rng.normal(size=(7, 3))
+    out = segment_softmax(Tensor.const(wide), seg, 3)
+    for h in range(3):
+        col = segment_softmax(Tensor.const(wide[:, h]), seg, 3)
+        assert np.allclose(out.value[:, h], col.value, atol=1e-15)
+    check_op(lambda a: segment_softmax(a, seg, 3), (7, 3))
+    check_op(lambda a: segment_softmax(a, seg, 5), (7, 2))
 
 
 def test_diamond_reuse_accumulates():

@@ -115,6 +115,24 @@ def test_train_id_mismatch_is_a_data_error(ws, tmp_path):
     assert rc == 3
 
 
+def test_duplicate_ids_are_a_data_error(ws, tmp_path):
+    text = ws["features_csv"].read_text()
+    dup_feats = tmp_path / "features.csv"
+    dup_feats.write_text(text + text.splitlines(True)[-1])
+    rc = main(TRAIN_SETS + [
+        "train", "--features-csv", str(dup_feats),
+        "--performance-csv", str(ws["perf_csv"]), "--output-dir", str(tmp_path)])
+    assert rc == 3
+
+    lines = ws["perf_csv"].read_text().splitlines(True)
+    dup_perf = tmp_path / "perf.csv"
+    dup_perf.write_text("".join(lines) + lines[-1])
+    rc = main(TRAIN_SETS + [
+        "train", "--features-csv", str(ws["features_csv"]),
+        "--performance-csv", str(dup_perf), "--output-dir", str(tmp_path)])
+    assert rc == 3
+
+
 def test_train_schema_guard(ws, tmp_path):
     stale = tmp_path / "features.csv"
     stale.write_text(ws["features_csv"].read_text().replace(

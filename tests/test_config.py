@@ -12,7 +12,6 @@ def test_defaults():
     assert cfg.get("hyper", "ridge_lambda") is None
     assert cfg.get("hyper", "min_epochs") == 75
     assert cfg.get("hyper", "nmf_mean_prior") == 0.1
-    assert cfg.get("hyper", "optimizer") == "adam"
     assert cfg.get("features", "workers") == 4
     assert cfg.get("paths", "output_dir") == "."
     assert cfg.get("paths", "graph_dir") == ""
@@ -63,7 +62,7 @@ def test_unknown_keys_rejected():
 
 
 @pytest.mark.parametrize("bad", [
-    "hyper.lr=-1", "hyper.lr=0", "eval.folds=1", "hyper.optimizer=rprop",
+    "hyper.lr=-1", "hyper.lr=0", "eval.folds=1",
     "eval.noise=0.5", "eval.sparsities=0,1.0", "hyper.heads=0",
     "eval.families=4", "hyper.nmf_mean_prior=1.5", "hyper.patience=0",
 ])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from graphsel.gmnet import (GMNetwork, REL_TYPES, RELATIONS, build_train_network,
-                            cosine_topk, edge_list_dump, extend_with_test)
+                            cosine_topk, extend_with_test)
 
 
 def cosine_topk_brute(queries, candidates, k, exclude_diagonal=False):
@@ -175,13 +175,3 @@ def test_validate_rejects_malformed_networks():
     with pytest.raises(ValueError, match="self edge"):
         GMNetwork(net.n_graphs, net.n_models, edges, net.graph_features,
                   net.model_features, net.meta_dim, net.top_k).validate()
-
-
-def test_edge_dump_is_sorted_and_stable():
-    rng = np.random.default_rng(6)
-    net, *_ = make_net(rng)
-    dump = edge_list_dump(net)
-    assert dump == edge_list_dump(net)
-    lines = dump.strip().split("\n")
-    assert len(lines) == net.edge_count()
-    assert lines[0].startswith("M-g2g ")

@@ -65,6 +65,13 @@ def test_csv_parse_errors():
         from_csv("graph_id,m1,m2\ng0,0.5\n")
 
 
+def test_duplicate_ids_are_rejected():
+    with pytest.raises(ValueError, match="duplicate model ids: a"):
+        from_csv("graph_id,a,a\ng1,0.5,0.6\n")
+    with pytest.raises(ValueError, match="duplicate graph ids: g1"):
+        from_csv("graph_id,a,b\ng1,0.5,0.6\ng1,0.1,0.2\n")
+
+
 def test_csv_skips_comments_and_blanks():
     text = "# stamp\ngraph_id,m1\n\ng0,0.25\n"
     p = from_csv(text)
