@@ -10,8 +10,6 @@ count on very large ones (see ``eccentricity``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
@@ -33,18 +31,18 @@ PAGERANK_TOL = 1e-10
 PAGERANK_MAX_ITER = 200
 
 
-@dataclass(frozen=True)
-class StructuralDistribution:
-    """One extractor's output: id plus a finite float vector."""
-
-    extractor_id: str
-    values: np.ndarray
-
-
 def adjacency_matrix(graph: Graph) -> sp.csr_matrix:
     n = graph.node_count
     data = np.ones(graph.indices.shape[0], dtype=np.float64)
     return sp.csr_matrix((data, graph.indices, graph.indptr), shape=(n, n))
+
+
+def two_hop_matrix(graph: Graph, a: sp.csr_matrix | None = None) -> sp.csr_matrix:
+    """A·A: entry (u, v) is the number of common neighbors of u and v, and
+    the diagonal holds the degrees. Zero entries are not stored."""
+    if a is None:
+        a = adjacency_matrix(graph)
+    return a @ a
 
 
 def degree(graph: Graph) -> np.ndarray:
@@ -56,39 +54,39 @@ def wedges_per_node(graph: Graph) -> np.ndarray:
     return np.maximum(d * (d - 1.0) / 2.0, 0.0)
 
 
-def _edge_triangle_counts(graph: Graph) -> np.ndarray:
+def triangles_per_edge(graph: Graph, two_hop: sp.csr_matrix | None = None) -> np.ndarray:
     """Common-neighbor count |N(u) & N(v)| for each edge, in edge_array order."""
     if graph.edge_count == 0:
         return np.zeros(0, dtype=np.float64)
-    a = adjacency_matrix(graph)
-    common = (a @ a).multiply(a).tocsr()
+    if two_hop is None:
+        two_hop = two_hop_matrix(graph)
     u = graph.edge_array[:, 0]
     v = graph.edge_array[:, 1]
-    vals = np.asarray(common[u, v]).ravel()
-    return vals.astype(np.float64)
+    # A·A is symmetric and a sparse lookup scans its row, so read each entry
+    # from the endpoint whose stored row is shorter
+    row_len = np.diff(two_hop.indptr)
+    swap = row_len[u] > row_len[v]
+    rows, cols = np.where(swap, v, u), np.where(swap, u, v)
+    return np.asarray(two_hop[rows, cols], dtype=np.float64).ravel()
 
 
-def triangles_per_node(graph: Graph) -> np.ndarray:
+def triangles_per_node(graph: Graph, two_hop: sp.csr_matrix | None = None) -> np.ndarray:
     n = graph.node_count
-    out = np.zeros(n, dtype=np.float64)
     if graph.edge_count == 0:
-        return out
-    t = _edge_triangle_counts(graph)
-    # each triangle at node u lies on exactly 2 of u's incident edges
-    np.add.at(out, graph.edge_array[:, 0], t)
-    np.add.at(out, graph.edge_array[:, 1], t)
-    return out / 2.0
-
-
-def triangles_per_edge(graph: Graph) -> np.ndarray:
-    return _edge_triangle_counts(graph)
+        return np.zeros(n, dtype=np.float64)
+    t = triangles_per_edge(graph, two_hop)
+    # each triangle at node u lies on exactly 2 of u's incident edges; the
+    # counts are integers, so the sums are exact in any order
+    ends = graph.edge_array
+    return (np.bincount(ends[:, 0], t, minlength=n)
+            + np.bincount(ends[:, 1], t, minlength=n)) / 2.0
 
 
 ECC_EXACT_NODE_LIMIT = 1024
 ECC_SWEEP_CAP = 96
 
 
-def eccentricity(graph: Graph) -> np.ndarray:
+def eccentricity(graph: Graph, a: sp.csr_matrix | None = None) -> np.ndarray:
     """Eccentricities, per connected component.
 
     Runs BFS from a chosen node, tightens lb/ub for everyone in its
@@ -109,7 +107,8 @@ def eccentricity(graph: Graph) -> np.ndarray:
     n = graph.node_count
     if n == 1:
         return np.zeros(1, dtype=np.float64)
-    a = adjacency_matrix(graph)
+    if a is None:
+        a = adjacency_matrix(graph)
     n_comp, labels = csgraph.connected_components(a, directed=False)
     ecc = np.full(n, -1.0)
     comp_size = np.bincount(labels, minlength=n_comp)
@@ -151,7 +150,7 @@ def eccentricity(graph: Graph) -> np.ndarray:
     return ecc
 
 
-def pagerank(graph: Graph, damping: float = PAGERANK_DAMPING,
+def pagerank(graph: Graph, a: sp.csr_matrix | None = None, damping: float = PAGERANK_DAMPING,
              tol: float = PAGERANK_TOL, max_iter: int = PAGERANK_MAX_ITER) -> np.ndarray:
     """PageRank by power iteration with uniform teleport.
 
@@ -161,7 +160,8 @@ def pagerank(graph: Graph, damping: float = PAGERANK_DAMPING,
     n = graph.node_count
     if n == 1:
         return np.ones(1)
-    a = adjacency_matrix(graph)
+    if a is None:
+        a = adjacency_matrix(graph)
     deg = graph.degrees().astype(np.float64)
     dangling = deg == 0
     inv_deg = np.where(dangling, 0.0, 1.0 / np.maximum(deg, 1.0))
@@ -214,25 +214,27 @@ def kcore(graph: Graph) -> np.ndarray:
     return core.astype(np.float64)
 
 
-def extract_structural(graph: Graph) -> list[StructuralDistribution]:
-    """All seven distributions in schema order.
+def extract_structural(graph: Graph, a: sp.csr_matrix,
+                       two_hop: sp.csr_matrix) -> list[np.ndarray]:
+    """All seven distributions in EXTRACTOR_IDS order, from the graph's
+    adjacency ``a`` and its square ``two_hop``.
 
     An edgeless graph has no per-edge distribution; a single-entry zero
     vector stands in so downstream summaries stay fixed-size.
     """
-    tpe = triangles_per_edge(graph)
+    tpe = triangles_per_edge(graph, two_hop)
     if tpe.size == 0:
         tpe = np.zeros(1)
     dists = [
-        StructuralDistribution("degree", degree(graph)),
-        StructuralDistribution("wedges_per_node", wedges_per_node(graph)),
-        StructuralDistribution("triangles_per_node", triangles_per_node(graph)),
-        StructuralDistribution("triangles_per_edge", tpe),
-        StructuralDistribution("eccentricity", eccentricity(graph)),
-        StructuralDistribution("pagerank", pagerank(graph)),
-        StructuralDistribution("kcore", kcore(graph)),
+        degree(graph),
+        wedges_per_node(graph),
+        triangles_per_node(graph, two_hop),
+        tpe,
+        eccentricity(graph, a),
+        pagerank(graph, a),
+        kcore(graph),
     ]
-    for d in dists:
-        if not np.all(np.isfinite(d.values)):
-            raise ValueError(f"non-finite values in {d.extractor_id}")
+    for name, values in zip(EXTRACTOR_IDS, dists):
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"non-finite values in {name}")
     return dists

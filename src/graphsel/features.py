@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .extractors import EXTRACTOR_IDS, adjacency_matrix, extract_structural
+from .extractors import EXTRACTOR_IDS, adjacency_matrix, extract_structural, two_hop_matrix
 from .graphs import Graph
 from .summaries import SUMMARY_NAMES, summarize
 
@@ -38,24 +38,23 @@ def feature_names() -> list[str]:
     return base + [f"log_{name}" for name in base]
 
 
-def global_stats(graph: Graph) -> np.ndarray:
+def global_stats(graph: Graph, two_hop=None) -> np.ndarray:
     """[edge density, two-hop (wedge) density, degree assortativity].
 
     Wedge density is the fraction of ordered distinct node pairs at distance
     <= 2 through at least one common neighbor, i.e. the off-diagonal fill of
-    A @ A computed sparsely. Assortativity is the Pearson correlation of
-    endpoint degrees over both orientations of each edge; 0 when undefined.
+    the sparse A·A (``two_hop``, built here when omitted). Assortativity is
+    the Pearson correlation of endpoint degrees over both orientations of
+    each edge; 0 when undefined.
     """
     n = graph.node_count
     e = graph.edge_count
     density = 2.0 * e / (n * (n - 1)) if n > 1 else 0.0
 
     if n > 1 and e > 0:
-        a = adjacency_matrix(graph)
-        two_hop = (a @ a).tocsr()
-        two_hop.eliminate_zeros()
-        two_hop = two_hop.tocoo()
-        off_diag = int(np.count_nonzero(two_hop.row != two_hop.col))
+        if two_hop is None:
+            two_hop = two_hop_matrix(graph)
+        off_diag = two_hop.nnz - int(np.count_nonzero(two_hop.diagonal()))
         wedge_density = off_diag / (n * (n - 1))
     else:
         wedge_density = 0.0
@@ -84,8 +83,10 @@ def signed_log1p(x: np.ndarray) -> np.ndarray:
 
 
 def meta_graph_features(graph: Graph) -> MetaFeatureVector:
-    parts = [summarize(d.values) for d in extract_structural(graph)]
-    parts.append(global_stats(graph))
+    a = adjacency_matrix(graph)
+    two_hop = two_hop_matrix(graph, a)
+    parts = [summarize(values) for values in extract_structural(graph, a, two_hop)]
+    parts.append(global_stats(graph, two_hop))
     base = np.concatenate(parts)
     vec = np.concatenate([base, signed_log1p(base)])
     if vec.shape[0] != FEATURE_DIM:

@@ -68,30 +68,29 @@ class Graph:
         return hash((self.node_count, self.edge_array.tobytes()))
 
 
-def from_edges(node_count: int, edges, original_ids=None,
-               self_loops_dropped: int = 0, duplicates_dropped: int = 0) -> Graph:
+def from_edges(node_count: int, edges, original_ids=None) -> Graph:
     """Build a Graph from an iterable of (u, v) pairs over ids 0..node_count-1.
 
-    Deduplicates and drops self-loops; callers that already cleaned their
-    edges pay only the sort.
+    Self-loops and repeated edges (in either orientation) are dropped and
+    counted on the Graph.
     """
     arr = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
+    loops = dups = 0
     if arr.size:
         if arr.min() < 0 or arr.max() >= node_count:
             raise ValueError("edge endpoint outside 0..node_count-1")
-        loops = arr[:, 0] == arr[:, 1]
-        self_loops_dropped += int(loops.sum())
-        arr = arr[~loops]
-        lo = np.minimum(arr[:, 0], arr[:, 1])
-        hi = np.maximum(arr[:, 0], arr[:, 1])
+        kept = arr[arr[:, 0] != arr[:, 1]]
+        loops = arr.shape[0] - kept.shape[0]
+        lo = np.minimum(kept[:, 0], kept[:, 1])
+        hi = np.maximum(kept[:, 0], kept[:, 1])
         arr = np.unique(np.stack([lo, hi], axis=1), axis=0)
+        dups = kept.shape[0] - arr.shape[0]
     arr = arr.reshape(-1, 2)
     indptr, indices = _csr_from_edges(node_count, arr)
     if original_ids is None:
         original_ids = np.arange(node_count, dtype=np.int64)
     return Graph(node_count, arr, indptr, indices,
-                 np.asarray(original_ids, dtype=np.int64),
-                 self_loops_dropped, duplicates_dropped)
+                 np.asarray(original_ids, dtype=np.int64), loops, dups)
 
 
 def _csr_from_edges(n: int, edge_array: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -115,7 +114,6 @@ def load_edge_list(text: str) -> Graph:
     """
     id_map: dict[int, int] = {}
     edges: list[tuple[int, int]] = []
-    loops = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -138,29 +136,14 @@ def load_edge_list(text: str) -> Graph:
         for node in (u, v):
             if node not in id_map:
                 id_map[node] = len(id_map)
-        if u == v:
-            loops += 1
-            continue
         edges.append((id_map[u], id_map[v]))
     if not id_map:
         raise ValueError("empty graph: no edges or nodes in input")
-    n = len(id_map)
-    raw_edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    dups = 0
-    if raw_edges.size:
-        lo = np.minimum(raw_edges[:, 0], raw_edges[:, 1])
-        hi = np.maximum(raw_edges[:, 0], raw_edges[:, 1])
-        uniq = np.unique(np.stack([lo, hi], axis=1), axis=0)
-        dups = raw_edges.shape[0] - uniq.shape[0]
-    else:
-        uniq = raw_edges
-    if loops or dups:
-        log.warning("edge list cleanup: dropped %d self-loops, %d duplicate edges", loops, dups)
-    original = np.empty(n, dtype=np.int64)
-    for orig, new in id_map.items():
-        original[new] = orig
-    indptr, indices = _csr_from_edges(n, uniq)
-    return Graph(n, uniq, indptr, indices, original, loops, dups)
+    graph = from_edges(len(id_map), edges, original_ids=list(id_map))
+    if graph.self_loops_dropped or graph.duplicates_dropped:
+        log.warning("edge list cleanup: dropped %d self-loops, %d duplicate edges",
+                    graph.self_loops_dropped, graph.duplicates_dropped)
+    return graph
 
 
 def serialize(graph: Graph) -> str:

@@ -265,12 +265,6 @@ def _forward_scores(params: dict[str, np.ndarray], net: GMNetwork, hyper: dict) 
     return estimate_performance(zg.value, zm.value)
 
 
-def _score_test_graph(params, net, hyper, phi, m_std: np.ndarray) -> np.ndarray:
-    ext = extend_with_test(net, m_std, phi.predict(m_std))
-    scores = _forward_scores(params, ext, hyper)
-    return scores[-1]
-
-
 def train(features: np.ndarray, perf: PerformanceMatrix, config: LearnerConfig) -> MetaLearnerState:
     """Full offline phase; returns the best-validation-MRR parameter set.
 
@@ -326,12 +320,15 @@ def train(features: np.ndarray, perf: PerformanceMatrix, config: LearnerConfig) 
     # it cannot score candidate parameters; with fewer than two multi-entry
     # rows the stopper is one noisy estimate away from keeping a bad epoch,
     # which under heavy masking reliably does more harm than the warm start
-    if sum(1 for i in val_rows if perf.observed[i].sum() >= 2) < 2:
+    scored_rows = [i for i in val_rows if perf.observed[i].sum() >= 2]
+    if config.max_epochs == 0 or len(scored_rows) < 2:
         if config.max_epochs > 0:
             log.warning("fewer than two holdout rows with 2+ observed entries; "
                         "keeping the warm-start parameters")
         return MetaLearnerState(params, phi, mean, scale, net, hyper,
                                 list(perf.model_ids), SCHEMA_VERSION, [])
+    # each holdout graph's extended network depends only on the warm start
+    holdout = {i: extend_with_test(net, fs[i], phi.predict(fs[i])) for i in scored_rows}
 
     def validation_score() -> tuple[float, float]:
         """(early-stopping score, mean val MRR for the log).
@@ -342,18 +339,14 @@ def train(features: np.ndarray, perf: PerformanceMatrix, config: LearnerConfig) 
         ranks the best observed model against the full model list.
         """
         mrrs, losses = [], []
-        for i in val_rows:
+        for i, ext in holdout.items():
             cols = perf.observed[i]
-            if cols.sum() < 2:
-                continue
-            s = _score_test_graph(params, net, hyper, phi, fs[i])
+            s = _forward_scores(params, ext, hyper)[-1]
             labels = np.zeros(s.size)
             labels[cols] = label_top1(perf.values[i, cols])
             mrrs.append(mrr(s, labels))
             losses.append(top1_loss(perf.values[i, cols], cols[cols], s[cols]))
-        if losses:
-            return -float(np.sum(losses)), float(np.mean(mrrs))
-        return float("nan"), float("nan")
+        return -float(np.sum(losses)), float(np.mean(mrrs))
 
     best_params = None
     best_score = -np.inf
@@ -367,8 +360,6 @@ def train(features: np.ndarray, perf: PerformanceMatrix, config: LearnerConfig) 
             raise RuntimeError(f"non-finite training loss at epoch {epoch}")
         opt.step(params, grads, config.lr, config.weight_decay)
         score, val_mrr = validation_score()
-        if np.isnan(score):
-            score = -loss            # no usable holdout rows: monitor the loss
         training_log.append({"epoch": epoch, "loss": loss, "val_mrr": val_mrr,
                              "stop_score": score})
         if score > best_score + min_delta:
@@ -383,7 +374,7 @@ def train(features: np.ndarray, perf: PerformanceMatrix, config: LearnerConfig) 
             if patience_left <= 0:
                 break
 
-    if best_params is None:          # zero-epoch warm start
+    if best_params is None:          # no epoch gave a finite stop score
         best_params = {k_: v_.copy() for k_, v_ in params.items()}
 
     return MetaLearnerState(best_params, phi, mean, scale, net, hyper,
@@ -393,7 +384,8 @@ def train(features: np.ndarray, perf: PerformanceMatrix, config: LearnerConfig) 
 def select_model(state: MetaLearnerState, net: GMNetwork, m_feat: np.ndarray) -> ScoreSheet:
     """Online phase: standardize, estimate factors, extend, embed, rank."""
     m_std = (np.asarray(m_feat, dtype=np.float64).ravel() - state.feature_mean) / state.feature_scale
-    scores = _score_test_graph(state.params, net, state.hyper, state.phi, m_std)
+    ext = extend_with_test(net, m_std, state.phi.predict(m_std))
+    scores = _forward_scores(state.params, ext, state.hyper)[-1]
     return ScoreSheet(list(state.model_ids), scores)
 
 
@@ -418,19 +410,20 @@ def make_tiny_problem(seed: int = 0, layers: int = 1, heads: int = 1):
 
 def finite_difference_grads(loss_fn: Callable[[dict[str, np.ndarray]], float],
                             params: dict[str, np.ndarray], step: float = 1e-5) -> dict[str, np.ndarray]:
+    """Central differences, perturbing each parameter array in place."""
     grads = {}
     for name, arr in params.items():
+        if not isinstance(arr, np.ndarray):
+            raise TypeError(f"parameter {name!r} is {type(arr).__name__}, not an ndarray")
         g = np.zeros_like(arr)
-        flat = arr.reshape(-1)
-        gflat = g.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
+        for i in np.ndindex(arr.shape):
+            orig = arr[i]
+            arr[i] = orig + step
             hi = loss_fn(params)
-            flat[i] = orig - step
+            arr[i] = orig - step
             lo = loss_fn(params)
-            flat[i] = orig
-            gflat[i] = (hi - lo) / (2.0 * step)
+            arr[i] = orig
+            g[i] = (hi - lo) / (2.0 * step)
         grads[name] = g
     return grads
 

@@ -87,26 +87,40 @@ def test_single_node_and_edgeless():
     assert np.allclose(pr, 1.0 / 3.0)
 
 
+def extract_shared(g):
+    a = extractors.adjacency_matrix(g)
+    return extractors.extract_structural(g, a, extractors.two_hop_matrix(g, a))
+
+
 def test_extract_structural_schema():
     g = from_edges(4, [(0, 1), (1, 2), (2, 3)])
-    dists = extractors.extract_structural(g)
-    assert [d.extractor_id for d in dists] == list(extractors.EXTRACTOR_IDS)
-    sizes = {d.extractor_id: d.values.size for d in dists}
+    dists = extract_shared(g)
+    assert len(dists) == len(extractors.EXTRACTOR_IDS)
+    sizes = dict(zip(extractors.EXTRACTOR_IDS, (d.size for d in dists)))
     assert sizes["degree"] == 4
     assert sizes["triangles_per_edge"] == 3
     for d in dists:
-        assert np.all(np.isfinite(d.values))
+        assert np.all(np.isfinite(d))
 
     # an edgeless graph still produces a per-edge distribution of length 1
-    dists0 = extractors.extract_structural(from_edges(2, []))
-    by_id = {d.extractor_id: d.values for d in dists0}
+    by_id = dict(zip(extractors.EXTRACTOR_IDS, extract_shared(from_edges(2, []))))
     assert list(by_id["triangles_per_edge"]) == [0.0]
 
 
 def test_extraction_is_deterministic():
     rng = np.random.default_rng(7)
     g = random_graph(rng, 25, 0.2)
-    a = extractors.extract_structural(g)
-    b = extractors.extract_structural(g)
+    a = extract_shared(g)
+    b = extract_shared(g)
     for da, db in zip(a, b):
-        assert np.array_equal(da.values, db.values)
+        assert np.array_equal(da, db)
+
+    # the shared adjacency and A·A give bitwise the values each extractor
+    # computes on its own
+    for trial in range(20):
+        g = random_graph(rng, int(rng.integers(2, 40)), float(rng.uniform(0.02, 0.5)))
+        for name, shared in zip(extractors.EXTRACTOR_IDS, extract_shared(g)):
+            alone = getattr(extractors, name)(g)
+            if alone.size == 0:
+                alone = np.zeros(1)
+            assert shared.tobytes() == alone.tobytes(), name

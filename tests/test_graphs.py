@@ -120,6 +120,10 @@ def test_from_edges_cleans_and_validates():
     g = from_edges(4, [(0, 1), (1, 0), (2, 2), (1, 3)])
     assert g.edge_set() == {(0, 1), (1, 3)}
     assert g.self_loops_dropped == 1
+    g = from_edges(4, [(0, 1), (1, 0), (2, 2), (1, 3), (1, 3)])
+    assert g.edge_set() == {(0, 1), (1, 3)}
+    assert g.self_loops_dropped == 1
+    assert g.duplicates_dropped == 2
     with pytest.raises(ValueError):
         from_edges(3, [(0, 5)])
     with pytest.raises(ValueError):

@@ -307,6 +307,18 @@ def test_gradient_check_entry_point():
     assert gradient_check(seed=1) < 1e-4
 
 
+def test_finite_differences_perturb_any_layout_in_place():
+    # an F-ordered array and a 0-d array must be perturbed in place, not
+    # through a copy that leaves the loss unchanged
+    w = np.asfortranarray(np.arange(6.0).reshape(2, 3))
+    params = {"w": w, "b": np.array(1.5)}
+    fd = finite_difference_grads(lambda p: float((p["w"] ** 2).sum() + p["b"] ** 2), params)
+    assert np.allclose(fd["w"], 2.0 * w, atol=1e-6)
+    assert np.allclose(fd["b"], 3.0, atol=1e-6)
+    with pytest.raises(TypeError, match="'b'"):
+        finite_difference_grads(lambda p: 0.0, {"b": np.float64(1.5)})
+
+
 # --- training loop --------------------------------------------------------------
 
 def small_training_problem(seed=0, n=20, m=5, meta_dim=12):
