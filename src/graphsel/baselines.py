@@ -243,7 +243,7 @@ class MetaLearnerSelector:
     def rank(self, m_feat: np.ndarray) -> ScoreSheet:
         if self.state is None:
             raise RuntimeError("selector not fit")
-        return select_model(self.state, self.state.network, m_feat)
+        return select_model(self.state, m_feat)
 
 
 def make_selector(kind: str, seed: int = 0, **options):

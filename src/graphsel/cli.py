@@ -34,14 +34,9 @@ class DataError(RuntimeError):
 
 
 def _learner_config(cfg: RunConfig) -> LearnerConfig:
-    return LearnerConfig(
-        k=cfg.get("hyper", "k"), top_k=cfg.get("hyper", "top_k"),
-        layers=cfg.get("hyper", "layers"), heads=cfg.get("hyper", "heads"),
-        lr=cfg.get("hyper", "lr"), weight_decay=cfg.get("hyper", "weight_decay"),
-        max_epochs=cfg.get("hyper", "max_epochs"), patience=cfg.get("hyper", "patience"),
-        min_epochs=cfg.get("hyper", "min_epochs"),
-        seed=cfg.get("hyper", "seed"), ridge_lambda=cfg.get("hyper", "ridge_lambda"),
-        nmf_mean_prior=cfg.get("hyper", "nmf_mean_prior"))
+    """Every [hyper] key has the name of a LearnerConfig field."""
+    return LearnerConfig(**{key: value for (section, key), value in cfg.values.items()
+                            if section == "hyper"})
 
 
 def _stamp(cfg: RunConfig) -> str:
@@ -138,9 +133,15 @@ def read_features_csv(path: Path) -> tuple[list[str], np.ndarray]:
                 raise DataError(f"bad feature row for {cells[0]!r} in {path}")
             if cells[0] in seen:
                 raise DataError(f"duplicate graph id {cells[0]!r} in {path}")
+            try:
+                row = [float(c) for c in cells[1:]]
+            except ValueError:
+                raise DataError(f"non-numeric feature value for {cells[0]!r} in {path}") from None
+            if not np.isfinite(row).all():
+                raise DataError(f"non-finite feature value for {cells[0]!r} in {path}")
             seen.add(cells[0])
             ids.append(cells[0])
-            rows.append([float(c) for c in cells[1:]])
+            rows.append(row)
     if schema_seen is not None and schema_seen != SCHEMA_VERSION:
         raise DataError(f"features schema {schema_seen} != current {SCHEMA_VERSION}")
     if not ids:
@@ -207,9 +208,7 @@ def cmd_select(cfg: RunConfig) -> int:
         raise DataError(f"cannot load graph: {exc}") from None
     m_feat = meta_graph_features(graph)
     t1 = time.perf_counter()
-    if m_feat.schema_version != state.schema_version:
-        raise DataError("feature schema mismatch between bundle and extractor")
-    sheet = learner.select_model(state, state.network, m_feat.values)
+    sheet = learner.select_model(state, m_feat.values)
     t2 = time.perf_counter()
 
     lines = [_stamp(cfg) + "rank,model_id,score"]

@@ -9,15 +9,18 @@ from top-k cosine neighbor lists:
     P-g2m  graph -> model, cross-type factor similarity
     P-m2g  model -> graph, transpose direction of the above
 
-Node indices are per-type; the relation of an edge determines its endpoint
-types. Base construction gives every node out-degree <= top_k per relation;
-extending with a test node adds reciprocal in-edges from its chosen
-neighbors, so their out-degree may reach top_k + 1.
+The edges form one table, int64 arrays src, dst and rel (an index into
+RELATIONS), grouped by relation; within a relation, build edges precede
+extension edges. Node ids number the models first and then the graphs, so
+an appended test graph renumbers no node. Base construction gives every
+node out-degree <= top_k per relation; extending with a test node adds
+reciprocal in-edges from its chosen neighbors, so their out-degree may
+reach top_k + 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,14 +34,17 @@ REL_TYPES = {
     "P-g2m": (0, 1),
     "P-m2g": (1, 0),
 }
+_ENDPOINT_TYPES = np.array([REL_TYPES[r] for r in RELATIONS])
 
 
 @dataclass
 class GMNetwork:
     n_graphs: int
     n_models: int
-    # edges[r] is an (E_r, 2) array of (src, dst) per-type indices
-    edges: dict[str, np.ndarray]
+    # the edge table: node ids are models 0..n_models-1, then graphs
+    src: np.ndarray
+    dst: np.ndarray
+    rel: np.ndarray              # index into RELATIONS
     graph_features: np.ndarray   # (n_graphs, meta_dim + factor_dim): [m; phi(m)]
     model_features: np.ndarray   # (n_models, factor_dim): V rows at build time
     meta_dim: int
@@ -46,28 +52,31 @@ class GMNetwork:
     extension_nodes: int = 0
 
     def edge_count(self) -> int:
-        return sum(int(e.shape[0]) for e in self.edges.values())
+        return int(self.src.size)
 
     def validate(self):
-        for rel, arr in self.edges.items():
-            if rel not in REL_INDEX:
-                raise ValueError(f"unknown relation {rel!r}")
-            if arr.size == 0:
-                continue
-            st, tt = REL_TYPES[rel]
-            src_max = self.n_graphs if st == 0 else self.n_models
-            dst_max = self.n_graphs if tt == 0 else self.n_models
-            if arr[:, 0].min() < 0 or arr[:, 0].max() >= src_max:
-                raise ValueError(f"{rel}: source index out of range")
-            if arr[:, 1].min() < 0 or arr[:, 1].max() >= dst_max:
-                raise ValueError(f"{rel}: target index out of range")
-            if np.any((arr[:, 0] == arr[:, 1]) & (st == tt)):
-                raise ValueError(f"{rel}: self edge")
+        if self.src.ndim != 1 or not self.src.shape == self.dst.shape == self.rel.shape:
+            raise ValueError("src, dst and rel must be 1-D arrays of one length")
+        if self.rel.size == 0:
+            return
+        if self.rel.min() < 0 or self.rel.max() >= len(RELATIONS):
+            raise ValueError("unknown relation index")
+        n_nodes = self.n_models + self.n_graphs
+        for ends, role in ((self.src, "source"), (self.dst, "target")):
+            if ends.min() < 0 or ends.max() >= n_nodes:
+                raise ValueError(f"{role} index out of range")
+        # node type 0 = graph, 1 = model, as in REL_TYPES
+        types = np.stack([self.src < self.n_models, self.dst < self.n_models], axis=1)
+        if np.any(types != _ENDPOINT_TYPES[self.rel]):
+            raise ValueError("endpoint type does not match the relation")
+        if np.any(self.src == self.dst):
+            raise ValueError("self edge")
 
 
 def cosine_topk(queries: np.ndarray, candidates: np.ndarray, k: int,
-                exclude_diagonal: bool = False) -> list[np.ndarray]:
-    """Indices of the k most cosine-similar candidate rows per query row.
+                exclude_diagonal: bool = False) -> np.ndarray:
+    """(n_queries, width) indices of the k most cosine-similar candidate rows
+    per query row; width is k, or fewer when there are fewer candidates.
 
     Zero-norm vectors have similarity 0 to everything. Ties break toward the
     lower candidate index; with exclude_diagonal, candidate i is skipped for
@@ -79,25 +88,12 @@ def cosine_topk(queries: np.ndarray, candidates: np.ndarray, k: int,
     cn = np.linalg.norm(c, axis=1, keepdims=True)
     qh = np.where(qn > 0, q / np.where(qn > 0, qn, 1.0), 0.0)
     ch = np.where(cn > 0, c / np.where(cn > 0, cn, 1.0), 0.0)
-    sims = qh @ ch.T
-    out = []
-    n_cand = c.shape[0]
-    for i in range(q.shape[0]):
-        row = sims[i]
-        if exclude_diagonal:
-            mask = np.ones(n_cand, dtype=bool)
-            mask[i] = False
-            idx = np.flatnonzero(mask)
-        else:
-            idx = np.arange(n_cand)
-        order = np.lexsort((idx, -row[idx]))
-        out.append(idx[order[:k]])
-    return out
-
-
-def _edges_from_topk(neighbor_lists: list[np.ndarray]) -> np.ndarray:
-    pairs = [(i, int(j)) for i, nbrs in enumerate(neighbor_lists) for j in nbrs]
-    return np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    neg = -(qh @ ch.T)
+    if exclude_diagonal:
+        np.fill_diagonal(neg, np.inf)
+    width = min(k, c.shape[0] - int(exclude_diagonal))
+    # a stable sort keeps equal similarities in candidate order
+    return np.argsort(neg, axis=1, kind="stable")[:, :width]
 
 
 def build_train_network(u_hat: np.ndarray, v: np.ndarray, meta_features: np.ndarray,
@@ -114,15 +110,23 @@ def build_train_network(u_hat: np.ndarray, v: np.ndarray, meta_features: np.ndar
         raise ValueError("factor/meta-feature shapes disagree")
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
-    edges = {
-        "M-g2g": _edges_from_topk(cosine_topk(meta, meta, top_k, exclude_diagonal=True)),
-        "P-g2g": _edges_from_topk(cosine_topk(u_hat, u_hat, top_k, exclude_diagonal=True)),
-        "P-m2m": _edges_from_topk(cosine_topk(v, v, top_k, exclude_diagonal=True)),
-        "P-g2m": _edges_from_topk(cosine_topk(u_hat, v, top_k)),
-        "P-m2g": _edges_from_topk(cosine_topk(v, u_hat, top_k)),
+    neighbors = {
+        "M-g2g": cosine_topk(meta, meta, top_k, exclude_diagonal=True),
+        "P-g2g": cosine_topk(u_hat, u_hat, top_k, exclude_diagonal=True),
+        "P-m2m": cosine_topk(v, v, top_k, exclude_diagonal=True),
+        "P-g2m": cosine_topk(u_hat, v, top_k),
+        "P-m2g": cosine_topk(v, u_hat, top_k),
     }
-    net = GMNetwork(n, m, edges, np.concatenate([meta, u_hat], axis=1),
-                    v.copy(), meta.shape[1], top_k)
+    first_id = (m, 0)                  # by node type: graphs follow the models
+    src, dst, rel = [], [], []
+    for r, name in enumerate(RELATIONS):
+        st, tt = REL_TYPES[name]
+        nbrs = neighbors[name]
+        src.append(np.repeat(np.arange(nbrs.shape[0]), nbrs.shape[1]) + first_id[st])
+        dst.append(nbrs.ravel() + first_id[tt])
+        rel.append(np.full(nbrs.size, r))
+    net = GMNetwork(n, m, *(np.concatenate(parts) for parts in (src, dst, rel)),
+                    np.concatenate([meta, u_hat], axis=1), v.copy(), meta.shape[1], top_k)
     net.validate()
     return net
 
@@ -140,30 +144,29 @@ def extend_with_test(net: GMNetwork, m_test: np.ndarray, u_hat_test: np.ndarray)
         raise ValueError("test meta-feature dimension mismatch")
     if u_hat_test.shape[0] != net.graph_features.shape[1] - net.meta_dim:
         raise ValueError("test factor dimension mismatch")
-    t = net.n_graphs
+    g0 = net.n_models
+    t = g0 + net.n_graphs              # the test node's id
     meta = net.graph_features[:, :net.meta_dim]
     u_hat = net.graph_features[:, net.meta_dim:]
     k = net.top_k
 
-    new_edges = {rel: arr.copy() for rel, arr in net.edges.items()}
-
-    def splice(rel_out, rel_back, neighbors):
-        fwd = [(t, int(j)) for j in neighbors]
-        back = [(int(j), t) for j in neighbors]
-        new_edges[rel_out] = np.concatenate(
-            [new_edges[rel_out], np.asarray(fwd, dtype=np.int64).reshape(-1, 2)])
-        new_edges[rel_back] = np.concatenate(
-            [new_edges[rel_back], np.asarray(back, dtype=np.int64).reshape(-1, 2)])
-
-    splice("M-g2g", "M-g2g", cosine_topk(m_test[None, :], meta, k)[0])
-    splice("P-g2g", "P-g2g", cosine_topk(u_hat_test[None, :], u_hat, k)[0])
-    splice("P-g2m", "P-m2g", cosine_topk(u_hat_test[None, :], net.model_features, k)[0])
+    src, dst, rel = [net.src], [net.dst], [net.rel]
+    for out_rel, back_rel, nbrs in (
+            ("M-g2g", "M-g2g", cosine_topk(m_test[None, :], meta, k)[0] + g0),
+            ("P-g2g", "P-g2g", cosine_topk(u_hat_test[None, :], u_hat, k)[0] + g0),
+            ("P-g2m", "P-m2g", cosine_topk(u_hat_test[None, :], net.model_features, k)[0])):
+        test_end = np.full(nbrs.size, t)
+        src += [test_end, nbrs]
+        dst += [nbrs, test_end]
+        rel += [np.full(nbrs.size, REL_INDEX[out_rel]), np.full(nbrs.size, REL_INDEX[back_rel])]
+    src, dst, rel = (np.concatenate(parts) for parts in (src, dst, rel))
+    # a stable sort keeps each relation's build edges ahead of the new ones
+    order = np.argsort(rel, kind="stable")
 
     feat = np.concatenate([m_test, u_hat_test])[None, :]
-    ext = GMNetwork(t + 1, net.n_models, new_edges,
+    ext = GMNetwork(net.n_graphs + 1, net.n_models, src[order], dst[order], rel[order],
                     np.concatenate([net.graph_features, feat], axis=0),
                     net.model_features, net.meta_dim, k,
                     net.extension_nodes + 1)
     ext.validate()
     return ext
-

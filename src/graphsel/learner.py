@@ -19,7 +19,7 @@ import numpy as np
 
 from .autodiff import Tensor, concat, einsum, segment_softmax
 from .features import SCHEMA_VERSION
-from .gmnet import GMNetwork, RELATIONS, REL_TYPES, build_train_network, extend_with_test
+from .gmnet import GMNetwork, RELATIONS, build_train_network, extend_with_test
 from .metrics import label_top1, mrr
 from .perf import (FactorEstimator, PerformanceMatrix, factorize, fit_factor_estimator,
                    standardize)
@@ -27,7 +27,9 @@ from .ranking import ScoreSheet
 
 log = logging.getLogger(__name__)
 
-BUNDLE_FORMAT_VERSION = 2
+BUNDLE_FORMAT_VERSION = 3
+# share of training graphs held out for early stopping
+VAL_FRACTION = 0.1
 
 
 @dataclass
@@ -43,7 +45,6 @@ class LearnerConfig:
     min_epochs: int = 75
     seed: int = 0
     ridge_lambda: float | None = None    # None: leave-one-out selection
-    val_fraction: float = 0.1
     nmf_max_iter: int = 500
     nmf_mean_prior: float = 0.1
 
@@ -123,30 +124,22 @@ def embed_network(pt: dict[str, Tensor], net: GMNetwork, hyper: dict) -> tuple[T
     zg = Tensor.const(net.graph_features) @ pt["W"].transpose()
     zm = pt["V"]
 
-    # one node index over both types: graphs first, then models
-    offset = (0, ng)
-    src, dst, rel_id = [], [], []
-    for r, rel in enumerate(RELATIONS):
-        arr = net.edges[rel]
-        st, tt = REL_TYPES[rel]
-        src.append(arr[:, 0] + offset[st])
-        dst.append(arr[:, 1] + offset[tt])
-        rel_id.append(np.full(arr.shape[0], r))
-    src, dst, rel_id = (np.concatenate(parts) for parts in (src, dst, rel_id))
-    keyed_rows = rel_id * n_total + src
-    graph_rows = np.arange(ng)
-    model_rows = ng + np.arange(m)
+    # edge table node ids: models first, then graphs
+    src, dst = net.src, net.dst
+    keyed_rows = net.rel * n_total + src
+    model_rows = np.arange(m)
+    graph_rows = m + np.arange(ng)
 
     for layer in range(layers):
         def project(name):
-            both = concat([zg @ pt[f"l{layer}.{name}.g"], zm @ pt[f"l{layer}.{name}.m"]])
+            both = concat([zm @ pt[f"l{layer}.{name}.m"], zg @ pt[f"l{layer}.{name}.g"]])
             return both.reshape(n_total, heads, dk)
 
         keys, queries, msgs = project("K"), project("Q"), project("M")
         # every node's keys through every relation's bilinear form, flattened
         # so that row r * n_total + i is node i under relation r
         keyed = einsum("nhi,rhij->rnhj", keys, pt[f"l{layer}.att"]).reshape(-1, heads, dk)
-        mu = pt[f"l{layer}.mu"].gather(rel_id).reshape(-1, 1)
+        mu = pt[f"l{layer}.mu"].gather(net.rel).reshape(-1, 1)
         logits = (keyed.gather(keyed_rows) * queries.gather(dst)).sum(axis=2) * mu \
             * (1.0 / np.sqrt(dk))
         att = segment_softmax(logits, dst, n_total)
@@ -283,7 +276,7 @@ def train(features: np.ndarray, perf: PerformanceMatrix, config: LearnerConfig) 
         raise ValueError("training needs at least 2 models")
 
     rng = np.random.default_rng(config.seed)
-    n_val = max(1, int(round(config.val_fraction * n)))
+    n_val = max(1, int(round(VAL_FRACTION * n)))
     perm = rng.permutation(n)
     val_rows = np.sort(perm[:n_val])
     train_rows = np.sort(perm[n_val:])
@@ -381,10 +374,10 @@ def train(features: np.ndarray, perf: PerformanceMatrix, config: LearnerConfig) 
                             list(perf.model_ids), SCHEMA_VERSION, training_log)
 
 
-def select_model(state: MetaLearnerState, net: GMNetwork, m_feat: np.ndarray) -> ScoreSheet:
+def select_model(state: MetaLearnerState, m_feat: np.ndarray) -> ScoreSheet:
     """Online phase: standardize, estimate factors, extend, embed, rank."""
     m_std = (np.asarray(m_feat, dtype=np.float64).ravel() - state.feature_mean) / state.feature_scale
-    ext = extend_with_test(net, m_std, state.phi.predict(m_std))
+    ext = extend_with_test(state.network, m_std, state.phi.predict(m_std))
     scores = _forward_scores(state.params, ext, state.hyper)[-1]
     return ScoreSheet(list(state.model_ids), scores)
 
@@ -457,31 +450,14 @@ def gradient_check(seed: int = 0, step: float = 1e-5) -> float:
 
 def save_state(state: MetaLearnerState, path: str):
     """Pickle the bundle (trusted-input format; see README)."""
-    net = state.network
     payload = {
         "format_version": BUNDLE_FORMAT_VERSION,
         "schema_version": state.schema_version,
         "params": state.params,
-        "phi": {
-            "weights": state.phi.weights,
-            "intercept": state.phi.intercept,
-            "feature_mean": state.phi.feature_mean,
-            "feature_scale": state.phi.feature_scale,
-            "ridge_lambda": state.phi.ridge_lambda,
-            "r2": state.phi.r2,
-        },
+        "phi": vars(state.phi),
         "feature_mean": state.feature_mean,
         "feature_scale": state.feature_scale,
-        "network": {
-            "n_graphs": net.n_graphs,
-            "n_models": net.n_models,
-            "edges": net.edges,
-            "graph_features": net.graph_features,
-            "model_features": net.model_features,
-            "meta_dim": net.meta_dim,
-            "top_k": net.top_k,
-            "extension_nodes": net.extension_nodes,
-        },
+        "network": vars(state.network),
         "hyper": state.hyper,
         "model_ids": state.model_ids,
         "training_log": state.training_log,
@@ -491,17 +467,26 @@ def save_state(state: MetaLearnerState, path: str):
 
 
 def load_state(path: str) -> MetaLearnerState:
+    """Read a bundle; a truncated, foreign or outdated one raises ValueError."""
     with open(path, "rb") as fh:
-        payload = pickle.load(fh)
+        try:
+            payload = pickle.load(fh)
+        except EOFError:
+            raise ValueError("bundle is empty or truncated") from None
+    if not isinstance(payload, dict):
+        raise ValueError(f"bundle holds a {type(payload).__name__}, not a bundle payload")
     if payload.get("format_version") != BUNDLE_FORMAT_VERSION:
         raise ValueError(f"unsupported bundle format {payload.get('format_version')!r}")
     if payload.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(
             f"bundle feature schema {payload.get('schema_version')!r} does not match "
             f"current schema {SCHEMA_VERSION}; regenerate features and retrain")
-    phi = FactorEstimator(**payload["phi"])
-    net = GMNetwork(**payload["network"])
-    return MetaLearnerState(payload["params"], phi, payload["feature_mean"],
-                            payload["feature_scale"], net, payload["hyper"],
-                            payload["model_ids"], payload["schema_version"],
-                            payload["training_log"])
+    try:
+        phi = FactorEstimator(**payload["phi"])
+        net = GMNetwork(**payload["network"])
+        return MetaLearnerState(payload["params"], phi, payload["feature_mean"],
+                                payload["feature_scale"], net, payload["hyper"],
+                                payload["model_ids"], payload["schema_version"],
+                                payload["training_log"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"bundle payload is incomplete: {exc}") from None

@@ -218,40 +218,25 @@ def standardize(f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _loocv_ridge_lambda(z: np.ndarray, uc: np.ndarray) -> float:
     """Leave-one-out optimal ridge penalty, closed form.
 
-    Decomposes the smaller Gram matrix once and evaluates the classical
-    LOO identity r_i / (1 - H_ii) on a log grid. The penalty steers how
-    hard predictions shrink toward the target mean: clean targets keep it
-    small, noisy or underdetermined fits push it up.
+    Takes one thin SVD z = U S V^T and evaluates the classical LOO identity
+    r_i / (1 - H_ii) on a log grid, with hat matrix H = U diag(a) U^T and
+    shrinkage a = s^2 / (s^2 + lambda). The penalty steers how hard
+    predictions shrink toward the target mean: clean targets keep it small,
+    noisy or underdetermined fits push it up.
     """
-    n, d = z.shape
     grid = np.geomspace(1e-6, 1e9, 31)
-    if n <= d:
-        evals, q = np.linalg.eigh(z @ z.T)
-        qt_y = q.T @ uc
-        q2 = q ** 2
-        best_lam, best_sse = grid[0], np.inf
-        for lam in grid:
-            a = evals / (evals + lam)
-            resid = uc - q @ (a[:, None] * qt_y)
-            h_diag = q2 @ a
-            denom = np.maximum(1.0 - h_diag, 1e-12)
-            sse = float(np.sum((resid / denom[:, None]) ** 2))
-            if sse < best_sse - 1e-12:
-                best_sse, best_lam = sse, lam
-    else:
-        evals, q = np.linalg.eigh(z.T @ z)
-        a_mat = z @ q
-        at_y = a_mat.T @ uc
-        a2 = a_mat ** 2
-        best_lam, best_sse = grid[0], np.inf
-        for lam in grid:
-            inv = 1.0 / (evals + lam)
-            resid = uc - a_mat @ (inv[:, None] * at_y)
-            h_diag = a2 @ inv
-            denom = np.maximum(1.0 - h_diag, 1e-12)
-            sse = float(np.sum((resid / denom[:, None]) ** 2))
-            if sse < best_sse - 1e-12:
-                best_sse, best_lam = sse, lam
+    u, s, _ = np.linalg.svd(z, full_matrices=False)
+    ut_y = u.T @ uc
+    u2 = u ** 2
+    s2 = s ** 2
+    best_lam, best_sse = grid[0], np.inf
+    for lam in grid:
+        a = s2 / (s2 + lam)
+        resid = uc - u @ (a[:, None] * ut_y)
+        denom = np.maximum(1.0 - u2 @ a, 1e-12)
+        sse = float(np.sum((resid / denom[:, None]) ** 2))
+        if sse < best_sse - 1e-12:
+            best_sse, best_lam = sse, lam
     return float(best_lam)
 
 

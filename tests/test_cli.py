@@ -6,7 +6,7 @@ import pickle
 import numpy as np
 import pytest
 
-from graphsel.cli import main
+from graphsel.cli import DataError, main, read_features_csv
 from graphsel.features import FEATURE_DIM
 from graphsel.graphs import serialize
 from graphsel.perf import to_csv
@@ -132,6 +132,19 @@ def test_duplicate_ids_are_a_data_error(ws, tmp_path):
         "--performance-csv", str(dup_perf), "--output-dir", str(tmp_path)])
     assert rc == 3
 
+    # a non-numeric or non-finite cell names its row
+    last = text.splitlines(True)[-1]
+    gid, first, rest = last.split(",", 2)
+    for cell in ("abc", "nan"):
+        bad_feats = tmp_path / f"features_{cell}.csv"
+        bad_feats.write_text(text[:-len(last)] + f"{gid},{cell},{rest}")
+        with pytest.raises(DataError, match=repr(gid)):
+            read_features_csv(bad_feats)
+        rc = main(TRAIN_SETS + [
+            "train", "--features-csv", str(bad_feats),
+            "--performance-csv", str(ws["perf_csv"]), "--output-dir", str(tmp_path)])
+        assert rc == 3
+
 
 def test_train_schema_guard(ws, tmp_path):
     stale = tmp_path / "features.csv"
@@ -180,9 +193,18 @@ def test_select_error_paths(ws, tmp_path):
     assert main(["select", "--bundle", str(garbage),
                  "--graph-file", str(ws["graph_dir"] / "g000"),
                  "--output-dir", str(tmp_path)]) == 3
-    # stale feature schema inside an otherwise valid bundle
+    # empty bundle, a pickled non-dict, and a payload missing a key
     with open(ws["bundle"], "rb") as fh:
         payload = pickle.load(fh)
+    broken = {"empty": b"", "list": pickle.dumps([1, 2]),
+              "keyless": pickle.dumps({k: v for k, v in payload.items() if k != "network"})}
+    for name, data in broken.items():
+        path = tmp_path / f"{name}.bundle"
+        path.write_bytes(data)
+        assert main(["select", "--bundle", str(path),
+                     "--graph-file", str(ws["graph_dir"] / "g000"),
+                     "--output-dir", str(tmp_path)]) == 3, name
+    # stale feature schema inside an otherwise valid bundle
     payload["schema_version"] = 99
     stale = tmp_path / "stale.bundle"
     with open(stale, "wb") as fh:

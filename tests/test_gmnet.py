@@ -1,10 +1,21 @@
 """Graph-model network construction and test-node extension."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from graphsel.gmnet import (GMNetwork, REL_TYPES, RELATIONS, build_train_network,
-                            cosine_topk, extend_with_test)
+from graphsel.gmnet import (REL_TYPES, RELATIONS, build_train_network, cosine_topk,
+                            extend_with_test)
+
+
+def relation_edges(net, rel):
+    """One relation's (src, dst) rows of the edge table, in table order and
+    in per-type node ids."""
+    first_id = (net.n_models, 0)            # by node type: models come first
+    st, tt = REL_TYPES[rel]
+    keep = net.rel == RELATIONS.index(rel)
+    return np.stack([net.src[keep] - first_id[st], net.dst[keep] - first_id[tt]], axis=1)
 
 
 def cosine_topk_brute(queries, candidates, k, exclude_diagonal=False):
@@ -77,9 +88,9 @@ def test_build_matches_neighbor_lists():
         "P-g2m": edges_of(cosine_topk_brute(u, v, 2)),
         "P-m2g": edges_of(cosine_topk_brute(v, u, 2)),
     }
-    assert set(net.edges) == set(RELATIONS)
+    assert np.all(np.diff(net.rel) >= 0)      # grouped in RELATIONS order
     for rel in RELATIONS:
-        got = {(int(a), int(b)) for a, b in net.edges[rel]}
+        got = {(int(a), int(b)) for a, b in relation_edges(net, rel)}
         assert got == want[rel], rel
 
     assert net.n_graphs == 7 and net.n_models == 4
@@ -114,32 +125,33 @@ def test_extension_adds_one_node_with_reciprocal_edges():
     assert net.n_graphs == 6                      # original untouched
     t = 6
 
+    assert np.all(np.diff(ext.rel) >= 0)      # still grouped by relation
     for rel in RELATIONS:
-        old = net.edges[rel]
-        new = ext.edges[rel]
+        old = relation_edges(net, rel)
+        new = relation_edges(ext, rel)
         assert np.array_equal(new[:old.shape[0]], old)
 
-    assert np.array_equal(ext.edges["P-m2m"], net.edges["P-m2m"])
+    assert np.array_equal(relation_edges(ext, "P-m2m"), relation_edges(net, "P-m2m"))
 
     # forward edges match fresh similarity lists; each has a reciprocal twin
     want_meta = cosine_topk_brute(m_test[None, :], meta, 2)[0]
     want_fact = cosine_topk_brute(u_test[None, :], u, 2)[0]
     want_modl = cosine_topk_brute(u_test[None, :], v, 2)[0]
 
-    added_m = ext.edges["M-g2g"][net.edges["M-g2g"].shape[0]:]
+    added_m = relation_edges(ext, "M-g2g")[len(relation_edges(net, "M-g2g")):]
     assert {(int(a), int(b)) for a, b in added_m} == \
         {(t, int(j)) for j in want_meta} | {(int(j), t) for j in want_meta}
-    added_p = ext.edges["P-g2g"][net.edges["P-g2g"].shape[0]:]
+    added_p = relation_edges(ext, "P-g2g")[len(relation_edges(net, "P-g2g")):]
     assert {(int(a), int(b)) for a, b in added_p} == \
         {(t, int(j)) for j in want_fact} | {(int(j), t) for j in want_fact}
-    added_gm = ext.edges["P-g2m"][net.edges["P-g2m"].shape[0]:]
+    added_gm = relation_edges(ext, "P-g2m")[len(relation_edges(net, "P-g2m")):]
     assert {(int(a), int(b)) for a, b in added_gm} == {(t, int(j)) for j in want_modl}
-    added_mg = ext.edges["P-m2g"][net.edges["P-m2g"].shape[0]:]
+    added_mg = relation_edges(ext, "P-m2g")[len(relation_edges(net, "P-m2g")):]
     assert {(int(a), int(b)) for a, b in added_mg} == {(int(j), t) for j in want_modl}
 
     # out-degree never exceeds top_k + 1 after the reciprocal insert
     for rel in ("M-g2g", "P-g2g", "P-g2m", "P-m2g"):
-        src, counts = np.unique(ext.edges[rel][:, 0], return_counts=True)
+        src, counts = np.unique(relation_edges(ext, rel)[:, 0], return_counts=True)
         assert counts.max() <= net.top_k + 1
 
     assert np.array_equal(ext.graph_features[-1],
@@ -158,20 +170,20 @@ def test_extension_dimension_validation():
 def test_validate_rejects_malformed_networks():
     rng = np.random.default_rng(5)
     net, *_ = make_net(rng)
-    bad = GMNetwork(net.n_graphs, net.n_models,
-                    dict(net.edges, **{"bogus": np.zeros((1, 2), dtype=np.int64)}),
-                    net.graph_features, net.model_features, net.meta_dim, net.top_k)
+    net.validate()
+
+    def with_edge(src, dst, rel):
+        return replace(net, src=np.append(net.src, src), dst=np.append(net.dst, dst),
+                       rel=np.append(net.rel, rel))
+
+    g = net.n_models                          # the first graph node's id
     with pytest.raises(ValueError, match="unknown relation"):
-        bad.validate()
-
-    edges = {rel: arr.copy() for rel, arr in net.edges.items()}
-    edges["P-g2m"] = np.array([[0, 99]], dtype=np.int64)
+        with_edge(g, g + 1, len(RELATIONS)).validate()
     with pytest.raises(ValueError, match="target index"):
-        GMNetwork(net.n_graphs, net.n_models, edges, net.graph_features,
-                  net.model_features, net.meta_dim, net.top_k).validate()
-
-    edges = {rel: arr.copy() for rel, arr in net.edges.items()}
-    edges["M-g2g"] = np.array([[2, 2]], dtype=np.int64)
+        with_edge(g, 99, RELATIONS.index("P-g2m")).validate()
+    with pytest.raises(ValueError, match="endpoint type"):
+        with_edge(g, g + 1, RELATIONS.index("P-g2m")).validate()
     with pytest.raises(ValueError, match="self edge"):
-        GMNetwork(net.n_graphs, net.n_models, edges, net.graph_features,
-                  net.model_features, net.meta_dim, net.top_k).validate()
+        with_edge(g + 2, g + 2, RELATIONS.index("M-g2g")).validate()
+    with pytest.raises(ValueError, match="one length"):
+        replace(net, rel=net.rel[:-1]).validate()

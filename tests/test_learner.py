@@ -45,12 +45,12 @@ def forward_oracle(params, net, hyper):
 
     for layer in range(layers):
         recs = []
-        for rel in RELATIONS:
-            arr = net.edges[rel]
+        first_id = (m, 0)                   # table ids: models, then graphs
+        for src, dst, r in zip(net.src, net.dst, net.rel):
+            rel = RELATIONS[r]
             st, tt = REL_TYPES[rel]
-            for row in arr:
-                s, t = int(row[0]), int(row[1])
-                recs.append((rel, s, t, st, tt, t + (ng if tt == 1 else 0)))
+            s, t = int(src) - first_id[st], int(dst) - first_id[tt]
+            recs.append((rel, s, t, st, tt, t + (ng if tt == 1 else 0)))
         alpha_g = float(params[f"l{layer}.alpha.g"])
         alpha_m = float(params[f"l{layer}.alpha.m"])
         if not recs:
@@ -425,8 +425,8 @@ def test_bundle_round_trip(tmp_path):
     assert np.array_equal(back.phi.weights, state.phi.weights)
     assert back.phi.ridge_lambda == state.phi.ridge_lambda
     assert np.array_equal(back.feature_mean, state.feature_mean)
-    for rel in RELATIONS:
-        assert np.array_equal(back.network.edges[rel], state.network.edges[rel])
+    for table in ("src", "dst", "rel"):
+        assert np.array_equal(getattr(back.network, table), getattr(state.network, table))
     assert back.hyper == state.hyper
     assert back.model_ids == state.model_ids
     assert back.training_log == state.training_log
@@ -441,8 +441,9 @@ def test_bundle_version_checks(tmp_path):
     with open(path, "rb") as fh:
         payload = pickle.load(fh)
 
-    # format 1 held one attention matrix per relation and head
-    for version in (1, 99):
+    # format 1 held one attention matrix per relation and head, format 2
+    # per-relation edge arrays
+    for version in (1, 2, 99):
         payload_bad = dict(payload, format_version=version)
         bad = str(tmp_path / "bad_format.bundle")
         with open(bad, "wb") as fh:
@@ -463,7 +464,7 @@ def test_select_model_matches_oracle_pipeline():
     state = train(feats, perf, fast_config(max_epochs=1))
     m_feat = np.random.default_rng(12).normal(size=feats.shape[1])
 
-    sheet = select_model(state, state.network, m_feat)
+    sheet = select_model(state, m_feat)
     assert isinstance(sheet, ScoreSheet)
     assert list(sheet.model_ids) == list(perf.model_ids)
     assert np.all(np.isfinite(sheet.scores))
@@ -473,5 +474,5 @@ def test_select_model_matches_oracle_pipeline():
     want = forward_oracle(state.params, ext, state.hyper)[-1]
     assert_scores_close(sheet.scores, want)
 
-    again = select_model(state, state.network, m_feat)
+    again = select_model(state, m_feat)
     assert np.array_equal(again.scores, sheet.scores)
