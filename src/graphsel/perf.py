@@ -22,6 +22,9 @@ NMF_MAX_ITER = 500
 NMF_REL_TOL = 1e-6
 NMF_EPS = 1e-10
 RIDGE_LAMBDA = 1e-3
+# a column spread at most this share of max(1, largest |value|) is rounding
+# noise; the same relative tolerance at which summaries treat values as tied
+SPREAD_RTOL = 1e-9
 
 
 @dataclass
@@ -207,11 +210,13 @@ class FactorEstimator:
 
 
 def standardize(f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Column z-scores of a 2-D array: (z, mean, scale). Zero-variance
-    columns get scale 1, so they map to 0 instead of NaN."""
+    """Column z-scores of a 2-D array: (z, mean, scale). Columns whose
+    spread is rounding noise (see SPREAD_RTOL) get scale 1, so a constant
+    column maps to ~0 instead of NaN and a new value off it stays near its
+    raw distance instead of blowing up by 1/noise."""
     mean = f.mean(axis=0)
     scale = f.std(axis=0)
-    scale[scale == 0.0] = 1.0
+    scale[scale <= SPREAD_RTOL * np.maximum(1.0, np.abs(f).max(axis=0))] = 1.0
     return (f - mean) / scale, mean, scale
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from graphsel.perf import (PerformanceMatrix, _loocv_ridge_lambda, factorize,
                            fit_factor_estimator, from_csv, mask_random, perturb,
-                           to_csv)
+                           standardize, to_csv)
 
 
 def make_matrix(rng, n, m, frac_observed=0.7):
@@ -164,6 +164,33 @@ def test_mean_prior_is_identity_on_fully_observed_input():
     b = factorize(p, 2, seed=7, mean_prior_weight=0.3)
     assert np.array_equal(a.u, b.u)
     assert np.array_equal(a.v, b.v)
+
+
+# --- standardization ------------------------------------------------------------
+
+def test_standardize_gives_rounding_noise_spread_scale_one():
+    # 54 copies of log(2): the mean rounds, so np.std reports ~4e-16, and a
+    # new value 5e-4 off the constant would otherwise land at about -1e12
+    f = np.column_stack([np.full(54, np.log1p(1.0)), np.arange(54.0)])
+    z, mean, scale = standardize(f)
+    assert scale[0] == 1.0
+    assert np.abs(z[:, 0]).max() < 1e-12
+    assert abs((np.log1p(1.0) - 5e-4 - mean[0]) / scale[0]) < 1e-3
+    assert scale[1] == pytest.approx(f[:, 1].std())
+
+
+def test_standardize_treats_tiny_spreads_as_noise():
+    # Kendall p-values near 1e-30 differ by ~1e-30: noise next to a unit
+    # scale, not a feature worth amplifying by 1e30
+    rng = np.random.default_rng(3)
+    f = rng.uniform(1e-30, 3e-30, size=(20, 1))
+    z, _, scale = standardize(f)
+    assert scale[0] == 1.0
+    assert np.abs(z).max() < 1e-29
+    # the floor is relative to the largest |value| above 1
+    big = np.column_stack([1e12 + rng.uniform(0, 1e-6, 20), 1e12 + rng.uniform(0, 1e6, 20)])
+    assert standardize(big)[2][0] == 1.0
+    assert standardize(big)[2][1] > 1e5
 
 
 # --- factor estimator ---------------------------------------------------------
