@@ -17,7 +17,7 @@ import numpy as np
 from .learner import LearnerConfig, select_model, train
 from .metrics import _average_ranks_desc
 from .perf import PerformanceMatrix, factorize, fit_factor_estimator, standardize
-from .ranking import ScoreSheet
+from .ranking import ScoreSheet, rank_descending
 
 BASELINE_KINDS = ("random", "gb_avgperf", "gb_avgrank", "isac",
                   "argosmart", "surrogate", "alors")
@@ -163,7 +163,7 @@ class ArgosmartSelector:
         qn = np.linalg.norm(q)
         qh = q / qn if qn > 0 else q
         sims = self.unit @ qh
-        nn = int(np.lexsort((np.arange(sims.size), -sims))[0])
+        nn = int(rank_descending(sims)[0])
         obs = self.perf.observed[nn]
         row = self.perf.values[nn]
         if obs.any():

@@ -184,8 +184,7 @@ def cmd_train(cfg: RunConfig) -> int:
         fh.write(_stamp(cfg))
         fh.write("epoch,loss,val_mrr\n")
         for entry in state.training_log:
-            val = "" if np.isnan(entry["val_mrr"]) else repr(entry["val_mrr"])
-            fh.write(f"{entry['epoch']},{repr(entry['loss'])},{val}\n")
+            fh.write(f"{entry['epoch']},{entry['loss']!r},{entry['val_mrr']!r}\n")
     log.info("event=trained epochs=%d bundle=%s seconds=%.2f phi_r2=%.4f",
              len(state.training_log), bundle_path, seconds, state.phi.r2)
     return 0

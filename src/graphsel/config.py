@@ -13,6 +13,8 @@ import configparser
 import hashlib
 from dataclasses import dataclass
 
+from .learner import LearnerConfig
+
 
 class ConfigError(ValueError):
     pass
@@ -39,6 +41,8 @@ def _str_list(text: str) -> tuple[str, ...]:
     return tuple(x.strip() for x in text.split(",") if x.strip() != "")
 
 
+_HYPER = LearnerConfig()      # the [hyper] defaults are the library's own
+
 # (section, key) -> (parser, default, validator or None)
 SCHEMA: dict[tuple[str, str], tuple] = {
     ("paths", "graph_dir"): (str, "", None),
@@ -50,19 +54,19 @@ SCHEMA: dict[tuple[str, str], tuple] = {
 
     ("features", "workers"): (int, 4, lambda v: v >= 1),
 
-    ("hyper", "k"): (int, 32, lambda v: v >= 1),
-    ("hyper", "top_k"): (int, 30, lambda v: v >= 1),
-    ("hyper", "layers"): (int, 2, lambda v: v >= 1),
-    ("hyper", "heads"): (int, 4, lambda v: v >= 1),
-    ("hyper", "lr"): (float, 0.00075, lambda v: v > 0),
-    ("hyper", "weight_decay"): (float, 0.0001, lambda v: v >= 0),
-    ("hyper", "max_epochs"): (int, 500, lambda v: v >= 0),
-    ("hyper", "patience"): (int, 25, lambda v: v >= 1),
-    ("hyper", "min_epochs"): (int, 75, lambda v: v >= 0),
+    ("hyper", "k"): (int, _HYPER.k, lambda v: v >= 1),
+    ("hyper", "top_k"): (int, _HYPER.top_k, lambda v: v >= 1),
+    ("hyper", "layers"): (int, _HYPER.layers, lambda v: v >= 1),
+    ("hyper", "heads"): (int, _HYPER.heads, lambda v: v >= 1),
+    ("hyper", "lr"): (float, _HYPER.lr, lambda v: v > 0),
+    ("hyper", "weight_decay"): (float, _HYPER.weight_decay, lambda v: v >= 0),
+    ("hyper", "max_epochs"): (int, _HYPER.max_epochs, lambda v: v >= 0),
+    ("hyper", "patience"): (int, _HYPER.patience, lambda v: v >= 1),
+    ("hyper", "min_epochs"): (int, _HYPER.min_epochs, lambda v: v >= 0),
     # "auto" = leave-one-out selection
-    ("hyper", "ridge_lambda"): (_auto_float, None, lambda v: v is None or v > 0),
-    ("hyper", "nmf_mean_prior"): (float, 0.1, lambda v: 0 <= v <= 1),
-    ("hyper", "seed"): (int, 0, lambda v: v >= 0),
+    ("hyper", "ridge_lambda"): (_auto_float, _HYPER.ridge_lambda, lambda v: v is None or v > 0),
+    ("hyper", "nmf_mean_prior"): (float, _HYPER.nmf_mean_prior, lambda v: 0 <= v <= 1),
+    ("hyper", "seed"): (int, _HYPER.seed, lambda v: v >= 0),
 
     ("eval", "folds"): (int, 5, lambda v: v >= 2),
     ("eval", "selectors"): (_str_list,

@@ -21,13 +21,12 @@ from .autodiff import Tensor, concat, einsum, segment_softmax
 from .features import SCHEMA_VERSION
 from .gmnet import GMNetwork, RELATIONS, build_train_network, extend_with_test
 from .metrics import label_top1, mrr
-from .perf import (FactorEstimator, PerformanceMatrix, factorize, fit_factor_estimator,
-                   standardize)
+from .perf import FactorEstimator, PerformanceMatrix, factorize, fit_factor_estimator
 from .ranking import ScoreSheet
 
 log = logging.getLogger(__name__)
 
-BUNDLE_FORMAT_VERSION = 3
+BUNDLE_FORMAT_VERSION = 4
 # share of training graphs held out for early stopping
 VAL_FRACTION = 0.1
 
@@ -53,10 +52,7 @@ class LearnerConfig:
 class MetaLearnerState:
     params: dict[str, np.ndarray]
     phi: FactorEstimator
-    feature_mean: np.ndarray
-    feature_scale: np.ndarray
     network: GMNetwork
-    hyper: dict
     model_ids: list[str]
     schema_version: int = SCHEMA_VERSION
     training_log: list[dict] = field(default_factory=list)
@@ -107,17 +103,18 @@ def init_params(rng: np.random.Generator, meta_dim: int, k: int, layers: int,
 
 # --- forward pass ----------------------------------------------------------
 
-def embed_network(pt: dict[str, Tensor], net: GMNetwork, hyper: dict) -> tuple[Tensor, Tensor]:
+def embed_network(pt: dict[str, Tensor], net: GMNetwork) -> tuple[Tensor, Tensor]:
     """Embed every node; returns (graph embeddings, model embeddings).
 
     Each layer projects per node type into keys/queries/messages, scores each
     edge per head with a per-relation bilinear form scaled by a learnable
     relation prior, softmax-normalizes attention per target across all
     in-edges jointly, and aggregates messages. Targets with no in-edges keep
-    their residual-scaled state.
+    their residual-scaled state. Sizes come from the parameters: k from V,
+    one layer per `l{L}.att`, heads and dk from its shape.
     """
-    k, layers, heads = hyper["k"], hyper["layers"], hyper["heads"]
-    dk = k // heads
+    k = pt["V"].shape[1]
+    layers = sum(name.endswith(".att") for name in pt)
     ng, m = net.n_graphs, net.n_models
     n_total = ng + m
 
@@ -131,6 +128,8 @@ def embed_network(pt: dict[str, Tensor], net: GMNetwork, hyper: dict) -> tuple[T
     graph_rows = m + np.arange(ng)
 
     for layer in range(layers):
+        _, heads, dk, _ = pt[f"l{layer}.att"].shape
+
         def project(name):
             both = concat([zm @ pt[f"l{layer}.{name}.m"], zg @ pt[f"l{layer}.{name}.g"]])
             return both.reshape(n_total, heads, dk)
@@ -241,10 +240,10 @@ def _largest_divisor_at_most(n: int, cap: int) -> int:
     return 1
 
 
-def _loss_and_grads(params: dict[str, np.ndarray], net: GMNetwork, hyper: dict,
+def _loss_and_grads(params: dict[str, np.ndarray], net: GMNetwork,
                     pv: np.ndarray, obs: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
     pt = {name: Tensor(arr, requires_grad=True) for name, arr in params.items()}
-    zg, zm = embed_network(pt, net, hyper)
+    zg, zm = embed_network(pt, net)
     loss = sparse_top1_loss(zg @ zm.transpose(), pv, obs)
     loss.backward()
     grads = {name: (t.grad if t.grad is not None else np.zeros_like(t.value))
@@ -252,18 +251,18 @@ def _loss_and_grads(params: dict[str, np.ndarray], net: GMNetwork, hyper: dict,
     return loss.item(), grads
 
 
-def _forward_scores(params: dict[str, np.ndarray], net: GMNetwork, hyper: dict) -> np.ndarray:
+def _forward_scores(params: dict[str, np.ndarray], net: GMNetwork) -> np.ndarray:
     pt = {name: Tensor(arr) for name, arr in params.items()}
-    zg, zm = embed_network(pt, net, hyper)
+    zg, zm = embed_network(pt, net)
     return estimate_performance(zg.value, zm.value)
 
 
 def train(features: np.ndarray, perf: PerformanceMatrix, config: LearnerConfig) -> MetaLearnerState:
     """Full offline phase; returns the best-validation-MRR parameter set.
 
-    Meta-features are z-scored on the training rows before anything else
-    consumes them; the statistics travel with the state so the online phase
-    sees the same space. A 10% graph holdout provides early stopping. With
+    The factor estimator phi, fit on the raw training rows, owns the only
+    feature z-scoring; network, holdout and test nodes all see features
+    through it. A 10% graph holdout provides early stopping. With
     max_epochs=0 the warm-start parameters are returned untouched.
     """
     f = np.asarray(features, dtype=np.float64)
@@ -281,9 +280,6 @@ def train(features: np.ndarray, perf: PerformanceMatrix, config: LearnerConfig) 
     val_rows = np.sort(perm[:n_val])
     train_rows = np.sort(perm[n_val:])
 
-    _, mean, scale = standardize(f[train_rows])
-    fs = (f - mean) / scale
-
     k_eff = min(config.k, train_rows.size, m)
     heads_eff = _largest_divisor_at_most(k_eff, config.heads)
     if k_eff != config.k or heads_eff != config.heads:
@@ -296,11 +292,9 @@ def train(features: np.ndarray, perf: PerformanceMatrix, config: LearnerConfig) 
     # unobserved rows carry surrogate mean factors; they stay in the ridge fit
     # on purpose, anchoring near-duplicate features under heavy masking where
     # a fit on the few observed rows alone interpolates wildly
-    phi = fit_factor_estimator(fs[train_rows], factors.u, config.ridge_lambda)
-    u_hat = phi.predict(fs[train_rows])
-    net = build_train_network(u_hat, factors.v, fs[train_rows], config.top_k)
-    hyper = {"k": k_eff, "layers": config.layers, "heads": heads_eff,
-             "top_k": config.top_k, "meta_dim": f.shape[1]}
+    phi = fit_factor_estimator(f[train_rows], factors.u, config.ridge_lambda)
+    net = build_train_network(phi.predict(f[train_rows]), factors.v,
+                              phi.zscore(f[train_rows]), config.top_k)
 
     params = init_params(np.random.default_rng(config.seed + 1), f.shape[1],
                          k_eff, config.layers, heads_eff, m, v_init=factors.v)
@@ -318,10 +312,9 @@ def train(features: np.ndarray, perf: PerformanceMatrix, config: LearnerConfig) 
         if config.max_epochs > 0:
             log.warning("fewer than two holdout rows with 2+ observed entries; "
                         "keeping the warm-start parameters")
-        return MetaLearnerState(params, phi, mean, scale, net, hyper,
-                                list(perf.model_ids), SCHEMA_VERSION, [])
+        return MetaLearnerState(params, phi, net, list(perf.model_ids), SCHEMA_VERSION, [])
     # each holdout graph's extended network depends only on the warm start
-    holdout = {i: extend_with_test(net, fs[i], phi.predict(fs[i])) for i in scored_rows}
+    holdout = {i: extend_with_test(net, phi.zscore(f[i]), phi.predict(f[i])) for i in scored_rows}
 
     def validation_score() -> tuple[float, float]:
         """(early-stopping score, mean val MRR for the log).
@@ -334,7 +327,7 @@ def train(features: np.ndarray, perf: PerformanceMatrix, config: LearnerConfig) 
         mrrs, losses = [], []
         for i, ext in holdout.items():
             cols = perf.observed[i]
-            s = _forward_scores(params, ext, hyper)[-1]
+            s = _forward_scores(params, ext)[-1]
             labels = np.zeros(s.size)
             labels[cols] = label_top1(perf.values[i, cols])
             mrrs.append(mrr(s, labels))
@@ -348,7 +341,7 @@ def train(features: np.ndarray, perf: PerformanceMatrix, config: LearnerConfig) 
     min_delta = 1e-4
 
     for epoch in range(config.max_epochs):
-        loss, grads = _loss_and_grads(params, net, hyper, pv, obs)
+        loss, grads = _loss_and_grads(params, net, pv, obs)
         if not np.isfinite(loss):
             raise RuntimeError(f"non-finite training loss at epoch {epoch}")
         opt.step(params, grads, config.lr, config.weight_decay)
@@ -370,15 +363,15 @@ def train(features: np.ndarray, perf: PerformanceMatrix, config: LearnerConfig) 
     if best_params is None:          # no epoch gave a finite stop score
         best_params = {k_: v_.copy() for k_, v_ in params.items()}
 
-    return MetaLearnerState(best_params, phi, mean, scale, net, hyper,
-                            list(perf.model_ids), SCHEMA_VERSION, training_log)
+    return MetaLearnerState(best_params, phi, net, list(perf.model_ids), SCHEMA_VERSION,
+                            training_log)
 
 
 def select_model(state: MetaLearnerState, m_feat: np.ndarray) -> ScoreSheet:
-    """Online phase: standardize, estimate factors, extend, embed, rank."""
-    m_std = (np.asarray(m_feat, dtype=np.float64).ravel() - state.feature_mean) / state.feature_scale
-    ext = extend_with_test(state.network, m_std, state.phi.predict(m_std))
-    scores = _forward_scores(state.params, ext, state.hyper)[-1]
+    """Online phase: standardize and estimate factors through phi, extend,
+    embed, rank."""
+    ext = extend_with_test(state.network, state.phi.zscore(m_feat), state.phi.predict(m_feat))
+    scores = _forward_scores(state.params, ext)[-1]
     return ScoreSheet(list(state.model_ids), scores)
 
 
@@ -397,8 +390,7 @@ def make_tiny_problem(seed: int = 0, layers: int = 1, heads: int = 1):
     pv = rng.uniform(0.0, 1.0, size=(n, m))
     obs = rng.random((n, m)) < 0.8
     obs[0, 0] = True                 # keep at least one observed entry
-    hyper = {"k": k, "layers": layers, "heads": heads, "top_k": 2, "meta_dim": meta_dim}
-    return net, params, pv, obs, hyper
+    return net, params, pv, obs
 
 
 def finite_difference_grads(loss_fn: Callable[[dict[str, np.ndarray]], float],
@@ -434,12 +426,12 @@ def max_relative_error(g1: dict[str, np.ndarray], g2: dict[str, np.ndarray]) -> 
 def gradient_check(seed: int = 0, step: float = 1e-5) -> float:
     """Max relative error between backprop and central finite differences
     over every parameter coordinate of the tiny problem."""
-    net, params, pv, obs, hyper = make_tiny_problem(seed)
-    _, analytic = _loss_and_grads(params, net, hyper, pv, obs)
+    net, params, pv, obs = make_tiny_problem(seed)
+    _, analytic = _loss_and_grads(params, net, pv, obs)
 
     def loss_fn(p):
         pt = {name: Tensor(arr) for name, arr in p.items()}
-        zg, zm = embed_network(pt, net, hyper)
+        zg, zm = embed_network(pt, net)
         return sparse_top1_loss(zg @ zm.transpose(), pv, obs).item()
 
     fd = finite_difference_grads(loss_fn, params, step)
@@ -455,10 +447,7 @@ def save_state(state: MetaLearnerState, path: str):
         "schema_version": state.schema_version,
         "params": state.params,
         "phi": vars(state.phi),
-        "feature_mean": state.feature_mean,
-        "feature_scale": state.feature_scale,
         "network": vars(state.network),
-        "hyper": state.hyper,
         "model_ids": state.model_ids,
         "training_log": state.training_log,
     }
@@ -484,9 +473,7 @@ def load_state(path: str) -> MetaLearnerState:
     try:
         phi = FactorEstimator(**payload["phi"])
         net = GMNetwork(**payload["network"])
-        return MetaLearnerState(payload["params"], phi, payload["feature_mean"],
-                                payload["feature_scale"], net, payload["hyper"],
-                                payload["model_ids"], payload["schema_version"],
-                                payload["training_log"])
+        return MetaLearnerState(payload["params"], phi, net, payload["model_ids"],
+                                payload["schema_version"], payload["training_log"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"bundle payload is incomplete: {exc}") from None

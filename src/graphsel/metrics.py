@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .ranking import rank_descending
+
 
 def label_top1(true_perf: np.ndarray) -> np.ndarray:
     """Binary labels: 1 for every model tied at the true maximum."""
@@ -63,7 +65,7 @@ def ndcg_at_1(scores: np.ndarray, true_perf: np.ndarray) -> float:
     best = p.max()
     if best == 0:
         return 1.0
-    pick = int(np.lexsort((np.arange(s.size), -s))[0])
+    pick = int(rank_descending(s)[0])
     return float(p[pick] / best)
 
 

@@ -22,9 +22,7 @@ NMF_MAX_ITER = 500
 NMF_REL_TOL = 1e-6
 NMF_EPS = 1e-10
 RIDGE_LAMBDA = 1e-3
-# a column spread at most this share of max(1, largest |value|) is rounding
-# noise; the same relative tolerance at which summaries treat values as tied
-SPREAD_RTOL = 1e-9
+SPREAD_RTOL = 1e-9   # spread <= this x max(1, largest |value|) is rounding noise
 
 
 @dataclass
@@ -192,7 +190,8 @@ def factorize(p: PerformanceMatrix, k: int, seed: int,
 
 @dataclass
 class FactorEstimator:
-    """Ridge map phi: standardized meta-features -> latent graph factors."""
+    """Ridge map phi: raw meta-features -> latent graph factors. It owns the
+    one feature z-scoring, with the statistics of the rows it was fit on."""
 
     weights: np.ndarray       # (d, k)
     intercept: np.ndarray     # (k,)
@@ -201,19 +200,20 @@ class FactorEstimator:
     ridge_lambda: float
     r2: float
 
+    def zscore(self, features: np.ndarray) -> np.ndarray:
+        """Raw meta-features in the z-score space of the training rows."""
+        return (np.asarray(features, dtype=np.float64) - self.feature_mean) / self.feature_scale
+
     def predict(self, features: np.ndarray) -> np.ndarray:
-        f = np.asarray(features, dtype=np.float64)
-        single = f.ndim == 1
-        z = (np.atleast_2d(f) - self.feature_mean) / self.feature_scale
-        out = z @ self.weights + self.intercept
-        return out[0] if single else out
+        z = self.zscore(features)
+        out = np.atleast_2d(z) @ self.weights + self.intercept
+        return out[0] if z.ndim == 1 else out
 
 
 def standardize(f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Column z-scores of a 2-D array: (z, mean, scale). Columns whose
-    spread is rounding noise (see SPREAD_RTOL) get scale 1, so a constant
-    column maps to ~0 instead of NaN and a new value off it stays near its
-    raw distance instead of blowing up by 1/noise."""
+    """Column z-scores of a 2-D array: (z, mean, scale). Columns whose spread
+    is rounding noise (see SPREAD_RTOL, the summaries' tie tolerance) get
+    scale 1, so they map to ~0 instead of NaN or 1/noise."""
     mean = f.mean(axis=0)
     scale = f.std(axis=0)
     scale[scale <= SPREAD_RTOL * np.maximum(1.0, np.abs(f).max(axis=0))] = 1.0

@@ -204,6 +204,13 @@ def test_select_error_paths(ws, tmp_path):
         assert main(["select", "--bundle", str(path),
                      "--graph-file", str(ws["graph_dir"] / "g000"),
                      "--output-dir", str(tmp_path)]) == 3, name
+    # a format-3 bundle still carried a second feature z-scoring and the
+    # layer sizes; the loader refuses it rather than guess
+    old = tmp_path / "format3.bundle"
+    old.write_bytes(pickle.dumps(dict(payload, format_version=3)))
+    assert main(["select", "--bundle", str(old),
+                 "--graph-file", str(ws["graph_dir"] / "g000"),
+                 "--output-dir", str(tmp_path)]) == 3
     # stale feature schema inside an otherwise valid bundle
     payload["schema_version"] = 99
     stale = tmp_path / "stale.bundle"

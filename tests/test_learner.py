@@ -34,10 +34,10 @@ from graphsel.ranking import ScoreSheet
 
 # --- independent forward oracle ---------------------------------------------
 
-def forward_oracle(params, net, hyper):
+def forward_oracle(params, net):
     """Edge-by-edge numpy replica of the attention stack, no autodiff."""
-    k, layers, heads = hyper["k"], hyper["layers"], hyper["heads"]
-    dk = k // heads
+    k = params["V"].shape[1]
+    layers = len([name for name in params if name.endswith(".att")])
     ng, m = net.n_graphs, net.n_models
 
     zg = net.graph_features @ params["W"].T
@@ -63,6 +63,8 @@ def forward_oracle(params, net, hyper):
             proj[name, 0] = zg @ params[f"l{layer}.{name}.g"]
             proj[name, 1] = zm @ params[f"l{layer}.{name}.m"]
 
+        heads = params[f"l{layer}.att"].shape[1]
+        dk = k // heads
         agg = np.zeros((ng + m, k))
         tgts = np.array([r[5] for r in recs])
         for h in range(heads):
@@ -99,8 +101,8 @@ def assert_scores_close(got, want, tol=1e-10):
 
 
 def test_forward_matches_oracle_on_tiny_problem():
-    net, params, pv, obs, hyper = make_tiny_problem(seed=2)
-    assert_scores_close(_forward_scores(params, net, hyper), forward_oracle(params, net, hyper))
+    net, params, pv, obs = make_tiny_problem(seed=2)
+    assert_scores_close(_forward_scores(params, net), forward_oracle(params, net))
 
 
 def test_forward_matches_oracle_with_generic_parameters():
@@ -110,26 +112,24 @@ def test_forward_matches_oracle_with_generic_parameters():
     v = rng.uniform(0.1, 1.0, size=(m, k))
     feats = rng.normal(size=(n, meta_dim))
     net = build_train_network(u, v, feats, top_k=2)
-    hyper = {"k": k, "layers": 2, "heads": 2, "top_k": 2, "meta_dim": meta_dim}
     params = perturbed_params(
         init_params(rng, meta_dim, k, layers=2, heads=2, n_models=m, v_init=v), rng)
-    assert_scores_close(_forward_scores(params, net, hyper), forward_oracle(params, net, hyper))
+    assert_scores_close(_forward_scores(params, net), forward_oracle(params, net))
 
 
 def test_forward_matches_oracle_on_extended_network():
     for layers, heads in ((1, 1), (2, 2)):
         rng = np.random.default_rng(4)
-        net, params, pv, obs, hyper = make_tiny_problem(seed=4, layers=layers, heads=heads)
+        net, params, pv, obs = make_tiny_problem(seed=4, layers=layers, heads=heads)
         params = perturbed_params(params, rng)
-        m_test = rng.normal(size=hyper["meta_dim"])
-        u_test = rng.uniform(0.1, 1.0, size=hyper["k"])
+        m_test = rng.normal(size=net.meta_dim)
+        u_test = rng.uniform(0.1, 1.0, size=params["V"].shape[1])
         ext = extend_with_test(net, m_test, u_test)
-        assert_scores_close(_forward_scores(params, ext, hyper),
-                            forward_oracle(params, ext, hyper))
+        assert_scores_close(_forward_scores(params, ext), forward_oracle(params, ext))
 
 
 def test_input_feature_and_scoring_helpers():
-    net, params, pv, obs, hyper = make_tiny_problem()
+    net, params, pv, obs = make_tiny_problem()
     zg = net.graph_features @ params["W"].T
     assert np.allclose(estimate_performance(zg[0], params["V"]), zg[0] @ params["V"].T)
 
@@ -177,8 +177,7 @@ def test_epoch_zero_scores_equal_factor_predictions():
     feats = rng.normal(size=(n, meta_dim))
     net = build_train_network(u, v, feats, top_k=2)
     params = init_params(rng, meta_dim, k, layers=1, heads=1, n_models=m, v_init=v)
-    hyper = {"k": k, "layers": 1, "heads": 1, "top_k": 2, "meta_dim": meta_dim}
-    scores = _forward_scores(params, net, hyper)
+    scores = _forward_scores(params, net)
     # residual output projections are scaled by 0.01, so the attention stack
     # moves scores only slightly off the factor-product warm start
     assert np.abs(scores - u @ v.T).max() < 0.15
@@ -269,19 +268,19 @@ def test_sparse_loss_gradient_flows_only_to_observed_rows():
 
 # --- gradient checking ---------------------------------------------------------
 
-def forward_loss(net, hyper, pv, obs):
+def forward_loss(net, pv, obs):
     """Loss as a function of the parameters, forward pass only."""
     def loss_fn(p):
         pt = {name: Tensor(arr) for name, arr in p.items()}
-        zg, zm = embed_network(pt, net, hyper)
+        zg, zm = embed_network(pt, net)
         return sparse_top1_loss(zg @ zm.transpose(), pv, obs).item()
     return loss_fn
 
 
 def test_backprop_matches_finite_differences_and_detects_corruption():
-    net, params, pv, obs, hyper = make_tiny_problem(seed=0)
-    _, analytic = _loss_and_grads(params, net, hyper, pv, obs)
-    fd = finite_difference_grads(forward_loss(net, hyper, pv, obs), params, step=1e-5)
+    net, params, pv, obs = make_tiny_problem(seed=0)
+    _, analytic = _loss_and_grads(params, net, pv, obs)
+    fd = finite_difference_grads(forward_loss(net, pv, obs), params, step=1e-5)
     assert max_relative_error(analytic, fd) < 1e-4
 
     # a 50% error in the single largest gradient entry must be flagged
@@ -295,10 +294,10 @@ def test_backprop_matches_finite_differences_and_detects_corruption():
 
 def test_backprop_matches_finite_differences_with_two_layers_and_heads():
     # off the near-identity start, so every layer and head carries gradient
-    net, params, pv, obs, hyper = make_tiny_problem(seed=3, layers=2, heads=2)
+    net, params, pv, obs = make_tiny_problem(seed=3, layers=2, heads=2)
     params = perturbed_params(params, np.random.default_rng(3))
-    _, analytic = _loss_and_grads(params, net, hyper, pv, obs)
-    fd = finite_difference_grads(forward_loss(net, hyper, pv, obs), params, step=1e-5)
+    _, analytic = _loss_and_grads(params, net, pv, obs)
+    fd = finite_difference_grads(forward_loss(net, pv, obs), params, step=1e-5)
     assert np.abs(analytic["l0.att"]).min() > 0.0
     assert max_relative_error(analytic, fd) < 1e-4
 
@@ -365,7 +364,7 @@ def test_zero_epochs_returns_warm_start():
     feats, perf = small_training_problem(seed=1)
     state = train(feats, perf, fast_config(max_epochs=0))
     assert state.training_log == []
-    k = state.hyper["k"]
+    k = state.params["V"].shape[1]
     meta_dim = feats.shape[1]
     assert np.array_equal(state.params["W"][:, :meta_dim], np.zeros((k, meta_dim)))
     assert np.array_equal(state.params["W"][:, meta_dim:], np.eye(k))
@@ -375,8 +374,8 @@ def test_dimensions_shrink_to_fit_data():
     feats, perf = small_training_problem()
     state = train(feats, perf, fast_config(k=32, heads=4, max_epochs=0))
     # 18 training rows, 5 models: k capped at 5, heads must divide it
-    assert state.hyper["k"] == 5
-    assert state.hyper["heads"] == 1
+    assert state.params["V"].shape[1] == 5
+    assert state.params["l0.att"].shape[1] == 1
 
 
 def test_train_input_validation():
@@ -424,10 +423,9 @@ def test_bundle_round_trip(tmp_path):
         assert np.array_equal(back.params[name], state.params[name])
     assert np.array_equal(back.phi.weights, state.phi.weights)
     assert back.phi.ridge_lambda == state.phi.ridge_lambda
-    assert np.array_equal(back.feature_mean, state.feature_mean)
+    assert np.array_equal(back.phi.feature_mean, state.phi.feature_mean)
     for table in ("src", "dst", "rel"):
         assert np.array_equal(getattr(back.network, table), getattr(state.network, table))
-    assert back.hyper == state.hyper
     assert back.model_ids == state.model_ids
     assert back.training_log == state.training_log
     assert back.schema_version == state.schema_version
@@ -442,8 +440,9 @@ def test_bundle_version_checks(tmp_path):
         payload = pickle.load(fh)
 
     # format 1 held one attention matrix per relation and head, format 2
-    # per-relation edge arrays
-    for version in (1, 2, 99):
+    # per-relation edge arrays, format 3 a second feature z-scoring and the
+    # layer sizes next to the parameters
+    for version in (1, 2, 3, 99):
         payload_bad = dict(payload, format_version=version)
         bad = str(tmp_path / "bad_format.bundle")
         with open(bad, "wb") as fh:
@@ -469,9 +468,9 @@ def test_select_model_matches_oracle_pipeline():
     assert list(sheet.model_ids) == list(perf.model_ids)
     assert np.all(np.isfinite(sheet.scores))
 
-    m_std = (m_feat - state.feature_mean) / state.feature_scale
-    ext = extend_with_test(state.network, m_std, state.phi.predict(m_std))
-    want = forward_oracle(state.params, ext, state.hyper)[-1]
+    z = (m_feat - state.phi.feature_mean) / state.phi.feature_scale
+    ext = extend_with_test(state.network, z, z @ state.phi.weights + state.phi.intercept)
+    want = forward_oracle(state.params, ext)[-1]
     assert_scores_close(sheet.scores, want)
 
     again = select_model(state, m_feat)
