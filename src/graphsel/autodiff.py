@@ -21,15 +21,41 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _as_tensor(x) -> Tensor:
+    return x if isinstance(x, Tensor) else Tensor.const(x)
+
+
+def _op(value, *operands) -> Tensor:
+    """The one place an op records itself on the tape.
+
+    ``operands`` are ``(tensor, grad_fn)`` pairs, where ``grad_fn(g)`` maps
+    the output's gradient ``g`` to that operand's gradient. Operands that
+    need no gradient are dropped; when none is left the result is a plain
+    constant with no parents and no closure, so a forward pass over
+    constants records no tape. Otherwise one backward function accumulates
+    each kept operand's gradient in operand order.
+    """
+    taped = [(t, fn) for t, fn in operands if t.requires_grad]
+    if not taped:
+        return Tensor(value)
+    out = Tensor(value, parents=tuple(t for t, _ in taped))
+
+    def backward(g):
+        for t, fn in taped:
+            t._accumulate(fn(g))
+    out.backward_fn = backward
+    return out
+
+
 class Tensor:
     __slots__ = ("value", "grad", "parents", "backward_fn", "requires_grad")
 
-    def __init__(self, value, requires_grad: bool = False, parents=(), backward_fn=None):
+    def __init__(self, value, requires_grad: bool = False, parents=()):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
         self.parents = parents
-        self.backward_fn = backward_fn
-        self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
+        self.backward_fn = None
+        self.requires_grad = requires_grad or bool(parents)
 
     @staticmethod
     def const(value) -> "Tensor":
@@ -51,150 +77,81 @@ class Tensor:
     # arithmetic -----------------------------------------------------------
 
     def __add__(self, other):
-        other = other if isinstance(other, Tensor) else Tensor.const(other)
-        out = Tensor(self.value + other.value, parents=(self, other))
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g, self.value.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(g, other.value.shape))
-        out.backward_fn = backward
-        return out
+        other = _as_tensor(other)
+        return _op(self.value + other.value,
+                   (self, lambda g: _unbroadcast(g, self.value.shape)),
+                   (other, lambda g: _unbroadcast(g, other.value.shape)))
 
     def __sub__(self, other):
-        other = other if isinstance(other, Tensor) else Tensor.const(other)
-        out = Tensor(self.value - other.value, parents=(self, other))
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g, self.value.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(-g, other.value.shape))
-        out.backward_fn = backward
-        return out
+        other = _as_tensor(other)
+        return _op(self.value - other.value,
+                   (self, lambda g: _unbroadcast(g, self.value.shape)),
+                   (other, lambda g: _unbroadcast(-g, other.value.shape)))
 
     def __mul__(self, other):
-        other = other if isinstance(other, Tensor) else Tensor.const(other)
-        out = Tensor(self.value * other.value, parents=(self, other))
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g * other.value, self.value.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(g * self.value, other.value.shape))
-        out.backward_fn = backward
-        return out
+        other = _as_tensor(other)
+        return _op(self.value * other.value,
+                   (self, lambda g: _unbroadcast(g * other.value, self.value.shape)),
+                   (other, lambda g: _unbroadcast(g * self.value, other.value.shape)))
 
     def __truediv__(self, other):
-        other = other if isinstance(other, Tensor) else Tensor.const(other)
-        out = Tensor(self.value / other.value, parents=(self, other))
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g / other.value, self.value.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(
-                    -g * self.value / (other.value * other.value), other.value.shape))
-        out.backward_fn = backward
-        return out
+        other = _as_tensor(other)
+        return _op(self.value / other.value,
+                   (self, lambda g: _unbroadcast(g / other.value, self.value.shape)),
+                   (other, lambda g: _unbroadcast(
+                       -g * self.value / (other.value * other.value), other.value.shape)))
 
     def __neg__(self):
         return self * -1.0
 
     def __matmul__(self, other):
-        out = Tensor(self.value @ other.value, parents=(self, other))
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(g @ other.value.T)
-            if other.requires_grad:
-                other._accumulate(self.value.T @ g)
-        out.backward_fn = backward
-        return out
+        return _op(self.value @ other.value,
+                   (self, lambda g: g @ other.value.T),
+                   (other, lambda g: self.value.T @ g))
 
     # elementwise ----------------------------------------------------------
 
     def exp(self):
         val = np.exp(self.value)
-        out = Tensor(val, parents=(self,))
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(g * val)
-        out.backward_fn = backward
-        return out
+        return _op(val, (self, lambda g: g * val))
 
     def log(self):
-        out = Tensor(np.log(self.value), parents=(self,))
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(g / self.value)
-        out.backward_fn = backward
-        return out
+        return _op(np.log(self.value), (self, lambda g: g / self.value))
 
     # shape ops ------------------------------------------------------------
 
     def reshape(self, *shape):
-        out = Tensor(self.value.reshape(*shape), parents=(self,))
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(g.reshape(self.value.shape))
-        out.backward_fn = backward
-        return out
+        return _op(self.value.reshape(*shape), (self, lambda g: g.reshape(self.value.shape)))
 
     def transpose(self):
-        out = Tensor(self.value.T, parents=(self,))
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(g.T)
-        out.backward_fn = backward
-        return out
+        return _op(self.value.T, (self, lambda g: g.T))
 
     # reductions and indexing ------------------------------------------------
 
     def sum(self, axis=None, keepdims=False):
-        out = Tensor(self.value.sum(axis=axis, keepdims=keepdims), parents=(self,))
-
-        def backward(g):
-            if not self.requires_grad:
-                return
+        def grad(g):
             g = np.asarray(g)
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            self._accumulate(np.broadcast_to(g, self.value.shape).copy())
-        out.backward_fn = backward
-        return out
+            return np.broadcast_to(g, self.value.shape).copy()
+        return _op(self.value.sum(axis=axis, keepdims=keepdims), (self, grad))
 
     def gather(self, index: np.ndarray):
         """Rows (axis 0) selected by integer index; backward scatter-adds."""
         index = np.asarray(index, dtype=np.int64)
-        out = Tensor(self.value[index], parents=(self,))
 
-        def backward(g):
-            if self.requires_grad:
-                full = np.zeros_like(self.value)
-                np.add.at(full, index, g)
-                self._accumulate(full)
-        out.backward_fn = backward
-        return out
+        def grad(g):
+            full = np.zeros_like(self.value)
+            np.add.at(full, index, g)
+            return full
+        return _op(self.value[index], (self, grad))
 
     def segment_sum(self, segments: np.ndarray, num_segments: int):
         """Sum rows (axis 0) into segment buckets."""
         segments = np.asarray(segments, dtype=np.int64)
-        shape = (num_segments,) + self.value.shape[1:]
-        val = np.zeros(shape)
+        val = np.zeros((num_segments,) + self.value.shape[1:])
         np.add.at(val, segments, self.value)
-        out = Tensor(val, parents=(self,))
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(g[segments])
-        out.backward_fn = backward
-        return out
+        return _op(val, (self, lambda g: g[segments]))
 
     # graph traversal --------------------------------------------------------
 
@@ -211,7 +168,7 @@ class Tensor:
                 node, it = stack[-1]
                 advanced = False
                 for p in it:
-                    if id(p) not in seen and p.requires_grad:
+                    if id(p) not in seen:
                         seen.add(id(p))
                         stack.append((p, iter(p.parents)))
                         advanced = True
@@ -232,18 +189,11 @@ class Tensor:
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
     vals = [t.value for t in tensors]
-    out = Tensor(np.concatenate(vals, axis=axis), parents=tuple(tensors))
-    sizes = [v.shape[axis] for v in vals]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g):
-        for t, a, b in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(a, b)
-                t._accumulate(g[tuple(sl)])
-    out.backward_fn = backward
-    return out
+    offsets = np.cumsum([0] + [v.shape[axis] for v in vals])
+    lead = (slice(None),) * (axis % vals[0].ndim)
+    return _op(np.concatenate(vals, axis=axis),
+               *[(t, lambda g, part=slice(a, b): g[lead + (part,)])
+                 for t, a, b in zip(tensors, offsets[:-1], offsets[1:])])
 
 
 def einsum(spec: str, a: Tensor, b: Tensor) -> Tensor:
@@ -256,15 +206,9 @@ def einsum(spec: str, a: Tensor, b: Tensor) -> Tensor:
     """
     operands, out_idx = spec.split("->")
     a_idx, b_idx = operands.split(",")
-    out = Tensor(np.einsum(spec, a.value, b.value), parents=(a, b))
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(np.einsum(f"{out_idx},{b_idx}->{a_idx}", g, b.value))
-        if b.requires_grad:
-            b._accumulate(np.einsum(f"{out_idx},{a_idx}->{b_idx}", g, a.value))
-    out.backward_fn = backward
-    return out
+    return _op(np.einsum(spec, a.value, b.value),
+               (a, lambda g: np.einsum(f"{out_idx},{b_idx}->{a_idx}", g, b.value)),
+               (b, lambda g: np.einsum(f"{out_idx},{a_idx}->{b_idx}", g, a.value)))
 
 
 def segment_softmax(logits: Tensor, segments: np.ndarray, num_segments: int) -> Tensor:

@@ -124,9 +124,12 @@ def read_features_csv(path: Path) -> tuple[list[str], np.ndarray]:
             if line.startswith("#") or not line.strip():
                 continue
             if header is None:
-                header = line.split(",")
-                if header[0] != "graph_id" or len(header) != FEATURE_DIM + 1:
-                    raise DataError(f"unexpected features header in {path}")
+                # a trailing "" lets a missing or an extra column be named too
+                header, want = line.split(",") + [""], ["graph_id"] + feature_names() + [""]
+                if header != want:
+                    col = next(i for i, (a, b) in enumerate(zip(header, want)) if a != b)
+                    raise DataError(f"unexpected features header in {path}: column {col + 1} "
+                                    f"is {header[col]!r}, expected {want[col]!r}")
                 continue
             cells = line.split(",")
             if len(cells) != FEATURE_DIM + 1:
@@ -258,6 +261,8 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         truth = corpus.perf
     else:
         feats, truth = _load_training_inputs(cfg)
+    if folds > len(feats):
+        raise ConfigError(f"[eval] folds={folds} exceeds the {len(feats)} graphs to evaluate")
 
     results, gaps = {}, {}
     for kind, factory in _selector_factories(cfg, cfg.get("eval", "selectors")).items():

@@ -13,6 +13,8 @@ import configparser
 import hashlib
 from dataclasses import dataclass
 
+from .baselines import ALL_KINDS, BASELINE_KINDS
+from .harness import DEFAULT_PERTURBATION_RATES, DEFAULT_SPARSITIES
 from .learner import LearnerConfig
 
 
@@ -69,15 +71,11 @@ SCHEMA: dict[tuple[str, str], tuple] = {
     ("hyper", "seed"): (int, _HYPER.seed, lambda v: v >= 0),
 
     ("eval", "folds"): (int, 5, lambda v: v >= 2),
-    ("eval", "selectors"): (_str_list,
-                            "random,gb_avgperf,gb_avgrank,isac,argosmart,surrogate,alors,metalearner",
-                            None),
-    ("eval", "sweep_selectors"): (_str_list,
-                                  "random,gb_avgperf,gb_avgrank,isac,argosmart,surrogate,alors",
-                                  None),
-    ("eval", "sparsities"): (_float_list, "0,0.2,0.4,0.6,0.8,0.9",
+    ("eval", "selectors"): (_str_list, ALL_KINDS, None),
+    ("eval", "sweep_selectors"): (_str_list, BASELINE_KINDS, None),
+    ("eval", "sparsities"): (_float_list, DEFAULT_SPARSITIES,
                              lambda v: all(0 <= x < 1 for x in v)),
-    ("eval", "perturbation_rates"): (_float_list, "0,0.1,0.2,0.4",
+    ("eval", "perturbation_rates"): (_float_list, DEFAULT_PERTURBATION_RATES,
                                      lambda v: all(x >= 0 for x in v)),
     ("eval", "run_sweeps"): (_bool, "true", None),
     ("eval", "synthetic"): (_bool, "true", None),

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphsel.autodiff import Tensor, concat, einsum, segment_softmax
 
@@ -94,6 +96,31 @@ def test_gather_scatter_grads():
     check_op(lambda a, b: concat([a, b], axis=1), (3, 2), (3, 4))
 
 
+BROADCAST_OPS = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
+                 "*": lambda a, b: a * b, "/": lambda a, b: a / b}
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(st.data())
+def test_random_shape_grads(data):
+    """Broadcast arithmetic and row gather / segment sums on drawn shapes."""
+    rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    seed = data.draw(st.integers(0, 2**16))
+    other = data.draw(st.sampled_from([(rows, cols), (cols,), (1, cols), (rows, 1), ()]))
+    shapes = [(rows, cols), other]
+    if data.draw(st.booleans()):
+        shapes.reverse()                 # the broadcast operand on either side
+    op = data.draw(st.sampled_from(sorted(BROADCAST_OPS)))
+    check_op(BROADCAST_OPS[op], *shapes, seed=seed, positive=op == "/")
+
+    index = np.array(data.draw(st.lists(st.integers(0, rows - 1), min_size=1, max_size=6)))
+    check_op(lambda a: a.gather(index), (rows, cols), seed=seed)
+    n_seg = data.draw(st.integers(1, 4))
+    segments = np.array(data.draw(
+        st.lists(st.integers(0, n_seg - 1), min_size=rows, max_size=rows)))
+    check_op(lambda a: a.segment_sum(segments, n_seg), (rows, cols), seed=seed)
+
+
 def test_segment_softmax_values_and_grads():
     rng = np.random.default_rng(3)
     logits = rng.normal(size=7)
@@ -156,6 +183,17 @@ def test_constants_are_not_differentiated():
     assert not Tensor.const(1.0).requires_grad
     assert (c + c).requires_grad is False
     assert (c + p).requires_grad is True
+
+
+def test_ops_over_constants_record_no_tape():
+    c, p = Tensor.const(np.ones((2, 2))), Tensor.param(np.ones((2, 2)))
+    assert (c * p).parents == (p,)
+    assert (p - c).parents == (p,)
+    idx = np.array([0, 1, 1])
+    for out in (c + c, c - c, c * c, c / c, -c, c @ c, c.exp(), c.log(), c.reshape(4),
+                c.transpose(), c.sum(), c.gather(idx), c.segment_sum(idx[:2], 2),
+                concat([c, c]), einsum("ij,jk->ik", c, c), segment_softmax(c, idx[:2], 2)):
+        assert out.parents == () and out.backward_fn is None and not out.requires_grad
 
 
 def test_item_and_shape():

@@ -146,6 +146,26 @@ def test_duplicate_ids_are_a_data_error(ws, tmp_path):
         assert rc == 3
 
 
+def test_features_header_must_name_each_column(ws, tmp_path):
+    text = ws["features_csv"].read_text()
+    header = next(line for line in text.splitlines() if line.startswith("graph_id,"))
+    names = header.split(",")
+    names[1], names[2] = names[2], names[1]              # two columns swapped
+    swapped = tmp_path / "features.csv"
+    swapped.write_text(text.replace(header, ",".join(names)))
+    with pytest.raises(DataError, match=f"column 2 is {names[1]!r}, expected {names[2]!r}"):
+        read_features_csv(swapped)
+    rc = main(TRAIN_SETS + [
+        "train", "--features-csv", str(swapped),
+        "--performance-csv", str(ws["perf_csv"]), "--output-dir", str(tmp_path)])
+    assert rc == 3
+
+    short = tmp_path / "short.csv"
+    short.write_text(text.replace(header, ",".join(header.split(",")[:-1])))
+    with pytest.raises(DataError, match=f"column {FEATURE_DIM + 1} is ''"):
+        read_features_csv(short)
+
+
 def test_train_schema_guard(ws, tmp_path):
     stale = tmp_path / "features.csv"
     stale.write_text(ws["features_csv"].read_text().replace(
@@ -271,6 +291,14 @@ def test_evaluate_synthetic_with_sweeps(tmp_path):
     sweep = (tmp_path / "sparsity_sweep.csv").read_text().strip().split("\n")
     assert sweep[2] == "selector,setting,fold,metric,value"
     assert len(sweep) == 3 + 1 * 2 * 2 * 3               # selectors x settings x folds x metrics
+
+
+def test_more_folds_than_graphs_exits_2(tmp_path, caplog):
+    rc = main(["--set", "eval.n_graphs=3", "--set", "eval.run_sweeps=false",
+               "--set", "eval.selectors=random",
+               "evaluate", "--output-dir", str(tmp_path)])
+    assert rc == 2
+    assert "folds=5 exceeds the 3 graphs" in caplog.text
 
 
 def test_unknown_selector_and_bad_override_exit_2(tmp_path):

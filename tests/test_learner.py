@@ -128,6 +128,16 @@ def test_forward_matches_oracle_on_extended_network():
         assert_scores_close(_forward_scores(params, ext), forward_oracle(params, ext))
 
 
+def test_forward_over_constant_parameters_records_no_tape():
+    net, params, _, _ = make_tiny_problem(seed=0, layers=2, heads=2)
+    zg, zm = embed_network({name: Tensor.const(a) for name, a in params.items()}, net)
+    assert zg.parents == () and zm.parents == ()
+    assert not zg.requires_grad and not zm.requires_grad
+
+    zg, zm = embed_network({name: Tensor.param(a) for name, a in params.items()}, net)
+    assert zg.parents and zm.parents
+
+
 def test_input_feature_and_scoring_helpers():
     net, params, pv, obs = make_tiny_problem()
     zg = net.graph_features @ params["W"].T
