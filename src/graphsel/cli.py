@@ -244,6 +244,8 @@ def _selector_factories(cfg: RunConfig, kinds) -> dict:
 
 
 def cmd_evaluate(cfg: RunConfig) -> int:
+    factories = _selector_factories(cfg, cfg.get("eval", "selectors"))
+    sweep_factories = _selector_factories(cfg, cfg.get("eval", "sweep_selectors"))
     out_dir = Path(cfg.get("paths", "output_dir"))
     out_dir.mkdir(parents=True, exist_ok=True)
     seed = cfg.get("hyper", "seed")
@@ -265,7 +267,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         raise ConfigError(f"[eval] folds={folds} exceeds the {len(feats)} graphs to evaluate")
 
     results, gaps = {}, {}
-    for kind, factory in _selector_factories(cfg, cfg.get("eval", "selectors")).items():
+    for kind, factory in factories.items():
         started = time.perf_counter()
         res = harness.cross_validate(feats, truth, factory, folds=folds,
                                      seed=seed, selector_name=kind)
@@ -285,7 +287,6 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 
     extra = {"config_hash": cfg.hash(), "schema_version": SCHEMA_VERSION}
     if cfg.get("eval", "run_sweeps"):
-        sweep_factories = _selector_factories(cfg, cfg.get("eval", "sweep_selectors"))
         sp = harness.sparsity_sweep(feats, truth, sweep_factories,
                                     sparsities=cfg.get("eval", "sparsities"),
                                     folds=folds, seed=seed)

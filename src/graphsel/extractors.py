@@ -3,9 +3,10 @@
 Each extractor maps a Graph to one real-valued distribution: either one value
 per node (degree, wedges, triangles, eccentricity, PageRank, core number) or
 one per edge (triangles per edge). Counts are exact; PageRank is solved by
-power iteration; eccentricity uses a lower/upper-bound elimination scheme
-that certifies every node exactly on small components and caps the sweep
-count on very large ones (see ``eccentricity``).
+power iteration. Eccentricity works one connected component at a time: it
+is exact on components of up to ECC_EXACT_NODE_LIMIT nodes (one all-sources
+BFS each) and a capped lower/upper-bound elimination on larger ones (see
+``eccentricity``).
 """
 
 from __future__ import annotations
@@ -71,15 +72,17 @@ def triangles_per_edge(graph: Graph, two_hop: sp.csr_matrix | None = None) -> np
 
 
 def triangles_per_node(graph: Graph, two_hop: sp.csr_matrix | None = None) -> np.ndarray:
+    return _edge_counts_to_nodes(graph, triangles_per_edge(graph, two_hop))
+
+
+def _edge_counts_to_nodes(graph: Graph, per_edge: np.ndarray) -> np.ndarray:
+    """Per-node triangle counts from the per-edge ones: each triangle at node
+    u lies on exactly 2 of u's incident edges. The counts are integers, so
+    the sums are exact in any order."""
     n = graph.node_count
-    if graph.edge_count == 0:
-        return np.zeros(n, dtype=np.float64)
-    t = triangles_per_edge(graph, two_hop)
-    # each triangle at node u lies on exactly 2 of u's incident edges; the
-    # counts are integers, so the sums are exact in any order
     ends = graph.edge_array
-    return (np.bincount(ends[:, 0], t, minlength=n)
-            + np.bincount(ends[:, 1], t, minlength=n)) / 2.0
+    return (np.bincount(ends[:, 0], per_edge, minlength=n)
+            + np.bincount(ends[:, 1], per_edge, minlength=n)) / 2.0
 
 
 ECC_EXACT_NODE_LIMIT = 1024
@@ -87,67 +90,66 @@ ECC_SWEEP_CAP = 96
 
 
 def eccentricity(graph: Graph, a: sp.csr_matrix | None = None) -> np.ndarray:
-    """Eccentricities, per connected component.
+    """Eccentricities, one connected component at a time.
 
-    Runs BFS from a chosen node, tightens lb/ub for everyone in its
-    component (max(d, ecc(v) - d) <= ecc <= ecc(v) + d), and resolves nodes
-    whose bounds meet. Source choice alternates max-upper-bound and
-    min-lower-bound, which collapses the bounds in a few sweeps on
-    small-diameter graphs; exactness never depends on the choice.
-
-    Components up to ECC_EXACT_NODE_LIMIT nodes always run to full
-    certification, so their values are exact. Larger components stop after
-    ECC_SWEEP_CAP sweeps and still-unresolved nodes take their certified
-    lower bound. Certification degenerates to one sweep per node on large
-    homogeneous graphs (random graphs concentrate eccentricity on two or
-    three values), and the cap is what keeps single-graph feature time
-    bounded; the price is that the last unresolved gaps can depend on node
-    numbering on such graphs.
+    The nodes are sorted by component, so each component is a diagonal block
+    of the permuted adjacency; within a block the nodes keep their order.
+    Singletons are 0. A component of up to ECC_EXACT_NODE_LIMIT nodes gets
+    exact values from one all-sources BFS. A larger one runs capped bound
+    sweeps (``_swept_lower_bounds``). Either way a component's values do not
+    depend on the rest of the graph.
     """
-    n = graph.node_count
-    if n == 1:
-        return np.zeros(1, dtype=np.float64)
     if a is None:
         a = adjacency_matrix(graph)
-    n_comp, labels = csgraph.connected_components(a, directed=False)
-    ecc = np.full(n, -1.0)
-    comp_size = np.bincount(labels, minlength=n_comp)
-    ecc[comp_size[labels] == 1] = 0.0
-    deg = graph.degrees()
-    lb = np.zeros(n)
-    ub = np.full(n, np.inf)
-    # a component resolves in at most comp_size sweeps (each sweep settles
-    # its source), so small components get an unlimited budget in effect
-    budget = np.where(comp_size > ECC_EXACT_NODE_LIMIT, ECC_SWEEP_CAP, comp_size)
-    pick_upper = True
-    while True:
-        unresolved = np.flatnonzero((ecc < 0) & (budget[labels] > 0))
+    _, labels = csgraph.connected_components(a, directed=False)
+    order = np.argsort(labels, kind="stable")
+    a = a[order][:, order]
+    deg = graph.degrees()[order]
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(labels))])
+    ecc = np.zeros(graph.node_count)
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        if stop - start < 2:
+            continue
+        block = a[start:stop, start:stop]
+        if stop - start <= ECC_EXACT_NODE_LIMIT:
+            values = csgraph.dijkstra(block, directed=False, unweighted=True).max(axis=1)
+        else:
+            values = _swept_lower_bounds(block, deg[start:stop])
+        ecc[order[start:stop]] = values
+    return ecc
+
+
+def _swept_lower_bounds(block: sp.csr_matrix, deg: np.ndarray) -> np.ndarray:
+    """Certified eccentricity lower bounds of one connected component after
+    at most ECC_SWEEP_CAP bound sweeps (BoundingDiameters, Takes & Kosters
+    2011).
+
+    Each sweep runs BFS from one node v and tightens every node's bounds,
+    max(d, ecc(v) - d) <= ecc <= ecc(v) + d. A node is resolved when its
+    bounds meet. Even sweeps pick the unresolved node of largest upper bound,
+    odd sweeps the one of smallest lower bound; ties go to the highest
+    degree, then the lowest index. The alternation collapses the bounds in
+    a few sweeps on small-diameter graphs, and exactness never depends on
+    it. Certification degenerates to one sweep per node on large
+    homogeneous graphs (random graphs concentrate eccentricity on two or
+    three values), and the cap is what keeps single-graph feature time
+    bounded; the price is that the nodes still unresolved keep a lower
+    bound that can depend on node numbering.
+    """
+    lb = np.zeros(block.shape[0])
+    ub = np.full(block.shape[0], np.inf)
+    for sweep in range(ECC_SWEEP_CAP):
+        unresolved = np.flatnonzero(lb < ub)
         if unresolved.size == 0:
             break
-        if pick_upper:
-            key = ub[unresolved]
-            best = unresolved[key == key.max()]
-        else:
-            key = lb[unresolved]
-            best = unresolved[key == key.min()]
+        key = ub[unresolved] if sweep % 2 == 0 else -lb[unresolved]
+        best = unresolved[key == key.max()]
         v = int(best[np.argmax(deg[best])])
-        pick_upper = not pick_upper
-        budget[labels[v]] -= 1
-        dist = csgraph.dijkstra(a, directed=False, unweighted=True, indices=v)
-        in_comp = labels == labels[v]
-        d = dist[in_comp]
-        e_v = float(d.max())
-        ecc[v] = e_v
-        lb_c = np.maximum(lb[in_comp], np.maximum(d, e_v - d))
-        ub_c = np.minimum(ub[in_comp], e_v + d)
-        lb[in_comp] = lb_c
-        ub[in_comp] = ub_c
-        done = in_comp.copy()
-        done[in_comp] = lb_c == ub_c
-        ecc[done & (ecc < 0)] = lb[done & (ecc < 0)]
-    leftover = ecc < 0
-    ecc[leftover] = lb[leftover]
-    return ecc
+        d = csgraph.dijkstra(block, directed=False, unweighted=True, indices=v)
+        e_v = d.max()
+        np.maximum(lb, np.maximum(d, e_v - d), out=lb)
+        np.minimum(ub, e_v + d, out=ub)
+    return lb
 
 
 def pagerank(graph: Graph, a: sp.csr_matrix | None = None, damping: float = PAGERANK_DAMPING,
@@ -223,13 +225,11 @@ def extract_structural(graph: Graph, a: sp.csr_matrix,
     vector stands in so downstream summaries stay fixed-size.
     """
     tpe = triangles_per_edge(graph, two_hop)
-    if tpe.size == 0:
-        tpe = np.zeros(1)
     dists = [
         degree(graph),
         wedges_per_node(graph),
-        triangles_per_node(graph, two_hop),
-        tpe,
+        _edge_counts_to_nodes(graph, tpe),
+        tpe if tpe.size else np.zeros(1),
         eccentricity(graph, a),
         pagerank(graph, a),
         kcore(graph),

@@ -21,7 +21,7 @@ from .extractors import EXTRACTOR_IDS, adjacency_matrix, extract_structural, two
 from .graphs import Graph
 from .summaries import SUMMARY_NAMES, summarize
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 GLOBAL_STAT_NAMES = ("global_density", "global_wedge_density", "global_assortativity")
 FEATURE_DIM = 2 * (len(EXTRACTOR_IDS) * len(SUMMARY_NAMES) + len(GLOBAL_STAT_NAMES))
 

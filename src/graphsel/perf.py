@@ -141,26 +141,21 @@ def factorize(p: PerformanceMatrix, k: int, seed: int,
         raise ValueError(f"rank k={k} must lie in [1, min(n, m)={min(n, m)}]")
     if not 0.0 <= mean_prior_weight <= 1.0:
         raise ValueError("mean_prior_weight must lie in [0, 1]")
-    w_full = p.observed.astype(np.float64)
-    if not w_full.any():
+    if not p.observed.any():
         raise ValueError("cannot factorize a fully unobserved matrix")
-    if mean_prior_weight > 0.0 and not p.observed.all():
-        col_sum = np.where(p.observed, p.values, 0.0).sum(axis=0)
-        col_cnt = p.observed.sum(axis=0)
-        grand = col_sum.sum() / col_cnt.sum()
-        col_mean = np.where(col_cnt > 0, col_sum / np.maximum(col_cnt, 1), grand)
-        x = np.where(p.observed, p.filled(), col_mean[None, :])
-        w = np.where(p.observed, 1.0, mean_prior_weight)
-        row_keep = np.arange(n)
-        col_keep = np.arange(m)
-    else:
-        row_keep = np.flatnonzero(p.observed.any(axis=1))
-        col_keep = np.flatnonzero(p.observed.any(axis=0))
-        if row_keep.size < n or col_keep.size < m:
-            log.warning("factorize: dropping %d empty rows, %d empty columns",
-                        n - row_keep.size, m - col_keep.size)
-        x = p.filled()[np.ix_(row_keep, col_keep)]
-        w = w_full[np.ix_(row_keep, col_keep)]
+    col_sum = p.filled().sum(axis=0)
+    col_cnt = p.observed.sum(axis=0)
+    grand = col_sum.sum() / col_cnt.sum()
+    col_mean = np.where(col_cnt > 0, col_sum / np.maximum(col_cnt, 1), grand)
+    w = np.where(p.observed, 1.0, mean_prior_weight)
+    x = np.where(p.observed, p.values, col_mean[None, :])
+    row_keep = np.flatnonzero(w.any(axis=1))
+    col_keep = np.flatnonzero(w.any(axis=0))
+    if row_keep.size < n or col_keep.size < m:
+        log.warning("factorize: dropping %d empty rows, %d empty columns",
+                    n - row_keep.size, m - col_keep.size)
+    w = w[np.ix_(row_keep, col_keep)]
+    x = x[np.ix_(row_keep, col_keep)]
 
     rng = np.random.default_rng(seed)
     scale = 1.0 / np.sqrt(k)

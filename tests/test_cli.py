@@ -1,13 +1,14 @@
 """End-to-end CLI runs, in process: exit codes, artifacts, determinism."""
 
 import json
+import logging
 import pickle
 
 import numpy as np
 import pytest
 
 from graphsel.cli import DataError, main, read_features_csv
-from graphsel.features import FEATURE_DIM
+from graphsel.features import FEATURE_DIM, SCHEMA_VERSION
 from graphsel.graphs import serialize
 from graphsel.perf import to_csv
 from graphsel.synth import generate_synthetic_corpus
@@ -52,7 +53,7 @@ def test_features_artifacts(ws):
     text = ws["features_csv"].read_text()
     lines = text.strip().split("\n")
     assert lines[0].startswith("# config_hash=")
-    assert lines[1] == "# schema_version=1"
+    assert lines[1] == f"# schema_version={SCHEMA_VERSION}"
     header = lines[2].split(",")
     assert header[0] == "graph_id"
     assert len(header) == FEATURE_DIM + 1
@@ -169,7 +170,7 @@ def test_features_header_must_name_each_column(ws, tmp_path):
 def test_train_schema_guard(ws, tmp_path):
     stale = tmp_path / "features.csv"
     stale.write_text(ws["features_csv"].read_text().replace(
-        "# schema_version=1", "# schema_version=99"))
+        f"# schema_version={SCHEMA_VERSION}", "# schema_version=99"))
     rc = main(TRAIN_SETS + [
         "train", "--features-csv", str(stale),
         "--performance-csv", str(ws["perf_csv"]), "--output-dir", str(tmp_path)])
@@ -269,7 +270,7 @@ def test_evaluate_from_files(ws, tmp_path):
 
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert set(summary["selectors"]) == {"random", "gb_avgperf"}
-    assert "config_hash" in summary and summary["schema_version"] == 1
+    assert "config_hash" in summary and summary["schema_version"] == SCHEMA_VERSION
     agg = summary["selectors"]["gb_avgperf"]["aggregate"]
     assert 0.0 <= agg["mrr"] <= 1.0
     assert summary["best_gap"]["random"]["count"] == ws["n_graphs"]
@@ -301,12 +302,16 @@ def test_more_folds_than_graphs_exits_2(tmp_path, caplog):
     assert "folds=5 exceeds the 3 graphs" in caplog.text
 
 
-def test_unknown_selector_and_bad_override_exit_2(tmp_path):
-    # small corpus: the selector list is only validated after corpus setup
-    assert main(["--set", "eval.selectors=random,bogus",
-                 "--set", "eval.n_graphs=3", "--set", "eval.families=1",
-                 "--set", "eval.n_models=2",
-                 "evaluate", "--output-dir", str(tmp_path)]) == 2
+def test_unknown_selector_and_bad_override_exit_2(tmp_path, caplog):
+    # default 60-graph corpus: a bad selector name fails before it is generated
+    caplog.set_level(logging.INFO, logger="graphsel")
+    for sets in (["eval.selectors=random,bogus"],
+                 ["eval.selectors=random", "eval.sweep_selectors=bogus"]):
+        caplog.clear()
+        args = [arg for item in sets for arg in ("--set", item)]
+        assert main(args + ["evaluate", "--output-dir", str(tmp_path)]) == 2
+        assert "unknown selectors ['bogus']" in caplog.text
+        assert "event=corpus_features" not in caplog.text
     assert main(["--set", "hyper.mystery=1",
                  "evaluate", "--output-dir", str(tmp_path)]) == 2
     assert main(["--set", "hyper.lr=-5",

@@ -1,5 +1,6 @@
 """Structural distribution extractors against brute-force references."""
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -72,6 +73,18 @@ def test_disconnected_components_and_isolated_nodes():
     assert abs(pr.sum() - 1.0) < 1e-9
     assert np.abs(pr - pagerank_brute(g)).sum() < 1e-8
     assert list(extractors.kcore(g)) == [2, 2, 2, 2, 2, 2, 0, 0]
+
+
+def test_eccentricity_of_a_component_ignores_the_others():
+    # a 1,096-node giant (over the exact limit, so it runs capped sweeps)
+    # plus 4 isolated nodes; a disjoint edge must not move any giant value
+    g = nx.gnm_random_graph(1100, 3300, seed=7)
+    giant = sorted(max(nx.connected_components(g), key=len))
+    assert len(giant) > extractors.ECC_EXACT_NODE_LIMIT
+    alone = extractors.eccentricity(from_edges(1100, list(g.edges())))
+    paired = extractors.eccentricity(from_edges(1102, list(g.edges()) + [(1100, 1101)]))
+    assert np.array_equal(alone[giant], paired[giant])
+    assert list(paired[1100:]) == [1, 1]
 
 
 def test_single_node_and_edgeless():
