@@ -4,6 +4,8 @@ Just enough ops for an attention message-passing network and a listwise
 loss: broadcast arithmetic, matmul, two-operand einsum, exp/log, reductions,
 row gather with scatter-add backward, and segment sums. Values are float64
 throughout; the backward pass walks a topologically sorted tape of closures.
+Scatters are one ``np.bincount`` and segment maxima one sorted
+``np.maximum.reduceat``; no op goes through ``ufunc.at``.
 """
 
 from __future__ import annotations
@@ -19,6 +21,39 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
         if size == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
     return grad.reshape(shape)
+
+
+def _scatter_rows(values: np.ndarray, index: np.ndarray, num_rows: int) -> np.ndarray:
+    """Sum the rows of ``values`` into ``num_rows`` buckets by ``index``.
+
+    One ``np.bincount`` over the flattened (bucket, column) ids. Each bucket
+    adds its rows in row order, starting from 0, so the result has the same
+    bits as ``np.add.at`` into zeros.
+    """
+    index = np.asarray(index, dtype=np.int64)
+    values = np.asarray(values, dtype=np.float64)
+    tail = values.shape[index.ndim:]
+    index = index.ravel()
+    cols = int(np.prod(tail, dtype=np.int64))
+    ids = (index[:, None] * cols + np.arange(cols)).ravel()
+    out = np.bincount(ids, weights=values.reshape(-1), minlength=num_rows * cols)
+    # with no ids at all, bincount returns int64 zeros
+    return out.astype(np.float64, copy=False).reshape((num_rows,) + tail)
+
+
+def _segment_max(values: np.ndarray, segments: np.ndarray, num_segments: int) -> np.ndarray:
+    """Per-segment max of the rows of ``values``; empty segments and
+    non-finite maxima read 0. The rows are grouped by a stable sort of
+    ``segments`` and reduced with ``np.maximum.reduceat``."""
+    segments = np.asarray(segments, dtype=np.int64)
+    out = np.zeros((num_segments,) + values.shape[1:])
+    if segments.size:
+        order = np.argsort(segments, kind="stable")
+        ordered = segments[order]
+        starts = np.flatnonzero(np.concatenate([[True], ordered[1:] != ordered[:-1]]))
+        out[ordered[starts]] = np.maximum.reduceat(values[order], starts, axis=0)
+    out[~np.isfinite(out)] = 0.0
+    return out
 
 
 def _as_tensor(x) -> Tensor:
@@ -139,19 +174,14 @@ class Tensor:
     def gather(self, index: np.ndarray):
         """Rows (axis 0) selected by integer index; backward scatter-adds."""
         index = np.asarray(index, dtype=np.int64)
-
-        def grad(g):
-            full = np.zeros_like(self.value)
-            np.add.at(full, index, g)
-            return full
-        return _op(self.value[index], (self, grad))
+        rows = self.value.shape[0]
+        return _op(self.value[index], (self, lambda g: _scatter_rows(g, index, rows)))
 
     def segment_sum(self, segments: np.ndarray, num_segments: int):
         """Sum rows (axis 0) into segment buckets."""
         segments = np.asarray(segments, dtype=np.int64)
-        val = np.zeros((num_segments,) + self.value.shape[1:])
-        np.add.at(val, segments, self.value)
-        return _op(val, (self, lambda g: g[segments]))
+        return _op(_scatter_rows(self.value, segments, num_segments),
+                   (self, lambda g: g[segments]))
 
     # graph traversal --------------------------------------------------------
 
@@ -216,9 +246,7 @@ def segment_softmax(logits: Tensor, segments: np.ndarray, num_segments: int) -> 
     column is normalized on its own), numerically shifted by the per-segment
     max (a constant, so gradients stay exact)."""
     segments = np.asarray(segments, dtype=np.int64)
-    seg_max = np.full((num_segments,) + logits.shape[1:], -np.inf)
-    np.maximum.at(seg_max, segments, logits.value)
-    seg_max[~np.isfinite(seg_max)] = 0.0
+    seg_max = _segment_max(logits.value, segments, num_segments)
     shifted = logits - Tensor.const(seg_max[segments])
     e = shifted.exp()
     denom = e.segment_sum(segments, num_segments)

@@ -188,7 +188,7 @@ def kcore(graph: Graph) -> np.ndarray:
         return np.zeros(n, dtype=np.float64)
     max_deg = int(deg.max())
     bins = np.zeros(max_deg + 2, dtype=np.int64)
-    np.add.at(bins, deg + 1, 1)
+    bins[1:] = np.bincount(deg, minlength=max_deg + 1)
     np.cumsum(bins, out=bins)
     pos = np.zeros(n, dtype=np.int64)
     order = np.zeros(n, dtype=np.int64)

@@ -15,7 +15,8 @@ extension edges. Node ids number the models first and then the graphs, so
 an appended test graph renumbers no node. Base construction gives every
 node out-degree <= top_k per relation; extending with a test node adds
 reciprocal in-edges from its chosen neighbors, so their out-degree may
-reach top_k + 1.
+reach top_k + 1. A disjoint union of networks holds several copies side by
+side, with no edge between them, so that one pass embeds them all.
 """
 
 from __future__ import annotations
@@ -170,3 +171,37 @@ def extend_with_test(net: GMNetwork, m_test: np.ndarray, u_hat_test: np.ndarray)
                     net.extension_nodes + 1)
     ext.validate()
     return ext
+
+
+def disjoint_union(nets: list[GMNetwork]) -> GMNetwork:
+    """One network holding every copy in `nets`, none joined to another.
+
+    Node ids number every copy's models first, then every copy's graphs, both
+    in copy order. The edge table stays grouped by relation, and each copy's
+    edges keep their order. The copies must share meta_dim and top_k;
+    extension nodes add up.
+    """
+    if not nets:
+        raise ValueError("disjoint_union needs at least one network")
+    first = nets[0]
+    if any(n.meta_dim != first.meta_dim or n.top_k != first.top_k for n in nets):
+        raise ValueError("networks disagree on meta_dim or top_k")
+    n_models = sum(n.n_models for n in nets)
+    model_start = np.cumsum([0] + [n.n_models for n in nets])
+    graph_start = np.cumsum([n_models] + [n.n_graphs for n in nets])
+    src, dst = [], []
+    for n, m0, g0 in zip(nets, model_start, graph_start):
+        # a copy's id i moves to m0 + i for a model and g0 + i - n_models for a graph
+        shift = np.where(np.arange(n.n_models + n.n_graphs) < n.n_models, m0, g0 - n.n_models)
+        src.append(n.src + shift[n.src])
+        dst.append(n.dst + shift[n.dst])
+    rel = np.concatenate([n.rel for n in nets])
+    # each copy is grouped by relation already, so a stable sort keeps its order
+    order = np.argsort(rel, kind="stable")
+    union = GMNetwork(sum(n.n_graphs for n in nets), n_models,
+                      np.concatenate(src)[order], np.concatenate(dst)[order], rel[order],
+                      np.concatenate([n.graph_features for n in nets]),
+                      np.concatenate([n.model_features for n in nets]),
+                      first.meta_dim, first.top_k, sum(n.extension_nodes for n in nets))
+    union.validate()
+    return union

@@ -99,7 +99,7 @@ def _csr_from_edges(n: int, edge_array: np.ndarray) -> tuple[np.ndarray, np.ndar
     order = np.lexsort((dst, src))
     src, dst = src[order], dst[order]
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, src + 1, 1)
+    indptr[1:] = np.bincount(src, minlength=n)
     np.cumsum(indptr, out=indptr)
     return indptr, dst.astype(np.int64)
 

@@ -2,10 +2,12 @@
 
 Offline: factorize the observed performance matrix, fit the factor estimator,
 build the network, then optimize the GNN end to end on a listwise top-1
-cross-entropy over observed entries. Online: extend the network with the test
-graph, embed, and rank models by inner-product scores. Graph node input
-states are W @ [meta; estimated factor]; model node input states are the
-(trainable) latent factor rows.
+cross-entropy over observed entries; each epoch scores every holdout graph
+in one untaped pass over the disjoint union of their extended networks.
+Online: extend the network with the test graph, embed, and rank models by
+inner-product scores, computing the last layer only for the rows scored.
+Graph node input states are W @ [meta; estimated factor]; model node input
+states are the (trainable) latent factor rows.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from .autodiff import Tensor, concat, einsum, segment_softmax
 from .features import SCHEMA_VERSION
-from .gmnet import GMNetwork, RELATIONS, build_train_network, extend_with_test
+from .gmnet import GMNetwork, RELATIONS, build_train_network, disjoint_union, extend_with_test
 from .metrics import label_top1, mrr
 from .perf import FactorEstimator, PerformanceMatrix, factorize, fit_factor_estimator
 from .ranking import ScoreSheet
@@ -103,15 +105,23 @@ def init_params(rng: np.random.Generator, meta_dim: int, k: int, layers: int,
 
 # --- forward pass ----------------------------------------------------------
 
-def embed_network(pt: dict[str, Tensor], net: GMNetwork) -> tuple[Tensor, Tensor]:
-    """Embed every node; returns (graph embeddings, model embeddings).
+def embed_network(pt: dict[str, Tensor], net: GMNetwork,
+                  graph_rows: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
+    """Embed the nodes; returns (graph embeddings, model embeddings).
 
     Each layer projects per node type into keys/queries/messages, scores each
     edge per head with a per-relation bilinear form scaled by a learnable
     relation prior, softmax-normalizes attention per target across all
     in-edges jointly, and aggregates messages. Targets with no in-edges keep
     their residual-scaled state. Sizes come from the parameters: k from V,
-    one layer per `l{L}.att`, heads and dk from its shape.
+    one layer per `l{L}.att`, heads and dk from its shape. A network whose
+    models are whole copies of V's rows (a `disjoint_union`) tiles V with a
+    gather.
+
+    With `graph_rows` (graph indices) and at least one layer, the graph
+    embeddings hold only those rows, and the last layer scores only the
+    in-edges of the models and of those graphs. A target's softmax reads its own in-edges alone, so the
+    rows it returns are the same as in the full pass.
     """
     k = pt["V"].shape[1]
     layers = sum(name.endswith(".att") for name in pt)
@@ -120,15 +130,26 @@ def embed_network(pt: dict[str, Tensor], net: GMNetwork) -> tuple[Tensor, Tensor
 
     zg = Tensor.const(net.graph_features) @ pt["W"].transpose()
     zm = pt["V"]
+    if m != zm.shape[0]:
+        if m % zm.shape[0]:
+            raise ValueError(f"{m} model nodes are not whole copies of {zm.shape[0]} models")
+        zm = zm.gather(np.arange(m) % zm.shape[0])
 
     # edge table node ids: models first, then graphs
-    src, dst = net.src, net.dst
-    keyed_rows = net.rel * n_total + src
-    model_rows = np.arange(m)
-    graph_rows = m + np.arange(ng)
+    src, dst, rel = net.src, net.dst, net.rel
+    out_rows = np.arange(ng)
 
     for layer in range(layers):
         _, heads, dk, _ = pt[f"l{layer}.att"].shape
+        scored = graph_rows is not None and layer == layers - 1
+        if scored:
+            # the last layer feeds only the models and the requested graphs
+            out_rows = np.asarray(graph_rows, dtype=np.int64)
+            targets = np.zeros(n_total, dtype=bool)
+            targets[:m] = True
+            targets[m + out_rows] = True
+            keep = targets[dst]
+            src, dst, rel = src[keep], dst[keep], rel[keep]
 
         def project(name):
             both = concat([zm @ pt[f"l{layer}.{name}.m"], zg @ pt[f"l{layer}.{name}.g"]])
@@ -138,14 +159,15 @@ def embed_network(pt: dict[str, Tensor], net: GMNetwork) -> tuple[Tensor, Tensor
         # every node's keys through every relation's bilinear form, flattened
         # so that row r * n_total + i is node i under relation r
         keyed = einsum("nhi,rhij->rnhj", keys, pt[f"l{layer}.att"]).reshape(-1, heads, dk)
-        mu = pt[f"l{layer}.mu"].gather(net.rel).reshape(-1, 1)
-        logits = (keyed.gather(keyed_rows) * queries.gather(dst)).sum(axis=2) * mu \
-            * (1.0 / np.sqrt(dk))
+        mu = pt[f"l{layer}.mu"].gather(rel).reshape(-1, 1)
+        logits = einsum("ehi,ehi->eh", keyed.gather(rel * n_total + src), queries.gather(dst)) \
+            * mu * (1.0 / np.sqrt(dk))
         att = segment_softmax(logits, dst, n_total)
         weighted = msgs.gather(src) * att.reshape(-1, heads, 1)
         agg = weighted.segment_sum(dst, n_total).reshape(n_total, k)
-        zg = zg * pt[f"l{layer}.alpha.g"] + agg.gather(graph_rows) @ pt[f"l{layer}.O.g"]
-        zm = zm * pt[f"l{layer}.alpha.m"] + agg.gather(model_rows) @ pt[f"l{layer}.O.m"]
+        kept = zg.gather(out_rows) if scored else zg
+        zg = kept * pt[f"l{layer}.alpha.g"] + agg.gather(m + out_rows) @ pt[f"l{layer}.O.g"]
+        zm = zm * pt[f"l{layer}.alpha.m"] + agg.gather(np.arange(m)) @ pt[f"l{layer}.O.m"]
     return zg, zm
 
 
@@ -251,9 +273,12 @@ def _loss_and_grads(params: dict[str, np.ndarray], net: GMNetwork,
     return loss.item(), grads
 
 
-def _forward_scores(params: dict[str, np.ndarray], net: GMNetwork) -> np.ndarray:
+def _forward_scores(params: dict[str, np.ndarray], net: GMNetwork,
+                    graph_rows: np.ndarray | None = None) -> np.ndarray:
+    """Untaped score matrix: every graph row, or only `graph_rows`, against
+    every model node."""
     pt = {name: Tensor(arr) for name, arr in params.items()}
-    zg, zm = embed_network(pt, net)
+    zg, zm = embed_network(pt, net, graph_rows)
     return estimate_performance(zg.value, zm.value)
 
 
@@ -313,8 +338,11 @@ def train(features: np.ndarray, perf: PerformanceMatrix, config: LearnerConfig) 
             log.warning("fewer than two holdout rows with 2+ observed entries; "
                         "keeping the warm-start parameters")
         return MetaLearnerState(params, phi, net, list(perf.model_ids), SCHEMA_VERSION, [])
-    # each holdout graph's extended network depends only on the warm start
-    holdout = {i: extend_with_test(net, phi.zscore(f[i]), phi.predict(f[i])) for i in scored_rows}
+    # each holdout graph's extended network depends only on the warm start;
+    # their disjoint union scores every holdout row in one pass per epoch
+    holdout = disjoint_union([extend_with_test(net, phi.zscore(f[i]), phi.predict(f[i]))
+                              for i in scored_rows])
+    test_rows = (np.arange(len(scored_rows)) + 1) * (net.n_graphs + 1) - 1   # each copy's last graph
 
     def validation_score() -> tuple[float, float]:
         """(early-stopping score, mean val MRR for the log).
@@ -324,10 +352,11 @@ def train(features: np.ndarray, perf: PerformanceMatrix, config: LearnerConfig) 
         early stopper long before the embeddings settle. The logged MRR
         ranks the best observed model against the full model list.
         """
+        scores = _forward_scores(params, holdout, test_rows)
         mrrs, losses = [], []
-        for i, ext in holdout.items():
+        for c, i in enumerate(scored_rows):
             cols = perf.observed[i]
-            s = _forward_scores(params, ext)[-1]
+            s = scores[c, c * m:(c + 1) * m]
             labels = np.zeros(s.size)
             labels[cols] = label_top1(perf.values[i, cols])
             mrrs.append(mrr(s, labels))
@@ -371,7 +400,7 @@ def select_model(state: MetaLearnerState, m_feat: np.ndarray) -> ScoreSheet:
     """Online phase: standardize and estimate factors through phi, extend,
     embed, rank."""
     ext = extend_with_test(state.network, state.phi.zscore(m_feat), state.phi.predict(m_feat))
-    scores = _forward_scores(state.params, ext)[-1]
+    scores = _forward_scores(state.params, ext, [ext.n_graphs - 1])[0]
     return ScoreSheet(list(state.model_ids), scores)
 
 

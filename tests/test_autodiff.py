@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphsel.autodiff import Tensor, concat, einsum, segment_softmax
+from graphsel.autodiff import Tensor, _segment_max, concat, einsum, segment_softmax
 
 
 def fd_grad(loss_fn, x, step=1e-6):
@@ -119,6 +119,38 @@ def test_random_shape_grads(data):
     segments = np.array(data.draw(
         st.lists(st.integers(0, n_seg - 1), min_size=rows, max_size=rows)))
     check_op(lambda a: a.segment_sum(segments, n_seg), (rows, cols), seed=seed)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.data())
+def test_scatters_match_ufunc_at_bit_for_bit(data):
+    """gather backward and segment_sum equal an np.add.at scatter, and the
+    segment_softmax shift equals an np.maximum.at max, to the last bit, on
+    drawn shapes: no rows, repeated indices, empty segments, (E,) and (E, H)."""
+    n_seg = data.draw(st.integers(1, 6))
+    segments = np.array(data.draw(st.lists(st.integers(0, n_seg - 1), max_size=12)),
+                        dtype=np.int64)
+    tail = data.draw(st.sampled_from([(), (1,), (3,), (2, 3)]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    # magnitudes spread over many decades, so the summation order shows in the bits
+    shape = (segments.size,) + tail
+    rows = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+
+    want = np.zeros((n_seg,) + tail)
+    np.add.at(want, segments, rows)
+    got = Tensor.const(rows).segment_sum(segments, n_seg).value
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    # the output gradient of this sum is `rows` itself
+    table = Tensor.param(rng.normal(size=(n_seg,) + tail))
+    (table.gather(segments) * Tensor.const(rows)).sum().backward()
+    assert table.grad.tobytes() == want.tobytes()
+
+    logits = rng.normal(size=(segments.size,) + tail[:1]) * 50.0
+    shift = np.full((n_seg,) + logits.shape[1:], -np.inf)
+    np.maximum.at(shift, segments, logits)
+    shift[~np.isfinite(shift)] = 0.0
+    assert _segment_max(logits, segments, n_seg).tobytes() == shift.tobytes()
 
 
 def test_segment_softmax_values_and_grads():

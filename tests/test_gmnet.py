@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from graphsel.gmnet import (REL_TYPES, RELATIONS, build_train_network, cosine_topk,
-                            extend_with_test)
+                            disjoint_union, extend_with_test)
 
 
 def relation_edges(net, rel):
@@ -165,6 +165,39 @@ def test_extension_dimension_validation():
         extend_with_test(net, np.zeros(4), np.zeros(3))    # meta_dim is 5
     with pytest.raises(ValueError):
         extend_with_test(net, np.zeros(5), np.zeros(2))    # factor dim is 3
+
+
+def test_disjoint_union_keeps_copies_apart_and_in_order():
+    rng = np.random.default_rng(6)
+    net, *_ = make_net(rng, n=6, m=4, top_k=2)
+    small, *_ = make_net(rng, n=5, m=3, top_k=2)
+    copies = [extend_with_test(net, rng.normal(size=5), rng.uniform(0.1, 1.0, size=3)),
+              small, extend_with_test(net, rng.normal(size=5), rng.uniform(0.1, 1.0, size=3))]
+    union = disjoint_union(copies)
+    union.validate()
+    assert (union.n_models, union.n_graphs) == (11, 19)
+    assert union.extension_nodes == 2
+    assert np.all(np.diff(union.rel) >= 0)        # still grouped by relation
+
+    # every copy's models come first, then every copy's graphs
+    copy_of = np.concatenate([np.full(c.n_models, i) for i, c in enumerate(copies)]
+                             + [np.full(c.n_graphs, i) for i, c in enumerate(copies)])
+    local = np.concatenate([np.arange(c.n_models) for c in copies]
+                           + [c.n_models + np.arange(c.n_graphs) for c in copies])
+    assert np.array_equal(copy_of[union.src], copy_of[union.dst])   # no edge crosses copies
+    for i, c in enumerate(copies):
+        mine = copy_of[union.dst] == i
+        # the copy's own table, edge for edge, so each target keeps its in-edge order
+        assert np.array_equal(local[union.src[mine]], c.src)
+        assert np.array_equal(local[union.dst[mine]], c.dst)
+        assert np.array_equal(union.rel[mine], c.rel)
+        assert np.array_equal(union.graph_features[copy_of[union.n_models:] == i],
+                              c.graph_features)
+        assert np.array_equal(union.model_features[copy_of[:union.n_models] == i],
+                              c.model_features)
+
+    with pytest.raises(ValueError, match="top_k"):
+        disjoint_union([net, replace(small, top_k=3)])
 
 
 def test_validate_rejects_malformed_networks():

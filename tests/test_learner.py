@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from graphsel.autodiff import Tensor
-from graphsel.gmnet import RELATIONS, REL_INDEX, REL_TYPES, build_train_network, extend_with_test
+from graphsel.gmnet import (RELATIONS, REL_INDEX, REL_TYPES, build_train_network,
+                            disjoint_union, extend_with_test)
 from graphsel.learner import (
+    VAL_FRACTION,
     LearnerConfig,
     _forward_scores,
     _loss_and_grads,
@@ -28,6 +30,7 @@ from graphsel.learner import (
     top1_probability,
     train,
 )
+from graphsel.metrics import label_top1, mrr
 from graphsel.perf import PerformanceMatrix
 from graphsel.ranking import ScoreSheet
 
@@ -126,6 +129,43 @@ def test_forward_matches_oracle_on_extended_network():
         u_test = rng.uniform(0.1, 1.0, size=params["V"].shape[1])
         ext = extend_with_test(net, m_test, u_test)
         assert_scores_close(_forward_scores(params, ext), forward_oracle(params, ext))
+
+
+def assert_rel_close(got, want, tol=1e-12):
+    """Within tol of the largest |want|."""
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= tol * np.abs(want).max()
+
+
+def test_scored_rows_pass_equals_full_pass_rows():
+    for layers, heads in ((1, 1), (2, 2)):
+        rng = np.random.default_rng(6)
+        net, params, _, _ = make_tiny_problem(seed=6, layers=layers, heads=heads)
+        params = perturbed_params(params, rng)
+        ext = extend_with_test(net, rng.normal(size=net.meta_dim),
+                               rng.uniform(0.1, 1.0, size=params["V"].shape[1]))
+        for g in (net, ext):
+            full = _forward_scores(params, g)
+            for rows in ([g.n_graphs - 1], [2, 0], list(range(g.n_graphs))):
+                assert_rel_close(_forward_scores(params, g, rows), full[rows])
+
+
+def test_union_pass_equals_each_copy_alone():
+    rng = np.random.default_rng(8)
+    net, params, _, _ = make_tiny_problem(seed=8, layers=2, heads=2)
+    params = perturbed_params(params, rng)
+    k = params["V"].shape[1]
+    copies = [net] + [extend_with_test(net, rng.normal(size=net.meta_dim),
+                                       rng.uniform(0.1, 1.0, size=k)) for _ in range(3)]
+    union = disjoint_union(copies)
+    m = net.n_models
+    last = np.cumsum([c.n_graphs for c in copies]) - 1
+    scores = _forward_scores(params, union, last)
+    for c, copy in enumerate(copies):
+        assert_rel_close(scores[c, c * m:(c + 1) * m], _forward_scores(params, copy)[-1])
+    with pytest.raises(ValueError, match="whole copies"):
+        # 12 model nodes are not whole copies of 5 model rows
+        _forward_scores({**params, "V": np.vstack([params["V"], params["V"][:2]])}, union)
 
 
 def test_forward_over_constant_parameters_records_no_tape():
@@ -404,6 +444,30 @@ def test_train_input_validation():
         train(rng.normal(size=(6, 3)), one_col, fast_config())
 
 
+def test_one_pass_validation_equals_per_holdout_full_passes():
+    # one epoch with no patience limit keeps the epoch-0 parameters, so the
+    # logged stop score and MRR can be recomputed from the returned state
+    feats, perf = small_training_problem(seed=4, n=40)
+    config = fast_config(k=4, layers=2, heads=2, max_epochs=1)
+    state = train(feats, perf, config)
+    n = perf.shape[0]
+    n_val = max(1, int(round(VAL_FRACTION * n)))
+    val_rows = np.sort(np.random.default_rng(config.seed).permutation(n)[:n_val])
+    assert len(val_rows) == 4
+    mrrs, losses = [], []
+    for i in val_rows:
+        ext = extend_with_test(state.network, state.phi.zscore(feats[i]), state.phi.predict(feats[i]))
+        s = _forward_scores(state.params, ext)[-1]
+        cols = perf.observed[i]
+        labels = np.zeros(s.size)
+        labels[cols] = label_top1(perf.values[i, cols])
+        mrrs.append(mrr(s, labels))
+        losses.append(top1_loss(perf.values[i, cols], cols[cols], s[cols]))
+    entry = state.training_log[0]
+    assert entry["stop_score"] == pytest.approx(-np.sum(losses), rel=1e-12, abs=0)
+    assert entry["val_mrr"] == pytest.approx(np.mean(mrrs), rel=1e-12, abs=0)
+
+
 def test_sparse_holdout_keeps_warm_start(caplog):
     rng = np.random.default_rng(2)
     n, m = 20, 5
@@ -485,3 +549,5 @@ def test_select_model_matches_oracle_pipeline():
 
     again = select_model(state, m_feat)
     assert np.array_equal(again.scores, sheet.scores)
+    # the scored-rows pass reads the same row as the full extended pass
+    assert_rel_close(sheet.scores, _forward_scores(state.params, ext)[-1])
