@@ -5,7 +5,7 @@ learns to rank candidate models for a new graph from its structure alone:
 meta-features in, best model out, no trial evaluations on the new graph.
 """
 
-from .features import FEATURE_DIM, SCHEMA_VERSION, MetaFeatureVector, meta_graph_features
+from .features import FEATURE_DIM, SCHEMA_VERSION, meta_graph_features
 from .graphs import Graph, load_edge_list
 from .learner import (LearnerConfig, MetaLearnerState, load_state, save_state,
                       select_model, train)
@@ -16,7 +16,7 @@ from .synth import SyntheticCorpus, generate_synthetic_corpus
 __version__ = "0.1.0"
 
 __all__ = [
-    "FEATURE_DIM", "SCHEMA_VERSION", "MetaFeatureVector", "meta_graph_features",
+    "FEATURE_DIM", "SCHEMA_VERSION", "meta_graph_features",
     "Graph", "load_edge_list",
     "LearnerConfig", "MetaLearnerState", "load_state", "save_state",
     "select_model", "train",

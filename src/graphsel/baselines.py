@@ -14,14 +14,13 @@ from dataclasses import replace
 
 import numpy as np
 
+from .gmnet import cosine_topk
 from .learner import LearnerConfig, select_model, train
 from .metrics import _average_ranks_desc
 from .perf import PerformanceMatrix, factorize, fit_factor_estimator, standardize
-from .ranking import ScoreSheet, rank_descending
+from .ranking import ScoreSheet
 
-BASELINE_KINDS = ("random", "gb_avgperf", "gb_avgrank", "isac",
-                  "argosmart", "surrogate", "alors")
-ALL_KINDS = BASELINE_KINDS + ("metalearner",)
+KMEANS_MAX_ITER = 100
 
 
 def _masked_column_means(values: np.ndarray, observed: np.ndarray) -> np.ndarray:
@@ -91,7 +90,7 @@ class AvgRankSelector:
         return ScoreSheet(self.model_ids, self.scores.copy())
 
 
-def kmeans(x: np.ndarray, k: int, seed: int, max_iter: int = 100) -> tuple[np.ndarray, np.ndarray]:
+def kmeans(x: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Plain Lloyd iterations, single seeded init, empty clusters keep their
     previous centroid. Returns (centroids, assignments)."""
     n = x.shape[0]
@@ -99,7 +98,7 @@ def kmeans(x: np.ndarray, k: int, seed: int, max_iter: int = 100) -> tuple[np.nd
     rng = np.random.default_rng(seed)
     centroids = x[rng.choice(n, size=k, replace=False)].copy()
     assign = np.full(n, -1)
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         d2 = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         new_assign = d2.argmin(axis=1)
         if np.array_equal(new_assign, assign):
@@ -153,17 +152,11 @@ class ArgosmartSelector:
     def fit(self, features: np.ndarray, perf: PerformanceMatrix):
         self.model_ids = list(perf.model_ids)
         self.features = np.asarray(features, dtype=np.float64)
-        norms = np.linalg.norm(self.features, axis=1, keepdims=True)
-        self.unit = np.where(norms > 0, self.features / np.where(norms > 0, norms, 1.0), 0.0)
         self.perf = perf
         return self
 
     def rank(self, m_feat: np.ndarray) -> ScoreSheet:
-        q = np.asarray(m_feat, dtype=np.float64)
-        qn = np.linalg.norm(q)
-        qh = q / qn if qn > 0 else q
-        sims = self.unit @ qh
-        nn = int(rank_descending(sims)[0])
+        nn = int(cosine_topk(np.atleast_2d(m_feat), self.features, 1)[0, 0])
         obs = self.perf.observed[nn]
         row = self.perf.values[nn]
         if obs.any():
@@ -246,18 +239,23 @@ class MetaLearnerSelector:
         return select_model(self.state, m_feat)
 
 
+# the order fixes the [eval] selector defaults, and with them the config hash
+SELECTORS = {
+    "random": RandomSelector,
+    "gb_avgperf": AvgPerfSelector,
+    "gb_avgrank": AvgRankSelector,
+    "isac": IsacSelector,
+    "argosmart": ArgosmartSelector,
+    "surrogate": SurrogateSelector,
+    "alors": AlorsSelector,
+    "metalearner": MetaLearnerSelector,
+}
+ALL_KINDS = tuple(SELECTORS)
+BASELINE_KINDS = tuple(kind for kind in SELECTORS if kind != "metalearner")
+
+
 def make_selector(kind: str, seed: int = 0, **options):
-    """Registry constructor; options are forwarded to the selector."""
-    registry = {
-        "random": RandomSelector,
-        "gb_avgperf": AvgPerfSelector,
-        "gb_avgrank": AvgRankSelector,
-        "isac": IsacSelector,
-        "argosmart": ArgosmartSelector,
-        "surrogate": SurrogateSelector,
-        "alors": AlorsSelector,
-        "metalearner": MetaLearnerSelector,
-    }
-    if kind not in registry:
-        raise ValueError(f"unknown selector kind {kind!r}; known: {sorted(registry)}")
-    return registry[kind](seed=seed, **options)
+    """Construct a selector by kind; options are forwarded to it."""
+    if kind not in SELECTORS:
+        raise ValueError(f"unknown selector kind {kind!r}; known: {sorted(SELECTORS)}")
+    return SELECTORS[kind](seed=seed, **options)

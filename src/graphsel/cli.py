@@ -55,8 +55,7 @@ def _require_path(cfg: RunConfig, section: str, key: str) -> Path:
 def _extract_one(path: Path):
     started = time.perf_counter()
     graph = load_edge_list(path.read_text())
-    vec = meta_graph_features(graph)
-    return vec.values, graph, time.perf_counter() - started
+    return meta_graph_features(graph), graph, time.perf_counter() - started
 
 
 def cmd_features(cfg: RunConfig) -> int:
@@ -119,7 +118,11 @@ def read_features_csv(path: Path) -> tuple[list[str], np.ndarray]:
         for line in fh:
             line = line.rstrip("\n")
             if line.startswith("# schema_version="):
-                schema_seen = int(line.split("=", 1)[1])
+                stamp = line.split("=", 1)[1]
+                try:
+                    schema_seen = int(stamp)
+                except ValueError:
+                    raise DataError(f"bad schema_version stamp {stamp!r} in {path}") from None
                 continue
             if line.startswith("#") or not line.strip():
                 continue
@@ -210,7 +213,7 @@ def cmd_select(cfg: RunConfig) -> int:
         raise DataError(f"cannot load graph: {exc}") from None
     m_feat = meta_graph_features(graph)
     t1 = time.perf_counter()
-    sheet = learner.select_model(state, m_feat.values)
+    sheet = learner.select_model(state, m_feat)
     t2 = time.perf_counter()
 
     lines = [_stamp(cfg) + "rank,model_id,score"]

@@ -115,11 +115,15 @@ def load_config(path: str | None = None, overrides: list[str] | None = None) -> 
     values = {sk: _parse_value(*sk, default) for sk, (_, default, _) in SCHEMA.items()}
     if path is not None:
         cp = configparser.ConfigParser()
-        read = cp.read(path)
+        try:
+            read = cp.read(path)
+            items = {section: cp.items(section) for section in cp.sections()}
+        except configparser.Error as exc:
+            raise ConfigError(f"cannot parse config file {path!r}: {exc}") from None
         if not read:
             raise ConfigError(f"cannot read config file {path!r}")
-        for section in cp.sections():
-            for key, raw in cp.items(section):
+        for section, pairs in items.items():
+            for key, raw in pairs:
                 values[(section, key)] = _parse_value(section, key, raw)
     for item in overrides or []:
         if "=" not in item or "." not in item.split("=", 1)[0]:

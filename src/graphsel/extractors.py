@@ -152,12 +152,11 @@ def _swept_lower_bounds(block: sp.csr_matrix, deg: np.ndarray) -> np.ndarray:
     return lb
 
 
-def pagerank(graph: Graph, a: sp.csr_matrix | None = None, damping: float = PAGERANK_DAMPING,
-             tol: float = PAGERANK_TOL, max_iter: int = PAGERANK_MAX_ITER) -> np.ndarray:
+def pagerank(graph: Graph, a: sp.csr_matrix | None = None) -> np.ndarray:
     """PageRank by power iteration with uniform teleport.
 
     Isolated (dangling) nodes spread their mass uniformly. Converged when
-    the L1 change drops below ``tol``; iteration count is capped.
+    the L1 change drops below PAGERANK_TOL, after PAGERANK_MAX_ITER at most.
     """
     n = graph.node_count
     if n == 1:
@@ -168,12 +167,12 @@ def pagerank(graph: Graph, a: sp.csr_matrix | None = None, damping: float = PAGE
     dangling = deg == 0
     inv_deg = np.where(dangling, 0.0, 1.0 / np.maximum(deg, 1.0))
     x = np.full(n, 1.0 / n)
-    teleport = (1.0 - damping) / n
-    for _ in range(max_iter):
+    teleport = (1.0 - PAGERANK_DAMPING) / n
+    for _ in range(PAGERANK_MAX_ITER):
         spread = x * inv_deg
-        new = damping * (a.T @ spread)
-        new += damping * x[dangling].sum() / n + teleport
-        if np.abs(new - x).sum() < tol:
+        new = PAGERANK_DAMPING * (a.T @ spread)
+        new += PAGERANK_DAMPING * x[dangling].sum() / n + teleport
+        if np.abs(new - x).sum() < PAGERANK_TOL:
             x = new
             break
         x = new

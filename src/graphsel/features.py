@@ -13,8 +13,6 @@ are rejected instead of silently misread.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .extractors import EXTRACTOR_IDS, adjacency_matrix, extract_structural, two_hop_matrix
@@ -24,12 +22,6 @@ from .summaries import SUMMARY_NAMES, summarize
 SCHEMA_VERSION = 2
 GLOBAL_STAT_NAMES = ("global_density", "global_wedge_density", "global_assortativity")
 FEATURE_DIM = 2 * (len(EXTRACTOR_IDS) * len(SUMMARY_NAMES) + len(GLOBAL_STAT_NAMES))
-
-
-@dataclass(frozen=True)
-class MetaFeatureVector:
-    values: np.ndarray
-    schema_version: int = SCHEMA_VERSION
 
 
 def feature_names() -> list[str]:
@@ -82,7 +74,8 @@ def signed_log1p(x: np.ndarray) -> np.ndarray:
     return np.sign(x) * np.log1p(np.abs(x))
 
 
-def meta_graph_features(graph: Graph) -> MetaFeatureVector:
+def meta_graph_features(graph: Graph) -> np.ndarray:
+    """The FEATURE_DIM-long meta-feature vector of one graph."""
     a = adjacency_matrix(graph)
     two_hop = two_hop_matrix(graph, a)
     parts = [summarize(values) for values in extract_structural(graph, a, two_hop)]
@@ -91,4 +84,4 @@ def meta_graph_features(graph: Graph) -> MetaFeatureVector:
     vec = np.concatenate([base, signed_log1p(base)])
     if vec.shape[0] != FEATURE_DIM:
         raise AssertionError(f"feature schema violation: {vec.shape[0]} != {FEATURE_DIM}")
-    return MetaFeatureVector(vec)
+    return vec

@@ -3,7 +3,8 @@
 Offline: factorize the observed performance matrix, fit the factor estimator,
 build the network, then optimize the GNN end to end on a listwise top-1
 cross-entropy over observed entries; each epoch scores every holdout graph
-in one untaped pass over the disjoint union of their extended networks.
+in one untaped pass over the disjoint union of their extended networks, and
+the same loss on each copy's own block of that pass is the stopping score.
 Online: extend the network with the test graph, embed, and rank models by
 inner-product scores, computing the last layer only for the rows scored.
 Graph node input states are W @ [meta; estimated factor]; model node input
@@ -31,6 +32,7 @@ log = logging.getLogger(__name__)
 BUNDLE_FORMAT_VERSION = 4
 # share of training graphs held out for early stopping
 VAL_FRACTION = 0.1
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -56,7 +58,6 @@ class MetaLearnerState:
     phi: FactorEstimator
     network: GMNetwork
     model_ids: list[str]
-    schema_version: int = SCHEMA_VERSION
     training_log: list[dict] = field(default_factory=list)
 
 
@@ -171,57 +172,42 @@ def embed_network(pt: dict[str, Tensor], net: GMNetwork,
     return zg, zm
 
 
-def estimate_performance(graph_emb: np.ndarray, model_emb: np.ndarray) -> np.ndarray:
-    """Inner-product score(s) between a graph embedding and model embeddings."""
-    return np.asarray(graph_emb, dtype=np.float64) @ np.asarray(model_emb, dtype=np.float64).T
+def _scores(pt: dict[str, Tensor], net: GMNetwork,
+            graph_rows: np.ndarray | None = None) -> Tensor:
+    """Score matrix of every graph row, or only `graph_rows`, against every model node."""
+    zg, zm = embed_network(pt, net, graph_rows)
+    return zg @ zm.transpose()
 
 
 # --- listwise loss ---------------------------------------------------------
 
 def top1_probability(scores: np.ndarray, observed: np.ndarray | None = None) -> np.ndarray:
-    """Softmax top-1 probabilities over the observed entries of one row.
+    """Softmax top-1 probabilities over the observed entries of one row, or
+    of each row of a matrix.
 
-    Unobserved entries get probability 0. Invariant under adding a constant
-    to all scores.
+    Each row is shifted by its observed max; unobserved entries get
+    probability 0. Invariant under adding a constant to a row.
     """
-    s = np.asarray(scores, dtype=np.float64).ravel()
-    obs = np.ones(s.size, dtype=bool) if observed is None else np.asarray(observed, dtype=bool)
-    if s.size == 0 or not obs.any():
-        raise ValueError("top1_probability needs at least one observed entry")
-    e = np.exp(s - s.max()) * obs
-    return e / e.sum()
-
-
-def top1_loss(p_vals: np.ndarray, observed: np.ndarray, scores: np.ndarray) -> float:
-    """Cross-entropy between true and predicted top-1 distributions, summed
-    over rows; rows with no observed entries contribute exactly 0."""
-    p = np.atleast_2d(np.asarray(p_vals, dtype=np.float64))
-    obs = np.atleast_2d(np.asarray(observed, dtype=bool))
-    s = np.atleast_2d(np.asarray(scores, dtype=np.float64))
-    total = 0.0
-    for i in range(p.shape[0]):
-        if not obs[i].any():
-            continue
-        q = top1_probability(np.where(obs[i], p[i], -np.inf), obs[i])
-        shifted = s[i] - s[i].max()
-        log_denom = np.log(np.sum(np.exp(shifted) * obs[i]))
-        log_qhat = shifted - log_denom
-        total -= float(np.sum(q[obs[i]] * log_qhat[obs[i]]))
-    return total
+    s = np.asarray(scores, dtype=np.float64)
+    obs = np.ones(s.shape, dtype=bool) if observed is None else np.asarray(observed, dtype=bool)
+    if s.size == 0 or not obs.any(axis=-1).all():
+        raise ValueError("top1_probability needs at least one observed entry per row")
+    masked = np.where(obs, s, -np.inf)
+    e = np.exp(masked - masked.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def sparse_top1_loss(scores: Tensor, p_vals: np.ndarray, observed: np.ndarray) -> Tensor:
-    """Differentiable version of top1_loss over a score Tensor."""
+    """Listwise loss: cross-entropy between the true and predicted top-1
+    distributions over each row's observed entries, summed over rows; rows
+    with no observed entries contribute exactly 0."""
     obs = np.asarray(observed, dtype=bool)
     keep = np.flatnonzero(obs.any(axis=1))
     if keep.size == 0:
         return Tensor.const(0.0)
     sk = scores.gather(keep)
     mk = obs[keep].astype(np.float64)
-    pv = np.where(obs, p_vals, 0.0)[keep]
-    pm = np.where(mk > 0, pv, -np.inf)
-    eq = np.exp(pm - pm.max(axis=1, keepdims=True)) * mk
-    q = eq / eq.sum(axis=1, keepdims=True)
+    q = top1_probability(np.asarray(p_vals)[keep], obs[keep])
 
     shift = sk.value.max(axis=1, keepdims=True)      # any per-row constant
     shifted = sk - Tensor.const(shift)
@@ -234,23 +220,21 @@ def sparse_top1_loss(scores: Tensor, p_vals: np.ndarray, observed: np.ndarray) -
 # --- optimizer -------------------------------------------------------------
 
 class Adam:
-    def __init__(self, params: dict[str, np.ndarray], beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+    def __init__(self, params: dict[str, np.ndarray]):
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
         self.t = 0
 
     def step(self, params, grads, lr, weight_decay):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         for name, p in params.items():
             g = grads[name] + weight_decay * p
             self.m[name] = b1 * self.m[name] + (1 - b1) * g
             self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
             m_hat = self.m[name] / (1 - b1 ** self.t)
             v_hat = self.v[name] / (1 - b2 ** self.t)
-            p -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 # --- training --------------------------------------------------------------
@@ -265,8 +249,7 @@ def _largest_divisor_at_most(n: int, cap: int) -> int:
 def _loss_and_grads(params: dict[str, np.ndarray], net: GMNetwork,
                     pv: np.ndarray, obs: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
     pt = {name: Tensor(arr, requires_grad=True) for name, arr in params.items()}
-    zg, zm = embed_network(pt, net)
-    loss = sparse_top1_loss(zg @ zm.transpose(), pv, obs)
+    loss = sparse_top1_loss(_scores(pt, net), pv, obs)
     loss.backward()
     grads = {name: (t.grad if t.grad is not None else np.zeros_like(t.value))
              for name, t in pt.items()}
@@ -277,9 +260,7 @@ def _forward_scores(params: dict[str, np.ndarray], net: GMNetwork,
                     graph_rows: np.ndarray | None = None) -> np.ndarray:
     """Untaped score matrix: every graph row, or only `graph_rows`, against
     every model node."""
-    pt = {name: Tensor(arr) for name, arr in params.items()}
-    zg, zm = embed_network(pt, net, graph_rows)
-    return estimate_performance(zg.value, zm.value)
+    return _scores({name: Tensor(arr) for name, arr in params.items()}, net, graph_rows).value
 
 
 def train(features: np.ndarray, perf: PerformanceMatrix, config: LearnerConfig) -> MetaLearnerState:
@@ -337,31 +318,33 @@ def train(features: np.ndarray, perf: PerformanceMatrix, config: LearnerConfig) 
         if config.max_epochs > 0:
             log.warning("fewer than two holdout rows with 2+ observed entries; "
                         "keeping the warm-start parameters")
-        return MetaLearnerState(params, phi, net, list(perf.model_ids), SCHEMA_VERSION, [])
+        return MetaLearnerState(params, phi, net, list(perf.model_ids))
     # each holdout graph's extended network depends only on the warm start;
     # their disjoint union scores every holdout row in one pass per epoch
     holdout = disjoint_union([extend_with_test(net, phi.zscore(f[i]), phi.predict(f[i]))
                               for i in scored_rows])
-    test_rows = (np.arange(len(scored_rows)) + 1) * (net.n_graphs + 1) - 1   # each copy's last graph
+    copies = np.arange(len(scored_rows))
+    test_rows = (copies + 1) * (net.n_graphs + 1) - 1   # each copy's last graph
+    val_pv, val_obs = perf.values[scored_rows], perf.observed[scored_rows]
 
     def validation_score() -> tuple[float, float]:
         """(early-stopping score, mean val MRR for the log).
 
-        The score is the negated listwise loss on held-out graphs: MRR on a
+        The score is the negated training loss on held-out graphs: MRR on a
         handful of rows saturates within a few epochs and would freeze the
         early stopper long before the embeddings settle. The logged MRR
         ranks the best observed model against the full model list.
         """
         scores = _forward_scores(params, holdout, test_rows)
-        mrrs, losses = [], []
-        for c, i in enumerate(scored_rows):
-            cols = perf.observed[i]
-            s = scores[c, c * m:(c + 1) * m]
-            labels = np.zeros(s.size)
-            labels[cols] = label_top1(perf.values[i, cols])
+        # row c against copy c's own models
+        blocks = scores.reshape(copies.size, copies.size, m)[copies, copies]
+        mrrs = []
+        for s, pv_i, cols in zip(blocks, val_pv, val_obs):
+            labels = np.zeros(m)
+            labels[cols] = label_top1(pv_i[cols])
             mrrs.append(mrr(s, labels))
-            losses.append(top1_loss(perf.values[i, cols], cols[cols], s[cols]))
-        return -float(np.sum(losses)), float(np.mean(mrrs))
+        loss = sparse_top1_loss(Tensor.const(blocks), val_pv, val_obs).item()
+        return -loss, float(np.mean(mrrs))
 
     best_params = None
     best_score = -np.inf
@@ -392,8 +375,7 @@ def train(features: np.ndarray, perf: PerformanceMatrix, config: LearnerConfig) 
     if best_params is None:          # no epoch gave a finite stop score
         best_params = {k_: v_.copy() for k_, v_ in params.items()}
 
-    return MetaLearnerState(best_params, phi, net, list(perf.model_ids), SCHEMA_VERSION,
-                            training_log)
+    return MetaLearnerState(best_params, phi, net, list(perf.model_ids), training_log)
 
 
 def select_model(state: MetaLearnerState, m_feat: np.ndarray) -> ScoreSheet:
@@ -459,9 +441,7 @@ def gradient_check(seed: int = 0, step: float = 1e-5) -> float:
     _, analytic = _loss_and_grads(params, net, pv, obs)
 
     def loss_fn(p):
-        pt = {name: Tensor(arr) for name, arr in p.items()}
-        zg, zm = embed_network(pt, net)
-        return sparse_top1_loss(zg @ zm.transpose(), pv, obs).item()
+        return sparse_top1_loss(Tensor.const(_forward_scores(p, net)), pv, obs).item()
 
     fd = finite_difference_grads(loss_fn, params, step)
     return max_relative_error(analytic, fd)
@@ -473,7 +453,7 @@ def save_state(state: MetaLearnerState, path: str):
     """Pickle the bundle (trusted-input format; see README)."""
     payload = {
         "format_version": BUNDLE_FORMAT_VERSION,
-        "schema_version": state.schema_version,
+        "schema_version": SCHEMA_VERSION,
         "params": state.params,
         "phi": vars(state.phi),
         "network": vars(state.network),
@@ -503,6 +483,6 @@ def load_state(path: str) -> MetaLearnerState:
         phi = FactorEstimator(**payload["phi"])
         net = GMNetwork(**payload["network"])
         return MetaLearnerState(payload["params"], phi, net, payload["model_ids"],
-                                payload["schema_version"], payload["training_log"])
+                                payload["training_log"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"bundle payload is incomplete: {exc}") from None

@@ -97,14 +97,14 @@ def from_csv(text: str) -> PerformanceMatrix:
             raise ValueError(f"line {ln_no}: expected {len(header)} cells, got {len(cells)}")
         graph_ids.append(cells[0])
         vals, obs = [], []
-        for c in cells[1:]:
+        for model_id, c in zip(model_ids, cells[1:]):
             c = c.strip()
-            if c == "":
-                vals.append(np.nan)
-                obs.append(False)
-            else:
-                vals.append(float(c))
-                obs.append(True)
+            obs.append(c != "")
+            try:
+                vals.append(float(c) if c else np.nan)
+            except ValueError:
+                raise ValueError(f"line {ln_no}: non-numeric value {c!r} "
+                                 f"for model {model_id}") from None
         rows.append(vals)
         mask.append(obs)
     return PerformanceMatrix(np.asarray(rows, dtype=np.float64),
@@ -120,8 +120,7 @@ class LatentFactors:
 
 
 def factorize(p: PerformanceMatrix, k: int, seed: int,
-              max_iter: int = NMF_MAX_ITER, rel_tol: float = NMF_REL_TOL,
-              mean_prior_weight: float = 0.0) -> LatentFactors:
+              max_iter: int = NMF_MAX_ITER, mean_prior_weight: float = 0.0) -> LatentFactors:
     """Masked non-negative factorization P ~= U V^T by multiplicative updates.
 
     Only observed cells enter the weighted Frobenius objective, which is
@@ -173,7 +172,7 @@ def factorize(p: PerformanceMatrix, k: int, seed: int,
         obj = objective(u, v)
         trace.append(obj)
         prev = trace[-2]
-        if prev - obj < rel_tol * max(prev, NMF_EPS):
+        if prev - obj < NMF_REL_TOL * max(prev, NMF_EPS):
             break
 
     u_full = np.tile(u.mean(axis=0), (n, 1))

@@ -36,7 +36,7 @@ class SyntheticCorpus:
         """Feature matrix, extracted once and cached."""
         if self._features is None:
             self._features = np.stack(
-                [meta_graph_features(g).values for g in self.graphs])
+                [meta_graph_features(g) for g in self.graphs])
         return self._features
 
 

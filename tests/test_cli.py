@@ -169,12 +169,15 @@ def test_features_header_must_name_each_column(ws, tmp_path):
 
 def test_train_schema_guard(ws, tmp_path):
     stale = tmp_path / "features.csv"
-    stale.write_text(ws["features_csv"].read_text().replace(
-        f"# schema_version={SCHEMA_VERSION}", "# schema_version=99"))
-    rc = main(TRAIN_SETS + [
-        "train", "--features-csv", str(stale),
-        "--performance-csv", str(ws["perf_csv"]), "--output-dir", str(tmp_path)])
-    assert rc == 3
+    for stamp in ("99", "two"):      # a stale and a malformed stamp
+        stale.write_text(ws["features_csv"].read_text().replace(
+            f"# schema_version={SCHEMA_VERSION}", f"# schema_version={stamp}"))
+        with pytest.raises(DataError, match=stamp):
+            read_features_csv(stale)
+        rc = main(TRAIN_SETS + [
+            "train", "--features-csv", str(stale),
+            "--performance-csv", str(ws["perf_csv"]), "--output-dir", str(tmp_path)])
+        assert rc == 3
 
 
 def test_select_ranks_models(ws, tmp_path, capsys):

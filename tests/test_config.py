@@ -2,6 +2,7 @@
 
 import pytest
 
+from graphsel.cli import main
 from graphsel.config import ConfigError, load_config
 
 
@@ -108,6 +109,19 @@ def test_ini_file_loading(tmp_path):
     bad.write_text("[hyper]\nmystery = 1\n")
     with pytest.raises(ConfigError, match="unknown config key"):
         load_config(str(bad))
+
+
+@pytest.mark.parametrize("text", [
+    "k = 16\n",                                   # no section header
+    "[hyper]\nk = 16\n[hyper]\nseed = 2\n",       # repeated section
+    "[paths]\noutput_dir = out%dir\n",            # bad % interpolation
+], ids=["no_section", "repeated_section", "bad_interpolation"])
+def test_unparseable_file_is_a_config_error(tmp_path, text):
+    ini = tmp_path / "broken.ini"
+    ini.write_text(text)
+    with pytest.raises(ConfigError, match="broken.ini"):
+        load_config(str(ini))
+    assert main(["--config", str(ini), "features"]) == 2
 
 
 def test_missing_file_rejected(tmp_path):

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from graphsel.features import (FEATURE_DIM, GLOBAL_STAT_NAMES, MetaFeatureVector,
-                               SCHEMA_VERSION, feature_names, global_stats,
+from graphsel.features import (FEATURE_DIM, GLOBAL_STAT_NAMES, feature_names, global_stats,
                                meta_graph_features, signed_log1p)
 from graphsel.graphs import from_edges
 
@@ -40,10 +39,9 @@ def test_vectors_are_fixed_length_and_finite():
         n = int(rng.integers(5, 80))
         g = random_graph(rng, n, float(rng.uniform(0.02, 0.5)))
         vec = meta_graph_features(g)
-        assert isinstance(vec, MetaFeatureVector)
-        assert vec.schema_version == SCHEMA_VERSION
-        assert vec.values.shape == (818,)
-        assert np.all(np.isfinite(vec.values))
+        assert isinstance(vec, np.ndarray)
+        assert vec.shape == (818,)
+        assert np.all(np.isfinite(vec))
 
 
 def test_relabeling_leaves_features_unchanged():
@@ -52,8 +50,8 @@ def test_relabeling_leaves_features_unchanged():
         n = int(rng.integers(6, 60))
         g = random_graph(rng, n, float(rng.uniform(0.05, 0.4)))
         h = relabel(g, rng)
-        a = meta_graph_features(g).values
-        b = meta_graph_features(h).values
+        a = meta_graph_features(g)
+        b = meta_graph_features(h)
         assert np.max(np.abs(a - b)) <= 1e-12
 
 
@@ -102,5 +100,5 @@ def test_signed_log_transform():
     assert np.all(signed_log1p(-x) == -y)
 
     g = from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-    vec = meta_graph_features(g).values
+    vec = meta_graph_features(g)
     assert np.allclose(vec[409:], signed_log1p(vec[:409]), atol=0, rtol=0)

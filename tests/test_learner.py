@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from graphsel.autodiff import Tensor
+from graphsel.features import SCHEMA_VERSION
 from graphsel.gmnet import (RELATIONS, REL_INDEX, REL_TYPES, build_train_network,
                             disjoint_union, extend_with_test)
 from graphsel.learner import (
@@ -16,7 +17,6 @@ from graphsel.learner import (
     _forward_scores,
     _loss_and_grads,
     embed_network,
-    estimate_performance,
     finite_difference_grads,
     gradient_check,
     init_params,
@@ -26,7 +26,6 @@ from graphsel.learner import (
     save_state,
     select_model,
     sparse_top1_loss,
-    top1_loss,
     top1_probability,
     train,
 )
@@ -178,12 +177,6 @@ def test_forward_over_constant_parameters_records_no_tape():
     assert zg.parents and zm.parents
 
 
-def test_input_feature_and_scoring_helpers():
-    net, params, pv, obs = make_tiny_problem()
-    zg = net.graph_features @ params["W"].T
-    assert np.allclose(estimate_performance(zg[0], params["V"]), zg[0] @ params["V"].T)
-
-
 # --- initialization ----------------------------------------------------------
 
 def test_init_params_near_identity_structure():
@@ -275,6 +268,21 @@ def test_top1_probability_rejects_unusable_rows():
         top1_probability(np.array([]))
 
 
+def test_top1_probability_matrix_equals_each_row():
+    rng = np.random.default_rng(5)
+    for m in (1, 2, 7, 9, 130, 300):
+        s = rng.normal(size=(6, m)) * 3
+        obs = rng.random((6, m)) < 0.6
+        obs[np.arange(6), rng.integers(m, size=6)] = True
+        q = top1_probability(s, obs)
+        for i in range(6):
+            assert np.array_equal(q[i], top1_probability(s[i], obs[i]))
+        assert np.array_equal(top1_probability(s), np.stack([top1_probability(r) for r in s]))
+    obs[3] = False
+    with pytest.raises(ValueError, match="per row"):
+        top1_probability(s, obs)
+
+
 def test_losses_match_scalar_oracle_on_masked_instances():
     rng = np.random.default_rng(7)
     for _ in range(100):
@@ -284,7 +292,6 @@ def test_losses_match_scalar_oracle_on_masked_instances():
         s = rng.normal(size=(n, m)) * 2
         obs = rng.random((n, m)) < 0.6
         want = loss_oracle(pv, obs, s)
-        assert abs(top1_loss(pv, obs, s) - want) < 1e-10
         got = sparse_top1_loss(Tensor.const(s), pv, obs).item()
         assert abs(got - want) < 1e-10
 
@@ -293,17 +300,14 @@ def test_empty_rows_contribute_exactly_zero():
     pv = np.array([[0.3, 0.9], [0.5, 0.1]])
     s = np.array([[1.0, -1.0], [0.5, 2.0]])
     obs = np.array([[True, True], [True, True]])
-    base = top1_loss(pv, obs, s)
 
     pv2 = np.vstack([pv, [0.2, 0.8]])
     s2 = np.vstack([s, [3.0, -3.0]])
     obs2 = np.vstack([obs, [False, False]])
-    assert top1_loss(pv2, obs2, s2) == base
     assert sparse_top1_loss(Tensor.const(s2), pv2, obs2).item() == \
         sparse_top1_loss(Tensor.const(s), pv, obs).item()
 
     none = np.zeros((2, 2), dtype=bool)
-    assert top1_loss(pv, none, s) == 0.0
     assert sparse_top1_loss(Tensor.const(s), pv, none).item() == 0.0
 
 
@@ -462,7 +466,7 @@ def test_one_pass_validation_equals_per_holdout_full_passes():
         labels = np.zeros(s.size)
         labels[cols] = label_top1(perf.values[i, cols])
         mrrs.append(mrr(s, labels))
-        losses.append(top1_loss(perf.values[i, cols], cols[cols], s[cols]))
+        losses.append(loss_oracle(perf.values[i][None], cols[None], s[None]))
     entry = state.training_log[0]
     assert entry["stop_score"] == pytest.approx(-np.sum(losses), rel=1e-12, abs=0)
     assert entry["val_mrr"] == pytest.approx(np.mean(mrrs), rel=1e-12, abs=0)
@@ -502,7 +506,8 @@ def test_bundle_round_trip(tmp_path):
         assert np.array_equal(getattr(back.network, table), getattr(state.network, table))
     assert back.model_ids == state.model_ids
     assert back.training_log == state.training_log
-    assert back.schema_version == state.schema_version
+    with open(path, "rb") as fh:
+        assert pickle.load(fh)["schema_version"] == SCHEMA_VERSION
 
 
 def test_bundle_version_checks(tmp_path):

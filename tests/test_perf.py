@@ -63,6 +63,8 @@ def test_csv_parse_errors():
         from_csv("not_graph_id,m1\ng0,0.5\n")
     with pytest.raises(ValueError, match="line 2"):
         from_csv("graph_id,m1,m2\ng0,0.5\n")
+    with pytest.raises(ValueError, match="^line 3: non-numeric value 'abc' for model m2$"):
+        from_csv("graph_id,m1,m2\ng0,0.5,0.1\ng1,0.2,abc\n")
 
 
 def test_duplicate_ids_are_rejected():
