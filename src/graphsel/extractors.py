@@ -4,9 +4,11 @@ Each extractor maps a Graph to one real-valued distribution: either one value
 per node (degree, wedges, triangles, eccentricity, PageRank, core number) or
 one per edge (triangles per edge). Counts are exact; PageRank is solved by
 power iteration. Eccentricity works one connected component at a time: it
-is exact on components of up to ECC_EXACT_NODE_LIMIT nodes (one all-sources
-BFS each) and a capped lower/upper-bound elimination on larger ones (see
-``eccentricity``).
+is exact on components of up to ECC_EXACT_NODE_LIMIT nodes and a capped
+lower/upper-bound elimination on larger ones (see ``eccentricity``). The
+exact path is a bit-parallel BFS, 64 sources per uint64 word, when one BFS
+from the highest-degree node v gives 2·e_v + 1 <= 64 (every source then
+finishes within 2·e_v levels), and one all-sources BFS call otherwise.
 """
 
 from __future__ import annotations
@@ -87,6 +89,7 @@ def _edge_counts_to_nodes(graph: Graph, per_edge: np.ndarray) -> np.ndarray:
 
 ECC_EXACT_NODE_LIMIT = 1024
 ECC_SWEEP_CAP = 96
+ECC_BITSET_BYTES = 1 << 23      # cap on the gathered (edges x words) array of one pass
 
 
 def eccentricity(graph: Graph, a: sp.csr_matrix | None = None) -> np.ndarray:
@@ -95,9 +98,18 @@ def eccentricity(graph: Graph, a: sp.csr_matrix | None = None) -> np.ndarray:
     The nodes are sorted by component, so each component is a diagonal block
     of the permuted adjacency; within a block the nodes keep their order.
     Singletons are 0. A component of up to ECC_EXACT_NODE_LIMIT nodes gets
-    exact values from one all-sources BFS. A larger one runs capped bound
+    exact values from an all-sources BFS. A larger one runs capped bound
     sweeps (``_swept_lower_bounds``). Either way a component's values do not
     depend on the rest of the graph.
+
+    The all-sources BFS starts with one BFS from the component's
+    highest-degree node v (ties to the lowest index), so every node's
+    eccentricity is at most 2·e_v. When 2·e_v + 1 <= 64 the bit-parallel
+    kernel (``_bitset_eccentricity``) runs: its at most 2·e_v levels, plus
+    that one BFS, make at most 64 passes over the edges per 64 sources,
+    which is no more than the (source, edge) relaxations of one BFS per
+    source. A component of longer diameter gets one all-sources
+    ``csgraph.dijkstra`` call instead.
     """
     if a is None:
         a = adjacency_matrix(graph)
@@ -111,11 +123,52 @@ def eccentricity(graph: Graph, a: sp.csr_matrix | None = None) -> np.ndarray:
         if stop - start < 2:
             continue
         block = a[start:stop, start:stop]
-        if stop - start <= ECC_EXACT_NODE_LIMIT:
-            values = csgraph.dijkstra(block, directed=False, unweighted=True).max(axis=1)
-        else:
+        if stop - start > ECC_EXACT_NODE_LIMIT:
             values = _swept_lower_bounds(block, deg[start:stop])
+        else:
+            # the block stores both directions of every edge, so a directed
+            # BFS is exact and skips scipy's symmetrised copy of the block
+            v = int(np.argmax(deg[start:stop]))
+            e_v = csgraph.dijkstra(block, directed=True, unweighted=True, indices=v).max()
+            if 2 * e_v + 1 <= 64:
+                values = _bitset_eccentricity(block)
+            else:
+                values = csgraph.dijkstra(block, directed=True, unweighted=True).max(axis=1)
         ecc[order[start:stop]] = values
+    return ecc
+
+
+def _bitset_eccentricity(block: sp.csr_matrix) -> np.ndarray:
+    """Exact eccentricities of one connected component of at least 2 nodes
+    by bit-parallel BFS (Akiba, Iwata & Yoshida, SIGMOD 2013).
+
+    Bit b of word w stands for source 64·w + b of the current pass, and row
+    u of ``visited`` holds the sources that have reached node u. Each level
+    ORs every node's neighbours' frontier words (one gather and one
+    ``reduceat``; no row is empty in a connected block) and keeps the bits
+    not yet visited. A source's eccentricity is the number of levels before
+    its bit is set on every node. The source words go in passes that keep
+    the gathered array under ECC_BITSET_BYTES.
+    """
+    n = block.shape[0]
+    starts, nbrs = block.indptr[:-1], block.indices
+    shifts = np.arange(64, dtype=np.uint64)
+    ecc = np.zeros(n)
+    per_pass = 64 * max(1, ECC_BITSET_BYTES // (8 * nbrs.size))
+    for lo in range(0, n, per_pass):
+        src = np.arange(lo, min(n, lo + per_pass))
+        visited = np.zeros((n, (src.size + 63) // 64), dtype=np.uint64)
+        visited[src, (src - lo) // 64] = np.uint64(1) << (src - lo).astype(np.uint64) % 64
+        sources = np.bitwise_or.reduce(visited, axis=0)
+        frontier = visited
+        while True:
+            pending = sources & ~np.bitwise_and.reduce(visited, axis=0)
+            if not pending.any():
+                break
+            # shifts, not a byte view, so byte order cannot move a bit
+            ecc[src] += ((pending[:, None] >> shifts) & 1).ravel()[:src.size]
+            frontier = np.bitwise_or.reduceat(frontier[nbrs], starts, axis=0) & ~visited
+            visited |= frontier
     return ecc
 
 

@@ -83,15 +83,16 @@ def to_csv(p: PerformanceMatrix) -> str:
 
 
 def from_csv(text: str) -> PerformanceMatrix:
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1)
+             if ln.strip() and not ln.startswith("#")]
     if not lines:
         raise ValueError("empty performance csv")
-    header = lines[0].split(",")
+    header = lines[0][1].split(",")
     if header[0] != "graph_id" or len(header) < 2:
         raise ValueError("performance csv must start with 'graph_id,<model ids>'")
     model_ids = header[1:]
     graph_ids, rows, mask = [], [], []
-    for ln_no, ln in enumerate(lines[1:], start=2):
+    for ln_no, ln in lines[1:]:
         cells = ln.split(",")
         if len(cells) != len(header):
             raise ValueError(f"line {ln_no}: expected {len(header)} cells, got {len(cells)}")

@@ -1,8 +1,11 @@
 """Structural distribution extractors against brute-force references."""
 
+import tracemalloc
+
 import networkx as nx
 import numpy as np
 import pytest
+from scipy.sparse import csgraph
 
 from graphsel import extractors
 from graphsel.graphs import from_edges
@@ -85,6 +88,79 @@ def test_eccentricity_of_a_component_ignores_the_others():
     paired = extractors.eccentricity(from_edges(1102, list(g.edges()) + [(1100, 1101)]))
     assert np.array_equal(alone[giant], paired[giant])
     assert list(paired[1100:]) == [1, 1]
+
+
+def connected_gnp(rng, n, p):
+    """G(n, p) plus a random spanning path, so it is one component."""
+    g = random_graph(rng, n, p)
+    walk = rng.permutation(n)
+    return list(map(tuple, g.edge_array)) + list(zip(walk[:-1], walk[1:]))
+
+
+@pytest.fixture
+def kernel_sizes(monkeypatch):
+    """Node counts of the components the bit-parallel kernel was given."""
+    sizes = []
+    kernel = extractors._bitset_eccentricity
+    monkeypatch.setattr(extractors, "_bitset_eccentricity",
+                        lambda block: sizes.append(block.shape[0]) or kernel(block))
+    return sizes
+
+
+def test_eccentricity_across_word_boundaries_with_small_pieces(kernel_sizes):
+    # components of 63, 64, 65 and 128 nodes straddle the 64-source words;
+    # singletons and 2-node pieces sit between them under shuffled labels
+    rng = np.random.default_rng(3)
+    sizes = [63, 1, 2, 64, 2, 1, 65, 1, 2, 128, 2, 1, 2]
+    edges, offset = [], 0
+    for size in sizes:
+        if size > 1:
+            edges += [(offset + u, offset + v)
+                      for u, v in connected_gnp(rng, size, 4.0 / size)]
+        offset += size
+    label = rng.permutation(offset)
+    g = from_edges(offset, [(label[u], label[v]) for u, v in edges])
+    assert np.array_equal(extractors.eccentricity(g), eccentricity_brute(g))
+    assert sorted(kernel_sizes) == sorted(size for size in sizes if size > 1)
+
+
+@pytest.mark.parametrize("graph, bitset", [
+    pytest.param(nx.path_graph(30), True, id="path 30"),
+    pytest.param(nx.path_graph(1024), False, id="path 1024"),
+    pytest.param(nx.cycle_graph(60), True, id="cycle 60"),
+    pytest.param(nx.cycle_graph(1024), False, id="cycle 1024"),
+    pytest.param(nx.grid_2d_graph(8, 8), True, id="grid 8x8"),
+    pytest.param(nx.grid_2d_graph(31, 32), False, id="grid 31x32"),
+    pytest.param(nx.balanced_tree(2, 9), True, id="binary tree 1023"),
+    pytest.param(nx.random_labeled_tree(1000, seed=3), False, id="random tree 1000"),
+    pytest.param(nx.star_graph(1023), True, id="star 1024"),
+    pytest.param(nx.lollipop_graph(64, 8), True, id="lollipop K64+P8"),
+    pytest.param(nx.lollipop_graph(64, 64), False, id="lollipop K64+P64"),
+    pytest.param(nx.gnp_random_graph(1024, 0.1, seed=0), True, id="G(1024, 0.1)"),
+])
+def test_eccentricity_matches_all_sources_bfs_on_either_side_of_the_level_rule(
+        kernel_sizes, graph, bitset):
+    graph = nx.convert_node_labels_to_integers(graph)
+    g = from_edges(graph.number_of_nodes(), list(graph.edges()))
+    ecc = extractors.eccentricity(g)
+    d = csgraph.dijkstra(extractors.adjacency_matrix(g), directed=False, unweighted=True)
+    assert np.array_equal(ecc, d.max(axis=1))
+    assert kernel_sizes == ([g.node_count] if bitset else [])
+
+
+def test_eccentricity_of_k1024_is_exact_in_bounded_memory():
+    # one source word per pass: all 16 words at once would gather 128 MB;
+    # one all-sources csgraph.dijkstra call peaks at 52.0 MiB here
+    g = from_edges(1024, list(nx.complete_graph(1024).edges()))
+    a = extractors.adjacency_matrix(g)
+    tracemalloc.start()
+    try:
+        ecc = extractors.eccentricity(g, a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(ecc, np.ones(1024))
+    assert peak < 52.0 * 2**20
 
 
 def test_single_node_and_edgeless():

@@ -67,6 +67,13 @@ def test_csv_parse_errors():
         from_csv("graph_id,m1,m2\ng0,0.5,0.1\ng1,0.2,abc\n")
 
 
+def test_csv_errors_name_the_raw_line_past_comments_and_blanks():
+    with pytest.raises(ValueError, match="^line 4: non-numeric value 'abc' for model m1$"):
+        from_csv("# config_hash=x\n# schema_version=2\ngraph_id,m1\ng0,abc\n")
+    with pytest.raises(ValueError, match="^line 5: expected 2 cells, got 3$"):
+        from_csv("# stamp\ngraph_id,m1\n\ng0,0.5\ng1,0.5,0.6\n")
+
+
 def test_duplicate_ids_are_rejected():
     with pytest.raises(ValueError, match="duplicate model ids: a"):
         from_csv("graph_id,a,a\ng1,0.5,0.6\n")
