@@ -65,9 +65,7 @@ def test_csv_parse_errors():
         from_csv("graph_id,m1,m2\ng0,0.5\n")
     with pytest.raises(ValueError, match="^line 3: non-numeric value 'abc' for model m2$"):
         from_csv("graph_id,m1,m2\ng0,0.5,0.1\ng1,0.2,abc\n")
-
-
-def test_csv_errors_name_the_raw_line_past_comments_and_blanks():
+    # line numbers count the comment and blank lines the parser skips
     with pytest.raises(ValueError, match="^line 4: non-numeric value 'abc' for model m1$"):
         from_csv("# config_hash=x\n# schema_version=2\ngraph_id,m1\ng0,abc\n")
     with pytest.raises(ValueError, match="^line 5: expected 2 cells, got 3$"):
