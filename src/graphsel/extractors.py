@@ -188,9 +188,16 @@ def _swept_lower_bounds(block: sp.csr_matrix, deg: np.ndarray) -> np.ndarray:
     three values), and the cap is what keeps single-graph feature time
     bounded; the price is that the nodes still unresolved keep a lower
     bound that can depend on node numbering.
+
+    The first sweep takes its distances from the BFS tree
+    (``_tree_distances``). The later ones do too when that sweep gave
+    2·e_v + 1 <= 64, the exact path's rule; a longer-diameter component
+    runs them as directed ``csgraph.dijkstra`` calls, whose cost does not
+    grow with the depth of the tree.
     """
     lb = np.zeros(block.shape[0])
     ub = np.full(block.shape[0], np.inf)
+    tree = True
     for sweep in range(ECC_SWEEP_CAP):
         unresolved = np.flatnonzero(lb < ub)
         if unresolved.size == 0:
@@ -198,11 +205,38 @@ def _swept_lower_bounds(block: sp.csr_matrix, deg: np.ndarray) -> np.ndarray:
         key = ub[unresolved] if sweep % 2 == 0 else -lb[unresolved]
         best = unresolved[key == key.max()]
         v = int(best[np.argmax(deg[best])])
-        d = csgraph.dijkstra(block, directed=False, unweighted=True, indices=v)
+        if tree:
+            d = _tree_distances(block, v)
+        else:
+            d = csgraph.dijkstra(block, directed=True, unweighted=True, indices=v)
         e_v = d.max()
+        if sweep == 0:
+            tree = 2 * e_v + 1 <= 64
         np.maximum(lb, np.maximum(d, e_v - d), out=lb)
         np.minimum(ub, e_v + d, out=ub)
     return lb
+
+
+def _tree_distances(block: sp.csr_matrix, v: int) -> np.ndarray:
+    """BFS distances from v over one connected component, as float64.
+
+    ``csgraph.breadth_first_order`` gives the BFS tree as predecessors, and
+    pointer doubling reads every depth from it: each round adds the depth
+    of a node's current ancestor and jumps to that ancestor's ancestor, so
+    ceil(log2(e_v)) rounds reach the root from everywhere. The block stores
+    both directions of every edge, so the directed search is the undirected
+    one.
+    """
+    _, pred = csgraph.breadth_first_order(block, v, directed=True,
+                                          return_predecessors=True)
+    up = pred.astype(np.intp)
+    up[v] = v
+    depth = np.ones(up.size)
+    depth[v] = 0
+    while np.any(up != v):
+        depth += depth[up]
+        up = up[up]
+    return depth
 
 
 def pagerank(graph: Graph, a: sp.csr_matrix | None = None) -> np.ndarray:
@@ -233,39 +267,56 @@ def pagerank(graph: Graph, a: sp.csr_matrix | None = None) -> np.ndarray:
 
 
 def kcore(graph: Graph) -> np.ndarray:
-    """Core numbers via the linear-time peeling order (bucket by degree)."""
+    """Core numbers by level-synchronous peeling (see ``_peel``)."""
+    return _peel(graph)[0]
+
+
+def _peel(graph: Graph) -> tuple[np.ndarray, int]:
+    """Core numbers and the number of peeling rounds (ParK, Dasari, Ranjan
+    & Zubair 2014).
+
+    Level k starts from every remaining node of degree at most k, k the
+    smallest remaining degree or the last level, whichever is larger. Each
+    round removes the whole frontier at core number k, gathers its CSR rows
+    and takes one degree off a neighbour per shared edge; the touched nodes
+    now at degree k or less are the next frontier. A removed node's degree
+    is set past any count of decrements, so it never rejoins a frontier and
+    the gathered rows need no filter. The rounds of a level are its longest
+    removal cascade: on a path of n nodes, about n/2.
+    """
     n = graph.node_count
-    deg = graph.degrees().astype(np.int64)
-    if graph.edge_count == 0:
-        return np.zeros(n, dtype=np.float64)
-    max_deg = int(deg.max())
-    bins = np.zeros(max_deg + 2, dtype=np.int64)
-    bins[1:] = np.bincount(deg, minlength=max_deg + 1)
-    np.cumsum(bins, out=bins)
-    pos = np.zeros(n, dtype=np.int64)
-    order = np.zeros(n, dtype=np.int64)
-    start = bins[:-1].copy()
-    for v in range(n):
-        pos[v] = start[deg[v]]
-        order[pos[v]] = v
-        start[deg[v]] += 1
-    bin_start = bins[:-1].copy()
-    core = deg.copy()
     indptr, indices = graph.indptr, graph.indices
-    for i in range(n):
-        v = order[i]
-        for w in indices[indptr[v]:indptr[v + 1]]:
-            if core[w] > core[v]:
-                dw = core[w]
-                pw = pos[w]
-                ps = bin_start[dw]
-                u = order[ps]
-                if u != w:
-                    order[ps], order[pw] = w, u
-                    pos[w], pos[u] = ps, pw
-                bin_start[dw] += 1
-                core[w] -= 1
-    return core.astype(np.float64)
+    row_len = graph.degrees()
+    deg = row_len.copy()
+    core = np.zeros(n)
+    gone = 2 * n + 1
+    removed = k = rounds = 0
+    while removed < n:
+        k = max(k, int(deg.min()))
+        frontier = np.flatnonzero(deg <= k)
+        while frontier.size:
+            rounds += 1
+            removed += frontier.size
+            core[frontier] = k
+            deg[frontier] = gone
+            if frontier.size <= 2:
+                # one row at a time and no sort: long chains peel one or two
+                # nodes a round, and there the per-round cost is the cost
+                rows = [indices[indptr[v]:indptr[v + 1]] for v in frontier.tolist()]
+                for row in rows:
+                    deg[row] -= 1
+                touched = np.concatenate(rows)
+                frontier = touched[deg[touched] <= k]
+                if frontier.size > 2 or (frontier.size == 2 and frontier[0] == frontier[1]):
+                    frontier = np.unique(frontier)      # a shared neighbour, twice
+            else:
+                lens = row_len[frontier]
+                at = np.repeat(indptr[frontier] - (np.cumsum(lens) - lens), lens)
+                touched, hits = np.unique(indices[at + np.arange(at.size)],
+                                          return_counts=True)
+                deg[touched] -= hits
+                frontier = touched[deg[touched] <= k]
+    return core, rounds
 
 
 def extract_structural(graph: Graph, a: sp.csr_matrix,

@@ -8,6 +8,7 @@ ignored, self-loops are dropped (but still register their endpoint as a node).
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass, field
 
@@ -69,23 +70,27 @@ class Graph:
 
 
 def from_edges(node_count: int, edges, original_ids=None) -> Graph:
-    """Build a Graph from an iterable of (u, v) pairs over ids 0..node_count-1.
+    """Build a Graph from (u, v) pairs over ids 0..node_count-1: an (m, 2)
+    integer array or any iterable of pairs.
 
     Self-loops and repeated edges (in either orientation) are dropped and
     counted on the Graph.
     """
-    arr = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
+    if not isinstance(edges, np.ndarray):
+        edges = list(edges)
+    arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     loops = dups = 0
     if arr.size:
         if arr.min() < 0 or arr.max() >= node_count:
             raise ValueError("edge endpoint outside 0..node_count-1")
         kept = arr[arr[:, 0] != arr[:, 1]]
         loops = arr.shape[0] - kept.shape[0]
-        lo = np.minimum(kept[:, 0], kept[:, 1])
-        hi = np.maximum(kept[:, 0], kept[:, 1])
-        arr = np.unique(np.stack([lo, hi], axis=1), axis=0)
-        dups = kept.shape[0] - arr.shape[0]
-    arr = arr.reshape(-1, 2)
+        # lo * n + hi sorts as (lo, hi) does, since hi < n
+        keys = np.sort(np.minimum(kept[:, 0], kept[:, 1]) * node_count
+                       + np.maximum(kept[:, 0], kept[:, 1]))
+        keys = keys[_run_starts(keys)]
+        dups = kept.shape[0] - keys.size
+        arr = np.stack([keys // node_count, keys % node_count], axis=1)
     indptr, indices = _csr_from_edges(node_count, arr)
     if original_ids is None:
         original_ids = np.arange(node_count, dtype=np.int64)
@@ -96,54 +101,115 @@ def from_edges(node_count: int, edges, original_ids=None) -> Graph:
 def _csr_from_edges(n: int, edge_array: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     src = np.concatenate([edge_array[:, 0], edge_array[:, 1]])
     dst = np.concatenate([edge_array[:, 1], edge_array[:, 0]])
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
     indptr = np.zeros(n + 1, dtype=np.int64)
     indptr[1:] = np.bincount(src, minlength=n)
     np.cumsum(indptr, out=indptr)
-    return indptr, dst.astype(np.int64)
+    return indptr, np.sort(src * n + dst) % n
+
+
+ID_MAX = int(np.iinfo(np.int64).max)
 
 
 def load_edge_list(text: str) -> Graph:
     """Parse whitespace-separated edge-list text into a Graph.
 
     Lines: blank or starting with '#' are skipped; otherwise 2 or 3 tokens
-    (u v [weight]). Endpoints must be non-negative integers; the optional
-    weight is ignored. Self-loops are dropped but their endpoint still
+    (u v [weight]). Endpoints are non-negative integers up to 2**63 - 1, read
+    with Python ``int``; the optional weight must parse as a ``float`` and
+    is otherwise ignored. Self-loops are dropped but their endpoint still
     becomes a node. Ids are remapped to 0..n-1 by first appearance.
+
+    The text is parsed in one pass over all lines, not line by line. Each
+    check runs on every line that the earlier checks passed, so the first
+    bad line of the input is the one reported, with the error a line-by-line
+    reading gives it: a wrong token count, then a non-integer endpoint, then
+    a negative one, then one above 2**63 - 1, then a non-numeric weight.
     """
-    id_map: dict[int, int] = {}
-    edges: list[tuple[int, int]] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if len(tokens) not in (2, 3):
-            raise EdgeListError(line_no, f"expected 2 or 3 tokens, got {len(tokens)}")
-        try:
-            u = int(tokens[0])
-            v = int(tokens[1])
-        except ValueError:
-            raise EdgeListError(line_no, f"non-integer endpoint in {tokens[:2]}") from None
-        if u < 0 or v < 0:
-            raise EdgeListError(line_no, f"negative node id in {tokens[:2]}")
-        if len(tokens) == 3:
-            try:
-                float(tokens[2])
-            except ValueError:
-                raise EdgeListError(line_no, f"non-numeric weight {tokens[2]!r}") from None
-        for node in (u, v):
-            if node not in id_map:
-                id_map[node] = len(id_map)
-        edges.append((id_map[u], id_map[v]))
-    if not id_map:
+    lines = [raw.strip() for raw in text.splitlines()]
+    keep = [line[:1] not in ("", "#") for line in lines]
+    content = list(itertools.compress(lines, keep))
+    counts = np.fromiter(map(len, map(str.split, content)), np.int64, len(content))
+    tokens = " ".join(content).split()
+    starts = np.cumsum(counts) - counts
+
+    stop, error = len(content), None      # the first bad line and its message
+    bad = np.flatnonzero((counts < 2) | (counts > 3))
+    if bad.size:
+        stop = int(bad[0])
+        error = f"expected 2 or 3 tokens, got {counts[stop]}"
+    if np.all(counts[:stop] == 2):
+        ends = tokens[:2 * stop]
+    else:
+        ends = _take(tokens, (starts[:stop, None] + (0, 1)).ravel())
+    try:
+        ids = np.fromiter(map(int, ends), np.int64, len(ends))
+    except (ValueError, OverflowError):
+        pairs = list(zip(ends[0::2], ends[1::2]))
+        stop = next(i for i, pair in enumerate(pairs) if _endpoint_error(pair))
+        error = _endpoint_error(pairs[stop])
+        ids = np.fromiter(map(int, ends[:2 * stop]), np.int64, 2 * stop)
+    negative = np.flatnonzero(ids.reshape(-1, 2).min(axis=1) < 0)
+    if negative.size:
+        stop = int(negative[0])
+        error = _endpoint_error(ends[2 * stop:2 * stop + 2])
+    weighted = np.flatnonzero(counts[:stop] == 3)
+    weights = _take(tokens, starts[weighted] + 2)
+    try:
+        list(map(float, weights))       # checked, not kept
+    except ValueError:
+        first = next(i for i, w in enumerate(weights) if not _is_float(w))
+        stop, error = int(weighted[first]), f"non-numeric weight {weights[first]!r}"
+    if error is not None:
+        raise EdgeListError(int(np.flatnonzero(keep)[stop]) + 1, error)
+    if not content:
         raise ValueError("empty graph: no edges or nodes in input")
-    graph = from_edges(len(id_map), edges, original_ids=list(id_map))
+
+    # node i is the i-th distinct id by first appearance
+    order = np.argsort(ids)
+    runs = np.flatnonzero(_run_starts(ids[order]))
+    by_appearance = np.argsort(np.minimum.reduceat(order, runs))
+    new_id = np.empty(runs.size, dtype=np.int64)
+    new_id[by_appearance] = np.arange(runs.size)
+    edges = np.empty_like(ids)
+    edges[order] = np.repeat(new_id, np.diff(np.append(runs, ids.size)))
+    graph = from_edges(runs.size, edges.reshape(-1, 2),
+                       original_ids=ids[order[runs[by_appearance]]])
     if graph.self_loops_dropped or graph.duplicates_dropped:
         log.warning("edge list cleanup: dropped %d self-loops, %d duplicate edges",
                     graph.self_loops_dropped, graph.duplicates_dropped)
     return graph
+
+
+def _run_starts(sorted_values: np.ndarray) -> np.ndarray:
+    """True at the first entry of each run of equal values."""
+    first = np.ones(sorted_values.size, dtype=bool)
+    np.not_equal(sorted_values[1:], sorted_values[:-1], out=first[1:])
+    return first
+
+
+def _take(tokens: list[str], at: np.ndarray) -> list[str]:
+    return list(map(tokens.__getitem__, at.tolist()))
+
+
+def _endpoint_error(pair) -> str | None:
+    """Why a line's two endpoint tokens are not node ids, or None."""
+    try:
+        u, v = int(pair[0]), int(pair[1])
+    except ValueError:
+        return f"non-integer endpoint in {list(pair)}"
+    if u < 0 or v < 0:
+        return f"negative node id in {list(pair)}"
+    if u > ID_MAX or v > ID_MAX:
+        return f"node id above {ID_MAX} in {list(pair)}"
+    return None
+
+
+def _is_float(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
 
 
 def serialize(graph: Graph) -> str:

@@ -2,14 +2,53 @@
 
 Everything here is written from the definitions, not from the package code:
 dense matrix powers for triangle counts, BFS loops for eccentricity, naive
-peeling for core numbers, direct formulas for the summary statistics and the
-ranking metrics. Slow is fine; these run on small inputs.
+peeling for core numbers, a line-by-line edge-list parser, direct formulas
+for the summary statistics and the ranking metrics. Slow is fine; these run
+on small inputs.
 """
 
 import math
 
 import numpy as np
 from scipy import stats
+
+from graphsel.graphs import EdgeListError, from_edges
+
+
+# --- edge-list parsing -------------------------------------------------------
+
+def load_edge_list_brute(text):
+    """One line at a time: skip blanks and '#' lines, check each line's token
+    count, endpoints and weight in that order, remap ids by first appearance."""
+    id_map: dict[int, int] = {}
+    edges: list[tuple[int, int]] = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        if len(tokens) not in (2, 3):
+            raise EdgeListError(line_no, f"expected 2 or 3 tokens, got {len(tokens)}")
+        try:
+            u = int(tokens[0])
+            v = int(tokens[1])
+        except ValueError:
+            raise EdgeListError(line_no, f"non-integer endpoint in {tokens[:2]}") from None
+        if u < 0 or v < 0:
+            raise EdgeListError(line_no, f"negative node id in {tokens[:2]}")
+        if len(tokens) == 3:
+            try:
+                float(tokens[2])
+            except ValueError:
+                raise EdgeListError(line_no, f"non-numeric weight {tokens[2]!r}") from None
+        for node in (u, v):
+            if node not in id_map:
+                id_map[node] = len(id_map)
+        edges.append((id_map[u], id_map[v]))
+    if not id_map:
+        raise ValueError("empty graph: no edges or nodes in input")
+    return from_edges(len(id_map), edges, original_ids=list(id_map))
+
 
 # --- graph helpers -----------------------------------------------------------
 

@@ -249,6 +249,15 @@ def test_select_error_paths(ws, tmp_path):
                  "--output-dir", str(tmp_path)]) == 3
 
 
+def test_select_names_the_line_of_a_node_id_beyond_int64(ws, tmp_path, caplog):
+    graph = tmp_path / "huge_id"
+    graph.write_text("0 1\n1 99999999999999999999\n")
+    assert main(["select", "--bundle", str(ws["bundle"]), "--graph-file", str(graph),
+                 "--output-dir", str(tmp_path)]) == 3
+    assert "event=data_error" in caplog.text
+    assert "line 2: node id above 9223372036854775807" in caplog.text
+
+
 def test_evaluate_from_files(ws, tmp_path):
     rc = main(["--set", "eval.synthetic=false",
                "--set", "eval.selectors=random,gb_avgperf",

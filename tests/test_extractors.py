@@ -5,6 +5,8 @@ import tracemalloc
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse import csgraph
 
 from graphsel import extractors
@@ -148,6 +150,84 @@ def test_eccentricity_matches_all_sources_bfs_on_either_side_of_the_level_rule(
     assert kernel_sizes == ([g.node_count] if bitset else [])
 
 
+def nx_graph(graph):
+    graph = nx.convert_node_labels_to_integers(graph)
+    return from_edges(graph.number_of_nodes(), np.array(graph.edges(), dtype=np.int64))
+
+
+def giant(graph):
+    return nx_graph(graph.subgraph(max(nx.connected_components(graph), key=len)))
+
+
+def dijkstra_sweeps(block, deg):
+    """The capped bound sweeps with one undirected csgraph.dijkstra call per
+    sweep, as they ran before the sweeps read BFS trees."""
+    lb = np.zeros(block.shape[0])
+    ub = np.full(block.shape[0], np.inf)
+    for sweep in range(extractors.ECC_SWEEP_CAP):
+        unresolved = np.flatnonzero(lb < ub)
+        if unresolved.size == 0:
+            break
+        key = ub[unresolved] if sweep % 2 == 0 else -lb[unresolved]
+        best = unresolved[key == key.max()]
+        v = int(best[np.argmax(deg[best])])
+        d = csgraph.dijkstra(block, directed=False, unweighted=True, indices=v)
+        e_v = d.max()
+        np.maximum(lb, np.maximum(d, e_v - d), out=lb)
+        np.minimum(ub, e_v + d, out=ub)
+    return lb
+
+
+def test_tree_distances_equal_directed_bfs_bit_for_bit():
+    rng = np.random.default_rng(5)
+    shapes = [nx_graph(nx.random_labeled_tree(300, seed=1)), nx_graph(nx.path_graph(70))]
+    for n in (2, 3, 40, 500, 2000):
+        shapes.append(from_edges(n, connected_gnp(rng, n, float(rng.uniform(0.5, 4.0)) / n)))
+    for g in shapes:
+        a = extractors.adjacency_matrix(g)
+        deg = g.degrees()
+        sources = {int(np.argmax(deg)), int(np.argmin(deg)), 0, g.node_count - 1}
+        sources |= set(rng.integers(0, g.node_count, 3).tolist())
+        for v in sorted(sources):
+            want = csgraph.dijkstra(a, directed=True, unweighted=True, indices=v)
+            got = extractors._tree_distances(a, v)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def spider(legs, length):
+    """A hub with `legs` paths of `length` nodes: from the hub, e_v = length."""
+    edges = [(0, 1 + leg * length) for leg in range(legs)]
+    edges += [(1 + leg * length + i, 2 + leg * length + i)
+              for leg in range(legs) for i in range(length - 1)]
+    return from_edges(1 + legs * length, edges)
+
+
+@pytest.mark.parametrize("graph, tree_sweeps", [
+    pytest.param(giant(nx.gnm_random_graph(3000, 9000, seed=1)), True, id="G(3000, 9000)"),
+    pytest.param(nx_graph(nx.barabasi_albert_graph(5000, 2, seed=2)), True, id="BA(5000, 2)"),
+    pytest.param(giant(nx.watts_strogatz_graph(2000, 6, 0.1, seed=3)), True, id="WS(2000, 6, 0.1)"),
+    pytest.param(nx_graph(nx.powerlaw_cluster_graph(4000, 3, 0.3, seed=4)), True,
+                 id="powerlaw-cluster(4000, 3, 0.3)"),
+    pytest.param(spider(40, 31), True, id="spider e_v 31"),
+    pytest.param(spider(40, 32), False, id="spider e_v 32"),
+    pytest.param(nx_graph(nx.cycle_graph(1500)), False, id="cycle 1500"),
+    pytest.param(nx_graph(nx.path_graph(1100)), False, id="path 1100"),
+    pytest.param(nx_graph(nx.grid_2d_graph(40, 40)), False, id="grid 40x40"),
+])
+def test_swept_bounds_equal_the_dijkstra_sweeps(monkeypatch, graph, tree_sweeps):
+    # one connected component over the exact limit, so eccentricity sweeps it
+    assert graph.node_count > extractors.ECC_EXACT_NODE_LIMIT
+    assert csgraph.connected_components(extractors.adjacency_matrix(graph))[0] == 1
+    trees = []
+    tree_distances = extractors._tree_distances
+    monkeypatch.setattr(extractors, "_tree_distances",
+                        lambda block, v: trees.append(v) or tree_distances(block, v))
+    want = dijkstra_sweeps(extractors.adjacency_matrix(graph), graph.degrees())
+    assert extractors.eccentricity(graph).tobytes() == want.tobytes()
+    # the first sweep reads a BFS tree; the rest do when its e_v is short
+    assert len(trees) > 1 if tree_sweeps else len(trees) == 1
+
+
 def test_eccentricity_of_k1024_is_exact_in_bounded_memory():
     # one source word per pass: all 16 words at once would gather 128 MB;
     # one all-sources csgraph.dijkstra call peaks at 52.0 MiB here
@@ -174,6 +254,43 @@ def test_single_node_and_edgeless():
     assert extractors.triangles_per_edge(g3).size == 0
     pr = extractors.pagerank(g3)
     assert np.allclose(pr, 1.0 / 3.0)
+
+
+@pytest.mark.parametrize("graph", [
+    pytest.param(nx.path_graph(501), id="path 501"),
+    pytest.param(nx.cycle_graph(400), id="cycle 400"),
+    pytest.param(nx.star_graph(300), id="star 301"),
+    pytest.param(nx.lollipop_graph(30, 200), id="lollipop K30+P200"),
+    # two leaves peel in one round and share their neighbour, which drops
+    # to degree 1 from both sides at once
+    pytest.param(nx.Graph(list(nx.complete_graph(4).edges()) + [(0, 4), (4, 5), (4, 6)]),
+                 id="two leaves on one node on K4"),
+    pytest.param(nx.grid_2d_graph(20, 25), id="grid 20x25"),
+    pytest.param(nx.random_labeled_tree(400, seed=1), id="random tree 400 a"),
+    pytest.param(nx.random_labeled_tree(400, seed=2), id="random tree 400 b"),
+    pytest.param(nx.disjoint_union_all([nx.path_graph(50), nx.complete_graph(9),
+                                        nx.empty_graph(5), nx.cycle_graph(30),
+                                        nx.star_graph(20)]), id="union with isolated nodes"),
+])
+def test_kcore_matches_naive_peeling_on_cascades(graph):
+    g = nx_graph(graph)
+    assert np.array_equal(extractors.kcore(g), kcore_brute(g))
+
+
+def test_kcore_peels_a_path_in_half_its_length_of_rounds():
+    # the chain worst case of level-synchronous peeling: both ends move
+    # inwards one node a round
+    for n in (2, 3, 4, 501, 2000):
+        core, rounds = extractors._peel(nx_graph(nx.path_graph(n)))
+        assert np.array_equal(core, np.ones(n))
+        assert rounds == (n + 1) // 2
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(st.integers(1, 40), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_kcore_matches_naive_peeling_on_random_graphs(n, p, seed):
+    g = random_graph(np.random.default_rng(seed), n, p)
+    assert np.array_equal(extractors.kcore(g), kcore_brute(g))
 
 
 def extract_shared(g):

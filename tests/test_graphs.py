@@ -1,9 +1,15 @@
 """Edge-list parsing, CSR construction, and round-trip serialization."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphsel.graphs import EdgeListError, Graph, from_edges, load_edge_list, serialize
+
+from oracles import load_edge_list_brute
 
 
 def test_load_remaps_ids_by_first_appearance():
@@ -48,6 +54,25 @@ def test_malformed_lines_report_line_numbers(text, line_no):
         load_edge_list(text)
     assert exc.value.line_no == line_no
     assert f"line {line_no}:" in str(exc.value)
+
+
+@pytest.mark.parametrize("text,line_no,message", [
+    ("0 1\n1 99999999999999999999\n", 2, "node id above"),
+    ("0 1\n9223372036854775808 1\n", 2, "node id above"),
+    ("0 1\n1 -99999999999999999999\n", 2, "negative node id"),
+    ("0 1\n1 99999999999999999999\nx 2\n", 2, "node id above"),
+    ("0 1\n0 1 w\n1 99999999999999999999\n", 2, "non-numeric weight"),
+])
+def test_node_ids_beyond_int64_name_their_line(text, line_no, message):
+    with pytest.raises(EdgeListError) as exc:
+        load_edge_list(text)
+    assert exc.value.line_no == line_no
+    assert message in str(exc.value)
+
+
+def test_largest_int64_id_is_a_node():
+    g = load_edge_list("9223372036854775807 0\n")
+    assert list(g.original_ids) == [2**63 - 1, 0]
 
 
 def test_line_numbers_count_skipped_lines():
@@ -138,3 +163,94 @@ def test_graph_equality_and_hash():
     assert hash(g1) == hash(g2)
     assert g1 != g3
     assert g1 != "not a graph"
+
+
+# tokens the line-by-line reader treats alike or apart: Python int() takes
+# signs, leading zeros, underscores and other scripts' digits; float() takes
+# nan, inf and exponents
+ENDPOINTS = ["0", "1", "2", "3", "17", "+7", "007", "1_0", "-0", "\u0661"]
+BAD_ENDPOINTS = ["-3", "x", "1.5", "0x1"]
+WEIGHTS = ["0.5", "nan", "-inf", "1e3", "1_0", "+2"]
+BAD_WEIGHTS = ["abc", "1e", "0x1", "--1"]
+BLANKS = ["", " ", "\t", " \t "]
+SEPARATORS = [" ", "\t", "  ", " \t "]
+LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c"]
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Edge-list text mixing edges with blanks, indented comments, odd line
+    breaks and tabs; half the texts also hold bad lines of every kind."""
+    kinds = ["edge"] * 6 + ["weighted"] * 2 + ["blank", "comment"]
+    endpoints, weights = ENDPOINTS, WEIGHTS
+    if draw(st.booleans()):
+        kinds = kinds + ["count"]
+        endpoints, weights = ENDPOINTS * 2 + BAD_ENDPOINTS, WEIGHTS + BAD_WEIGHTS
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(BLANKS)))
+            continue
+        if kind == "comment":
+            lines.append(draw(st.sampled_from(BLANKS)) + "#" + draw(st.sampled_from(["", " x y", "0 1"])))
+            continue
+        size = {"edge": 2, "weighted": 3, "count": draw(st.sampled_from([1, 4, 5]))}[kind]
+        tokens = [draw(st.sampled_from(endpoints)) for _ in range(min(size, 2))]
+        tokens += [draw(st.sampled_from(weights)) for _ in range(size - len(tokens))]
+        line = draw(st.sampled_from(SEPARATORS)).join(tokens)
+        lines.append(draw(st.sampled_from(BLANKS)) + line + draw(st.sampled_from(BLANKS)))
+    breaks = [draw(st.sampled_from(LINE_BREAKS)) for _ in lines]
+    return "".join(line + brk for line, brk in zip(lines, breaks))
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return exc
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(edge_list_texts())
+def test_load_edge_list_matches_the_line_by_line_reader(text):
+    got, want = _outcome(load_edge_list, text), _outcome(load_edge_list_brute, text)
+    if isinstance(want, Exception):
+        assert type(got) is type(want)
+        assert str(got) == str(want)
+        assert getattr(got, "line_no", None) == getattr(want, "line_no", None)
+        return
+    assert isinstance(got, Graph)
+    for name in ("node_count", "self_loops_dropped", "duplicates_dropped"):
+        assert getattr(got, name) == getattr(want, name), name
+    for name in ("edge_array", "indptr", "indices", "original_ids"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), name
+
+
+BAD_LINES = {"1 2 3 4": "expected 2 or 3 tokens", "2 x": "non-integer endpoint",
+             "3 -1": "negative node id", "1 99999999999999999999": "node id above",
+             "4 5 w": "non-numeric weight",
+             # a line of several faults reports the one checked first
+             "x -1 w": "non-integer endpoint", "3 -1 w": "negative node id",
+             "99999999999999999999 1 w": "node id above"}
+
+
+def test_the_first_bad_line_wins_whatever_its_kind():
+    for first in BAD_LINES:
+        rest = [line for line in BAD_LINES if line != first]
+        for others in (rest, rest[::-1]):
+            with pytest.raises(EdgeListError) as exc:
+                load_edge_list("0 1\n  # 1\n" + "\n".join([first] + others) + "\n")
+            assert exc.value.line_no == 3
+            assert BAD_LINES[first] in str(exc.value)
+
+
+def test_from_edges_takes_arrays_and_iterables_alike():
+    pairs = [(2, 0), (0, 2), (1, 1), (3, 1)]
+    want = from_edges(4, pairs)
+    for edges in (np.array(pairs), iter(pairs), ((u, v) for u, v in pairs)):
+        g = from_edges(4, edges)
+        assert g == want
+        assert np.array_equal(g.indptr, want.indptr) and np.array_equal(g.indices, want.indices)
+        assert (g.self_loops_dropped, g.duplicates_dropped) == (1, 1)
