@@ -126,13 +126,12 @@ def eccentricity(graph: Graph, a: sp.csr_matrix | None = None) -> np.ndarray:
         if stop - start > ECC_EXACT_NODE_LIMIT:
             values = _swept_lower_bounds(block, deg[start:stop])
         else:
-            # the block stores both directions of every edge, so a directed
-            # BFS is exact and skips scipy's symmetrised copy of the block
-            v = int(np.argmax(deg[start:stop]))
-            e_v = csgraph.dijkstra(block, directed=True, unweighted=True, indices=v).max()
+            e_v = _tree_distances(block, int(np.argmax(deg[start:stop]))).max()
             if 2 * e_v + 1 <= 64:
                 values = _bitset_eccentricity(block)
             else:
+                # the block stores both directions of every edge, so a directed
+                # BFS is exact and skips scipy's symmetrised copy of the block
                 values = csgraph.dijkstra(block, directed=True, unweighted=True).max(axis=1)
         ecc[order[start:stop]] = values
     return ecc
@@ -189,29 +188,18 @@ def _swept_lower_bounds(block: sp.csr_matrix, deg: np.ndarray) -> np.ndarray:
     bounded; the price is that the nodes still unresolved keep a lower
     bound that can depend on node numbering.
 
-    The first sweep takes its distances from the BFS tree
-    (``_tree_distances``). The later ones do too when that sweep gave
-    2·e_v + 1 <= 64, the exact path's rule; a longer-diameter component
-    runs them as directed ``csgraph.dijkstra`` calls, whose cost does not
-    grow with the depth of the tree.
+    Every sweep reads its distances from a BFS tree (``_tree_distances``).
     """
     lb = np.zeros(block.shape[0])
     ub = np.full(block.shape[0], np.inf)
-    tree = True
     for sweep in range(ECC_SWEEP_CAP):
         unresolved = np.flatnonzero(lb < ub)
         if unresolved.size == 0:
             break
         key = ub[unresolved] if sweep % 2 == 0 else -lb[unresolved]
         best = unresolved[key == key.max()]
-        v = int(best[np.argmax(deg[best])])
-        if tree:
-            d = _tree_distances(block, v)
-        else:
-            d = csgraph.dijkstra(block, directed=True, unweighted=True, indices=v)
+        d = _tree_distances(block, int(best[np.argmax(deg[best])]))
         e_v = d.max()
-        if sweep == 0:
-            tree = 2 * e_v + 1 <= 64
         np.maximum(lb, np.maximum(d, e_v - d), out=lb)
         np.minimum(ub, e_v + d, out=ub)
     return lb
@@ -223,19 +211,20 @@ def _tree_distances(block: sp.csr_matrix, v: int) -> np.ndarray:
     ``csgraph.breadth_first_order`` gives the BFS tree as predecessors, and
     pointer doubling reads every depth from it: each round adds the depth
     of a node's current ancestor and jumps to that ancestor's ancestor, so
-    ceil(log2(e_v)) rounds reach the root from everywhere. The block stores
-    both directions of every edge, so the directed search is the undirected
-    one.
+    ceil(log2(e_v)) rounds reach the root from everywhere, the last node of
+    the BFS order (one of the deepest) last. The block stores both
+    directions of every edge, so the directed search is the undirected one
+    and skips scipy's symmetrised copy of the block.
     """
-    _, pred = csgraph.breadth_first_order(block, v, directed=True,
-                                          return_predecessors=True)
+    order, pred = csgraph.breadth_first_order(block, v, directed=True,
+                                              return_predecessors=True)
     up = pred.astype(np.intp)
     up[v] = v
     depth = np.ones(up.size)
     depth[v] = 0
-    while np.any(up != v):
-        depth += depth[up]
-        up = up[up]
+    while up[order[-1]] != v:
+        depth += depth.take(up)
+        up = up.take(up)
     return depth
 
 
@@ -267,56 +256,43 @@ def pagerank(graph: Graph, a: sp.csr_matrix | None = None) -> np.ndarray:
 
 
 def kcore(graph: Graph) -> np.ndarray:
-    """Core numbers by level-synchronous peeling (see ``_peel``)."""
-    return _peel(graph)[0]
-
-
-def _peel(graph: Graph) -> tuple[np.ndarray, int]:
-    """Core numbers and the number of peeling rounds (ParK, Dasari, Ranjan
-    & Zubair 2014).
+    """Core numbers by level-synchronous peeling (ParK, Dasari, Ranjan &
+    Zubair 2014).
 
     Level k starts from every remaining node of degree at most k, k the
     smallest remaining degree or the last level, whichever is larger. Each
     round removes the whole frontier at core number k, gathers its CSR rows
     and takes one degree off a neighbour per shared edge; the touched nodes
-    now at degree k or less are the next frontier. A removed node's degree
-    is set past any count of decrements, so it never rejoins a frontier and
-    the gathered rows need no filter. The rounds of a level are its longest
-    removal cascade: on a path of n nodes, about n/2.
+    now at degree k or less, each once, are the next frontier. A removed
+    node's degree is set past any count of decrements, so it never rejoins
+    a frontier and the gathered rows need no filter. The rounds of a level
+    are its longest removal cascade: on a path of n nodes, about n/2.
     """
     n = graph.node_count
     indptr, indices = graph.indptr, graph.indices
     row_len = graph.degrees()
     deg = row_len.copy()
     core = np.zeros(n)
+    slot_of = np.empty(n, dtype=np.intp)
     gone = 2 * n + 1
-    removed = k = rounds = 0
+    removed = k = 0
     while removed < n:
         k = max(k, int(deg.min()))
         frontier = np.flatnonzero(deg <= k)
         while frontier.size:
-            rounds += 1
             removed += frontier.size
             core[frontier] = k
             deg[frontier] = gone
-            if frontier.size <= 2:
-                # one row at a time and no sort: long chains peel one or two
-                # nodes a round, and there the per-round cost is the cost
-                rows = [indices[indptr[v]:indptr[v + 1]] for v in frontier.tolist()]
-                for row in rows:
-                    deg[row] -= 1
-                touched = np.concatenate(rows)
-                frontier = touched[deg[touched] <= k]
-                if frontier.size > 2 or (frontier.size == 2 and frontier[0] == frontier[1]):
-                    frontier = np.unique(frontier)      # a shared neighbour, twice
-            else:
-                lens = row_len[frontier]
-                at = np.repeat(indptr[frontier] - (np.cumsum(lens) - lens), lens)
-                touched, hits = np.unique(indices[at + np.arange(at.size)],
-                                          return_counts=True)
-                deg[touched] -= hits
-                frontier = touched[deg[touched] <= k]
-    return core, rounds
+            lens = row_len[frontier]
+            at = np.repeat(indptr[frontier] - (np.cumsum(lens) - lens), lens)
+            touched = indices[at + np.arange(at.size)]
+            np.subtract.at(deg, touched, 1)
+            touched = touched[deg[touched] <= k]
+            # a node touched twice keeps one slot, whichever write lands
+            slots = np.arange(touched.size)
+            slot_of[touched] = slots
+            frontier = touched[slot_of[touched] == slots]
+    return core
 
 
 def extract_structural(graph: Graph, a: sp.csr_matrix,

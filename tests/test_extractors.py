@@ -159,9 +159,10 @@ def giant(graph):
     return nx_graph(graph.subgraph(max(nx.connected_components(graph), key=len)))
 
 
-def dijkstra_sweeps(block, deg):
+def dijkstra_sweeps(block, deg, sources):
     """The capped bound sweeps with one undirected csgraph.dijkstra call per
-    sweep, as they ran before the sweeps read BFS trees."""
+    sweep, as they ran before the sweeps read BFS trees. Each sweep's
+    source is appended to ``sources``."""
     lb = np.zeros(block.shape[0])
     ub = np.full(block.shape[0], np.inf)
     for sweep in range(extractors.ECC_SWEEP_CAP):
@@ -171,6 +172,7 @@ def dijkstra_sweeps(block, deg):
         key = ub[unresolved] if sweep % 2 == 0 else -lb[unresolved]
         best = unresolved[key == key.max()]
         v = int(best[np.argmax(deg[best])])
+        sources.append(v)
         d = csgraph.dijkstra(block, directed=False, unweighted=True, indices=v)
         e_v = d.max()
         np.maximum(lb, np.maximum(d, e_v - d), out=lb)
@@ -202,30 +204,31 @@ def spider(legs, length):
     return from_edges(1 + legs * length, edges)
 
 
-@pytest.mark.parametrize("graph, tree_sweeps", [
-    pytest.param(giant(nx.gnm_random_graph(3000, 9000, seed=1)), True, id="G(3000, 9000)"),
-    pytest.param(nx_graph(nx.barabasi_albert_graph(5000, 2, seed=2)), True, id="BA(5000, 2)"),
-    pytest.param(giant(nx.watts_strogatz_graph(2000, 6, 0.1, seed=3)), True, id="WS(2000, 6, 0.1)"),
-    pytest.param(nx_graph(nx.powerlaw_cluster_graph(4000, 3, 0.3, seed=4)), True,
+@pytest.mark.parametrize("graph", [
+    pytest.param(giant(nx.gnm_random_graph(3000, 9000, seed=1)), id="G(3000, 9000)"),
+    pytest.param(nx_graph(nx.barabasi_albert_graph(5000, 2, seed=2)), id="BA(5000, 2)"),
+    pytest.param(giant(nx.watts_strogatz_graph(2000, 6, 0.1, seed=3)), id="WS(2000, 6, 0.1)"),
+    pytest.param(nx_graph(nx.powerlaw_cluster_graph(4000, 3, 0.3, seed=4)),
                  id="powerlaw-cluster(4000, 3, 0.3)"),
-    pytest.param(spider(40, 31), True, id="spider e_v 31"),
-    pytest.param(spider(40, 32), False, id="spider e_v 32"),
-    pytest.param(nx_graph(nx.cycle_graph(1500)), False, id="cycle 1500"),
-    pytest.param(nx_graph(nx.path_graph(1100)), False, id="path 1100"),
-    pytest.param(nx_graph(nx.grid_2d_graph(40, 40)), False, id="grid 40x40"),
+    # e_v from the hub is 31 and 32, so 2·e_v + 1 falls either side of 64
+    pytest.param(spider(40, 31), id="spider e_v 31"),
+    pytest.param(spider(40, 32), id="spider e_v 32"),
+    pytest.param(nx_graph(nx.cycle_graph(1500)), id="cycle 1500"),
+    pytest.param(nx_graph(nx.path_graph(1100)), id="path 1100"),
+    pytest.param(nx_graph(nx.grid_2d_graph(40, 40)), id="grid 40x40"),
 ])
-def test_swept_bounds_equal_the_dijkstra_sweeps(monkeypatch, graph, tree_sweeps):
+def test_swept_bounds_equal_the_dijkstra_sweeps(monkeypatch, graph):
     # one connected component over the exact limit, so eccentricity sweeps it
     assert graph.node_count > extractors.ECC_EXACT_NODE_LIMIT
     assert csgraph.connected_components(extractors.adjacency_matrix(graph))[0] == 1
-    trees = []
+    trees, sources = [], []
     tree_distances = extractors._tree_distances
     monkeypatch.setattr(extractors, "_tree_distances",
                         lambda block, v: trees.append(v) or tree_distances(block, v))
-    want = dijkstra_sweeps(extractors.adjacency_matrix(graph), graph.degrees())
+    want = dijkstra_sweeps(extractors.adjacency_matrix(graph), graph.degrees(), sources)
     assert extractors.eccentricity(graph).tobytes() == want.tobytes()
-    # the first sweep reads a BFS tree; the rest do when its e_v is short
-    assert len(trees) > 1 if tree_sweeps else len(trees) == 1
+    # every sweep reads a BFS tree, from the same source in the same order
+    assert trees == sources
 
 
 def test_eccentricity_of_k1024_is_exact_in_bounded_memory():
@@ -257,7 +260,13 @@ def test_single_node_and_edgeless():
 
 
 @pytest.mark.parametrize("graph", [
+    pytest.param(nx.path_graph(2), id="path 2"),
+    pytest.param(nx.path_graph(3), id="path 3"),
+    pytest.param(nx.path_graph(4), id="path 4"),
+    # the chain worst case of level-synchronous peeling: both ends move
+    # inwards one node a round
     pytest.param(nx.path_graph(501), id="path 501"),
+    pytest.param(nx.path_graph(2000), id="path 2000"),
     pytest.param(nx.cycle_graph(400), id="cycle 400"),
     pytest.param(nx.star_graph(300), id="star 301"),
     pytest.param(nx.lollipop_graph(30, 200), id="lollipop K30+P200"),
@@ -275,15 +284,6 @@ def test_single_node_and_edgeless():
 def test_kcore_matches_naive_peeling_on_cascades(graph):
     g = nx_graph(graph)
     assert np.array_equal(extractors.kcore(g), kcore_brute(g))
-
-
-def test_kcore_peels_a_path_in_half_its_length_of_rounds():
-    # the chain worst case of level-synchronous peeling: both ends move
-    # inwards one node a round
-    for n in (2, 3, 4, 501, 2000):
-        core, rounds = extractors._peel(nx_graph(nx.path_graph(n)))
-        assert np.array_equal(core, np.ones(n))
-        assert rounds == (n + 1) // 2
 
 
 @settings(derandomize=True, deadline=None, max_examples=80)
