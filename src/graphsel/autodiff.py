@@ -4,13 +4,19 @@ Just enough ops for an attention message-passing network and a listwise
 loss: broadcast arithmetic, matmul, two-operand einsum, exp/log, reductions,
 row gather with scatter-add backward, and segment sums. Values are float64
 throughout; the backward pass walks a topologically sorted tape of closures.
-Scatters are one ``np.bincount`` and segment maxima one sorted
-``np.maximum.reduceat``; no op goes through ``ufunc.at``.
+
+Every row index an op reads is a ``Segments`` plan: gathers are one
+``np.take``, scatter-adds one product with a CSR matrix of ones, and
+segment maxima one ``np.maximum.reduceat`` over a stable sort kept in the
+plan; no op goes through ``ufunc.at``. A plain integer index is wrapped in
+a plan for one call; a caller that reads the same index again (every epoch
+of training reads the same edge table) builds the plan once and passes it.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -23,37 +29,72 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _scatter_rows(values: np.ndarray, index: np.ndarray, num_rows: int) -> np.ndarray:
-    """Sum the rows of ``values`` into ``num_rows`` buckets by ``index``.
+class Segments:
+    """A fixed 1-D row index into ``size`` buckets, planned once for every
+    op that reads it.
 
-    One ``np.bincount`` over the flattened (bucket, column) ids. Each bucket
-    adds its rows in row order, starting from 0, so the result has the same
-    bits as ``np.add.at`` into zeros.
+    ``take`` gathers the indexed rows with ``np.take``. ``sum`` adds rows
+    into their buckets with one sparse product by the CSR matrix that holds
+    a one at (index[e], e): each bucket adds its rows in row order,
+    starting from 0, so the sums have the bits of ``np.add.at`` into zeros.
+    ``max`` reduces each bucket with ``np.maximum.reduceat`` over the
+    index's stable sort order. The sort order and the matrix are built on
+    first use and kept, so an index that every epoch reads is planned once.
     """
-    index = np.asarray(index, dtype=np.int64)
-    values = np.asarray(values, dtype=np.float64)
-    tail = values.shape[index.ndim:]
-    index = index.ravel()
-    cols = int(np.prod(tail, dtype=np.int64))
-    ids = (index[:, None] * cols + np.arange(cols)).ravel()
-    out = np.bincount(ids, weights=values.reshape(-1), minlength=num_rows * cols)
-    # with no ids at all, bincount returns int64 zeros
-    return out.astype(np.float64, copy=False).reshape((num_rows,) + tail)
+
+    __slots__ = ("index", "size", "_order", "_indptr", "_matrix")
+
+    def __init__(self, index, size: int):
+        self.index = np.asarray(index, dtype=np.int64)
+        self.size = int(size)
+        if self.index.ndim != 1:
+            raise ValueError("a segment index must be 1-D")
+        if self.index.size and (self.index.min() < 0 or self.index.max() >= self.size):
+            raise IndexError(f"segment index out of range for {self.size} buckets")
+        self._order = self._indptr = self._matrix = None
+
+    def _sorted(self) -> tuple[np.ndarray, np.ndarray]:
+        """The stable sort order of the index and each bucket's start in it."""
+        if self._order is None:
+            self._order = np.argsort(self.index, kind="stable")
+            self._indptr = np.searchsorted(self.index[self._order], np.arange(self.size + 1))
+        return self._order, self._indptr
+
+    def take(self, values: np.ndarray) -> np.ndarray:
+        """The indexed rows (axis 0) of ``values``."""
+        return np.take(values, self.index, axis=0)
+
+    def sum(self, values: np.ndarray) -> np.ndarray:
+        """The rows of ``values``, one per index entry, summed into their buckets."""
+        if self._matrix is None:
+            order, indptr = self._sorted()
+            self._matrix = sparse.csr_array((np.ones(order.size), order, indptr),
+                                            shape=(self.size, order.size))
+        values = np.asarray(values, dtype=np.float64)
+        tail = values.shape[1:]
+        cols = values.reshape(values.shape[0], int(np.prod(tail, dtype=np.int64)))
+        return (self._matrix @ cols).reshape((self.size,) + tail)
+
+    def max(self, values: np.ndarray) -> np.ndarray:
+        """Per-bucket max of the rows of ``values``; empty buckets and
+        non-finite maxima read 0."""
+        order, indptr = self._sorted()
+        out = np.zeros((self.size,) + values.shape[1:])
+        filled = np.flatnonzero(indptr[1:] > indptr[:-1])
+        if filled.size:
+            out[filled] = np.maximum.reduceat(values.take(order, axis=0), indptr[filled], axis=0)
+        out[~np.isfinite(out)] = 0.0
+        return out
 
 
-def _segment_max(values: np.ndarray, segments: np.ndarray, num_segments: int) -> np.ndarray:
-    """Per-segment max of the rows of ``values``; empty segments and
-    non-finite maxima read 0. The rows are grouped by a stable sort of
-    ``segments`` and reduced with ``np.maximum.reduceat``."""
-    segments = np.asarray(segments, dtype=np.int64)
-    out = np.zeros((num_segments,) + values.shape[1:])
-    if segments.size:
-        order = np.argsort(segments, kind="stable")
-        ordered = segments[order]
-        starts = np.flatnonzero(np.concatenate([[True], ordered[1:] != ordered[:-1]]))
-        out[ordered[starts]] = np.maximum.reduceat(values[order], starts, axis=0)
-    out[~np.isfinite(out)] = 0.0
-    return out
+def _segments(index, size: int) -> Segments:
+    """``index`` itself when it is a plan for ``size`` buckets already,
+    else a new plan over it."""
+    if not isinstance(index, Segments):
+        return Segments(index, size)
+    if index.size != size:
+        raise ValueError(f"a plan over {index.size} buckets used for {size}")
+    return index
 
 
 def _as_tensor(x) -> Tensor:
@@ -171,17 +212,17 @@ class Tensor:
             return np.broadcast_to(g, self.value.shape).copy()
         return _op(self.value.sum(axis=axis, keepdims=keepdims), (self, grad))
 
-    def gather(self, index: np.ndarray):
-        """Rows (axis 0) selected by integer index; backward scatter-adds."""
-        index = np.asarray(index, dtype=np.int64)
-        rows = self.value.shape[0]
-        return _op(self.value[index], (self, lambda g: _scatter_rows(g, index, rows)))
+    def gather(self, index):
+        """Rows (axis 0) selected by an integer index or a ``Segments`` plan
+        over this tensor's rows; backward scatter-adds."""
+        plan = _segments(index, self.value.shape[0])
+        return _op(plan.take(self.value), (self, plan.sum))
 
-    def segment_sum(self, segments: np.ndarray, num_segments: int):
-        """Sum rows (axis 0) into segment buckets."""
-        segments = np.asarray(segments, dtype=np.int64)
-        return _op(_scatter_rows(self.value, segments, num_segments),
-                   (self, lambda g: g[segments]))
+    def segment_sum(self, segments, num_segments: int):
+        """Sum rows (axis 0) into segment buckets, given as an integer index
+        or a ``Segments`` plan."""
+        plan = _segments(segments, num_segments)
+        return _op(plan.sum(self.value), (self, plan.take))
 
     # graph traversal --------------------------------------------------------
 
@@ -241,13 +282,12 @@ def einsum(spec: str, a: Tensor, b: Tensor) -> Tensor:
                (b, lambda g: np.einsum(f"{out_idx},{a_idx}->{b_idx}", g, a.value)))
 
 
-def segment_softmax(logits: Tensor, segments: np.ndarray, num_segments: int) -> Tensor:
+def segment_softmax(logits: Tensor, segments, num_segments: int) -> Tensor:
     """Softmax over groups of rows of ``logits`` (shape (E,) or (E, H); each
     column is normalized on its own), numerically shifted by the per-segment
-    max (a constant, so gradients stay exact)."""
-    segments = np.asarray(segments, dtype=np.int64)
-    seg_max = _segment_max(logits.value, segments, num_segments)
-    shifted = logits - Tensor.const(seg_max[segments])
+    max (a constant, so gradients stay exact). ``segments`` is an integer
+    index or a ``Segments`` plan."""
+    plan = _segments(segments, num_segments)
+    shifted = logits - Tensor.const(plan.take(plan.max(logits.value)))
     e = shifted.exp()
-    denom = e.segment_sum(segments, num_segments)
-    return e / denom.gather(segments)
+    return e / e.segment_sum(plan, num_segments).gather(plan)

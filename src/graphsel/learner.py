@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import logging
 import pickle
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
 
-from .autodiff import Tensor, concat, einsum, segment_softmax
+from .autodiff import Segments, Tensor, concat, einsum, segment_softmax
 from .features import SCHEMA_VERSION
 from .gmnet import GMNetwork, RELATIONS, build_train_network, disjoint_union, extend_with_test
 from .metrics import label_top1, mrr
@@ -106,6 +106,54 @@ def init_params(rng: np.random.Generator, meta_dim: int, k: int, layers: int,
 
 # --- forward pass ----------------------------------------------------------
 
+@dataclass(frozen=True)
+class _LayerPlan:
+    """One layer's edge table, each index planned over the rows it reads."""
+    keyed: Segments          # rel * n_total + src, into every node's keys under every relation
+    src: Segments            # into the node messages
+    dst: Segments            # into the node queries; the softmax and aggregation buckets
+    rel: Segments            # into the relation priors
+    models: Segments         # the model nodes, into the aggregates
+    graphs: Segments         # the graph rows the layer outputs, as nodes into the aggregates
+    kept: Segments | None    # those rows of the graph states, when the layer keeps only some
+
+
+def _layer_plan(net: GMNetwork, graph_rows: np.ndarray | None = None) -> _LayerPlan:
+    """Plans for a layer over every edge of `net`, or, with `graph_rows`,
+    over the in-edges of the models and of those graphs only.
+
+    Built on first use and kept beside the network, so every epoch reads
+    the same plans; never serialised. The cache belongs to the edge table's
+    arrays, which GMNetwork makes read-only: a network given other arrays
+    (`dataclasses.replace`, reassignment) plans afresh.
+    """
+    rows = None if graph_rows is None else np.asarray(graph_rows, dtype=np.int64)
+    key = None if rows is None else rows.tobytes()
+    tables = (net.src, net.dst, net.rel)
+    cached = net.__dict__.get("_plans")
+    if cached is None or any(a is not b for a, b in zip(cached[0], tables)):
+        cached = net.__dict__["_plans"] = (tables, {})
+    plans = cached[1]
+    if key not in plans:
+        ng, m = net.n_graphs, net.n_models
+        n_total = ng + m
+        src, dst, rel = tables
+        out_rows = np.arange(ng) if rows is None else rows
+        if rows is not None:
+            # only the models and the requested graphs are targets
+            targets = np.zeros(n_total, dtype=bool)
+            targets[:m] = True
+            targets[m + out_rows] = True
+            keep = targets[dst]
+            src, dst, rel = src[keep], dst[keep], rel[keep]
+        plans[key] = _LayerPlan(
+            Segments(rel * n_total + src, len(RELATIONS) * n_total), Segments(src, n_total),
+            Segments(dst, n_total), Segments(rel, len(RELATIONS)),
+            Segments(np.arange(m), n_total), Segments(m + out_rows, n_total),
+            None if rows is None else Segments(out_rows, ng))
+    return plans[key]
+
+
 def embed_network(pt: dict[str, Tensor], net: GMNetwork,
                   graph_rows: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
     """Embed the nodes; returns (graph embeddings, model embeddings).
@@ -117,12 +165,14 @@ def embed_network(pt: dict[str, Tensor], net: GMNetwork,
     their residual-scaled state. Sizes come from the parameters: k from V,
     one layer per `l{L}.att`, heads and dk from its shape. A network whose
     models are whole copies of V's rows (a `disjoint_union`) tiles V with a
-    gather.
+    gather. Every edge index is read through the plans `_layer_plan` keeps
+    beside the network.
 
     With `graph_rows` (graph indices) and at least one layer, the graph
     embeddings hold only those rows, and the last layer scores only the
-    in-edges of the models and of those graphs. A target's softmax reads its own in-edges alone, so the
-    rows it returns are the same as in the full pass.
+    in-edges of the models and of those graphs. A target's softmax reads its
+    own in-edges alone, so the rows it returns are the same as in the full
+    pass.
     """
     k = pt["V"].shape[1]
     layers = sum(name.endswith(".att") for name in pt)
@@ -136,21 +186,10 @@ def embed_network(pt: dict[str, Tensor], net: GMNetwork,
             raise ValueError(f"{m} model nodes are not whole copies of {zm.shape[0]} models")
         zm = zm.gather(np.arange(m) % zm.shape[0])
 
-    # edge table node ids: models first, then graphs
-    src, dst, rel = net.src, net.dst, net.rel
-    out_rows = np.arange(ng)
-
     for layer in range(layers):
         _, heads, dk, _ = pt[f"l{layer}.att"].shape
-        scored = graph_rows is not None and layer == layers - 1
-        if scored:
-            # the last layer feeds only the models and the requested graphs
-            out_rows = np.asarray(graph_rows, dtype=np.int64)
-            targets = np.zeros(n_total, dtype=bool)
-            targets[:m] = True
-            targets[m + out_rows] = True
-            keep = targets[dst]
-            src, dst, rel = src[keep], dst[keep], rel[keep]
+        # the last layer feeds only the models and the requested graphs
+        plan = _layer_plan(net, graph_rows if layer == layers - 1 else None)
 
         def project(name):
             both = concat([zm @ pt[f"l{layer}.{name}.m"], zg @ pt[f"l{layer}.{name}.g"]])
@@ -160,15 +199,15 @@ def embed_network(pt: dict[str, Tensor], net: GMNetwork,
         # every node's keys through every relation's bilinear form, flattened
         # so that row r * n_total + i is node i under relation r
         keyed = einsum("nhi,rhij->rnhj", keys, pt[f"l{layer}.att"]).reshape(-1, heads, dk)
-        mu = pt[f"l{layer}.mu"].gather(rel).reshape(-1, 1)
-        logits = einsum("ehi,ehi->eh", keyed.gather(rel * n_total + src), queries.gather(dst)) \
+        mu = pt[f"l{layer}.mu"].gather(plan.rel).reshape(-1, 1)
+        logits = einsum("ehi,ehi->eh", keyed.gather(plan.keyed), queries.gather(plan.dst)) \
             * mu * (1.0 / np.sqrt(dk))
-        att = segment_softmax(logits, dst, n_total)
-        weighted = msgs.gather(src) * att.reshape(-1, heads, 1)
-        agg = weighted.segment_sum(dst, n_total).reshape(n_total, k)
-        kept = zg.gather(out_rows) if scored else zg
-        zg = kept * pt[f"l{layer}.alpha.g"] + agg.gather(m + out_rows) @ pt[f"l{layer}.O.g"]
-        zm = zm * pt[f"l{layer}.alpha.m"] + agg.gather(np.arange(m)) @ pt[f"l{layer}.O.m"]
+        att = segment_softmax(logits, plan.dst, n_total)
+        weighted = msgs.gather(plan.src) * att.reshape(-1, heads, 1)
+        agg = weighted.segment_sum(plan.dst, n_total).reshape(n_total, k)
+        kept = zg if plan.kept is None else zg.gather(plan.kept)
+        zg = kept * pt[f"l{layer}.alpha.g"] + agg.gather(plan.graphs) @ pt[f"l{layer}.O.g"]
+        zm = zm * pt[f"l{layer}.alpha.m"] + agg.gather(plan.models) @ pt[f"l{layer}.O.m"]
     return zg, zm
 
 
@@ -451,12 +490,16 @@ def gradient_check(seed: int = 0, step: float = 1e-5) -> float:
 
 def save_state(state: MetaLearnerState, path: str):
     """Pickle the bundle (trusted-input format; see README)."""
+    # the network's dataclass fields, without the plans kept beside them;
+    # writeable copies of the read-only edge tables pickle as they always did
+    network = {f.name: getattr(state.network, f.name) for f in fields(state.network)}
+    network.update({name: np.array(network[name]) for name in ("src", "dst", "rel")})
     payload = {
         "format_version": BUNDLE_FORMAT_VERSION,
         "schema_version": SCHEMA_VERSION,
         "params": state.params,
         "phi": vars(state.phi),
-        "network": vars(state.network),
+        "network": network,
         "model_ids": state.model_ids,
         "training_log": state.training_log,
     }

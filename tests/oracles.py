@@ -3,7 +3,9 @@
 Everything here is written from the definitions, not from the package code:
 dense matrix powers for triangle counts, BFS loops for eccentricity, naive
 peeling for core numbers, a line-by-line edge-list parser, direct formulas
-for the summary statistics and the ranking metrics. Slow is fine; these run
+for the summary statistics and the ranking metrics. The two autodiff
+scatters are the package's former bincount and per-call argsort versions,
+kept to pin the bits of their replacements. Slow is fine; these run
 on small inputs.
 """
 
@@ -48,6 +50,41 @@ def load_edge_list_brute(text):
     if not id_map:
         raise ValueError("empty graph: no edges or nodes in input")
     return from_edges(len(id_map), edges, original_ids=list(id_map))
+
+
+# --- autodiff scatters ------------------------------------------------------
+
+def scatter_rows_bincount(values, index, num_rows):
+    """Sum the rows of ``values`` into ``num_rows`` buckets by ``index``.
+
+    One ``np.bincount`` over the flattened (bucket, column) ids. Each bucket
+    adds its rows in row order, starting from 0, so the result has the same
+    bits as ``np.add.at`` into zeros.
+    """
+    index = np.asarray(index, dtype=np.int64)
+    values = np.asarray(values, dtype=np.float64)
+    tail = values.shape[index.ndim:]
+    index = index.ravel()
+    cols = int(np.prod(tail, dtype=np.int64))
+    ids = (index[:, None] * cols + np.arange(cols)).ravel()
+    out = np.bincount(ids, weights=values.reshape(-1), minlength=num_rows * cols)
+    # with no ids at all, bincount returns int64 zeros
+    return out.astype(np.float64, copy=False).reshape((num_rows,) + tail)
+
+
+def segment_max_argsort(values, segments, num_segments):
+    """Per-segment max of the rows of ``values``; empty segments and
+    non-finite maxima read 0. The rows are grouped by a stable sort of
+    ``segments`` and reduced with ``np.maximum.reduceat``."""
+    segments = np.asarray(segments, dtype=np.int64)
+    out = np.zeros((num_segments,) + values.shape[1:])
+    if segments.size:
+        order = np.argsort(segments, kind="stable")
+        ordered = segments[order]
+        starts = np.flatnonzero(np.concatenate([[True], ordered[1:] != ordered[:-1]]))
+        out[ordered[starts]] = np.maximum.reduceat(values[order], starts, axis=0)
+    out[~np.isfinite(out)] = 0.0
+    return out
 
 
 # --- graph helpers -----------------------------------------------------------

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphsel.autodiff import Tensor, _segment_max, concat, einsum, segment_softmax
+from graphsel.autodiff import Segments, Tensor, concat, einsum, segment_softmax
+from oracles import scatter_rows_bincount, segment_max_argsort
 
 
 def fd_grad(loss_fn, x, step=1e-6):
@@ -126,7 +127,10 @@ def test_random_shape_grads(data):
 def test_scatters_match_ufunc_at_bit_for_bit(data):
     """gather backward and segment_sum equal an np.add.at scatter, and the
     segment_softmax shift equals an np.maximum.at max, to the last bit, on
-    drawn shapes: no rows, repeated indices, empty segments, (E,) and (E, H)."""
+    drawn shapes: no rows, repeated indices, empty segments, (E,), (E, H)
+    and (E, H, dk). The same holds with the index passed as a kept plan,
+    and the plan's sums and maxima equal the former bincount scatter and
+    per-call argsort max."""
     n_seg = data.draw(st.integers(1, 6))
     segments = np.array(data.draw(st.lists(st.integers(0, n_seg - 1), max_size=12)),
                         dtype=np.int64)
@@ -150,7 +154,34 @@ def test_scatters_match_ufunc_at_bit_for_bit(data):
     shift = np.full((n_seg,) + logits.shape[1:], -np.inf)
     np.maximum.at(shift, segments, logits)
     shift[~np.isfinite(shift)] = 0.0
-    assert _segment_max(logits, segments, n_seg).tobytes() == shift.tobytes()
+    assert Segments(segments, n_seg).max(logits).tobytes() == shift.tobytes()
+
+    # one kept plan serves every op, before and after its sort and matrix exist
+    plan = Segments(segments, n_seg)
+    for _ in range(2):
+        assert plan.sum(rows).tobytes() == want.tobytes()
+        assert scatter_rows_bincount(rows, segments, n_seg).tobytes() == want.tobytes()
+        assert Tensor.const(rows).segment_sum(plan, n_seg).value.tobytes() == want.tobytes()
+        table.grad = None
+        (table.gather(plan) * Tensor.const(rows)).sum().backward()
+        assert table.grad.tobytes() == want.tobytes()
+        assert table.gather(plan).value.tobytes() == table.value[segments].tobytes()
+        assert plan.max(logits).tobytes() == shift.tobytes()
+        wide = rng.normal(size=shape) * 50.0
+        assert plan.max(wide).tobytes() == segment_max_argsort(wide, segments, n_seg).tobytes()
+
+
+def test_segment_plan_rejects_a_mismatched_index():
+    plan = Segments(np.array([0, 2, 2]), 3)
+    with pytest.raises(ValueError, match="3 buckets used for 4"):
+        Tensor.const(np.ones((4, 2))).gather(plan)
+    with pytest.raises(ValueError, match="3 buckets used for 2"):
+        Tensor.const(np.ones(3)).segment_sum(plan, 2)
+    for bad in (np.array([0, 3]), np.array([-1, 0])):
+        with pytest.raises(IndexError):
+            Segments(bad, 3)
+    with pytest.raises(ValueError, match="1-D"):
+        Segments(np.zeros((2, 2), dtype=np.int64), 3)
 
 
 def test_segment_softmax_values_and_grads():

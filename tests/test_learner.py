@@ -3,18 +3,20 @@ gradient checking, training loop behavior, and bundle persistence."""
 
 import logging
 import pickle
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from graphsel.autodiff import Tensor
 from graphsel.features import SCHEMA_VERSION
-from graphsel.gmnet import (RELATIONS, REL_INDEX, REL_TYPES, build_train_network,
+from graphsel.gmnet import (RELATIONS, REL_INDEX, REL_TYPES, GMNetwork, build_train_network,
                             disjoint_union, extend_with_test)
 from graphsel.learner import (
     VAL_FRACTION,
     LearnerConfig,
     _forward_scores,
+    _layer_plan,
     _loss_and_grads,
     embed_network,
     finite_difference_grads,
@@ -175,6 +177,34 @@ def test_forward_over_constant_parameters_records_no_tape():
 
     zg, zm = embed_network({name: Tensor.param(a) for name, a in params.items()}, net)
     assert zg.parents and zm.parents
+
+
+def copied(net):
+    """The same network from copied edge tables, with no plan kept yet."""
+    return replace(net, src=net.src.copy(), dst=net.dst.copy(), rel=net.rel.copy())
+
+
+def test_kept_plans_give_the_bits_of_a_fresh_network():
+    rng = np.random.default_rng(9)
+    net, params, _, _ = make_tiny_problem(seed=9, layers=2, heads=2)
+    params = perturbed_params(params, rng)
+    ext = extend_with_test(net, rng.normal(size=net.meta_dim),
+                           rng.uniform(0.1, 1.0, size=params["V"].shape[1]))
+    for g in (net, ext):
+        pv = rng.uniform(size=(g.n_graphs, g.n_models))
+        obs = rng.random(pv.shape) < 0.8
+        obs[:, 0] = True
+        rows = [g.n_graphs - 1, 0]
+        # the first pass builds the plans, the second reads them
+        runs = [(_loss_and_grads(params, network, pv, obs), _forward_scores(params, network, rows))
+                for network in (g, g, copied(g))]
+        assert _layer_plan(g) is _layer_plan(g)
+        assert _layer_plan(g, rows) is _layer_plan(g, rows) is not _layer_plan(g)
+        (loss, grads), scores = runs[0]
+        for (other_loss, other_grads), other_scores in runs[1:]:
+            assert other_loss == loss
+            assert all(other_grads[name].tobytes() == grads[name].tobytes() for name in grads)
+            assert other_scores.tobytes() == scores.tobytes()
 
 
 # --- initialization ----------------------------------------------------------
@@ -508,6 +538,26 @@ def test_bundle_round_trip(tmp_path):
     assert back.training_log == state.training_log
     with open(path, "rb") as fh:
         assert pickle.load(fh)["schema_version"] == SCHEMA_VERSION
+
+
+def test_bundle_holds_the_network_fields_alone(tmp_path):
+    feats, perf = small_training_problem(seed=6)
+    state = train(feats, perf, fast_config(max_epochs=2))
+    sheet = select_model(state, feats[0])
+    names = {f.name for f in fields(GMNetwork)}
+    assert set(vars(state.network)) > names            # the kept plans sit beside them
+    path = str(tmp_path / "model.bundle")
+    save_state(state, path)
+    with open(path, "rb") as fh:
+        assert set(pickle.load(fh)["network"]) == names
+
+    back = load_state(path)
+    assert set(vars(back.network)) == names
+    for table in ("src", "dst", "rel"):
+        assert np.array_equal(getattr(back.network, table), getattr(state.network, table))
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(back.network, table)[0] = 0
+    assert select_model(back, feats[0]).scores.tobytes() == sheet.scores.tobytes()
 
 
 def test_bundle_version_checks(tmp_path):
