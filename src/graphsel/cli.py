@@ -5,16 +5,23 @@ inconsistent inputs), 4 runtime failure. Logs are key=value lines on stderr;
 primary artifacts are byte-stable across reruns with the same config and
 seed. Wall-clock timings go to the log and to a separate timings CSV, which
 is the one deliberately non-deterministic output.
+
+``features`` extracts the files in forked worker processes, at most
+``features.workers`` of them, clamped to the number of files and of usable
+cores; a width of 1 (or a platform without ``fork``) extracts in-process.
+Each file's seconds in ``feature_timings.csv`` are timed inside its worker.
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
+import multiprocessing
+import os
 import pickle
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +65,25 @@ def _extract_one(path: Path):
     return meta_graph_features(graph), graph, time.perf_counter() - started
 
 
+def _extract_task(path: Path):
+    """One file's result in a form that crosses a process boundary:
+    ``(values, node_count, edge_count, seconds)``, or the error's repr, since
+    an exception object need not unpickle. It looks ``_extract_one`` up at
+    call time, so a rebound ``cli._extract_one`` (a closure, which cannot be
+    pickled) still runs while this function is what the pool is sent."""
+    try:
+        values, graph, seconds = _extract_one(path)
+    except Exception as exc:  # noqa: BLE001 - collected per file
+        return repr(exc)
+    return values, graph.node_count, graph.edge_count, seconds
+
+
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def cmd_features(cfg: RunConfig) -> int:
     graph_dir = _require_path(cfg, "paths", "graph_dir")
     if not graph_dir.is_dir():
@@ -69,29 +95,28 @@ def cmd_features(cfg: RunConfig) -> int:
     out_dir = Path(cfg.get("paths", "output_dir"))
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    workers = cfg.get("features", "workers")
-    results: list = [None] * len(files)
-
-    def work(i: int):
-        try:
-            results[i] = _extract_one(files[i])
-        except Exception as exc:  # noqa: BLE001 - collected per file
-            results[i] = exc
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(work, range(len(files))))
+    # Extraction is Python-bound and holds the GIL, so only processes run it
+    # in parallel. fork, not spawn: a spawned worker re-imports numpy and
+    # scipy first. The executor forks every worker before it starts its own
+    # manager thread, and this command starts no other thread.
+    workers = min(cfg.get("features", "workers"), len(files), _usable_cores())
+    if workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
+        results = [_extract_task(path) for path in files]
+    else:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            results = list(pool.map(_extract_task, files))
 
     rows, timings, failures = [], [], []
     for path, res in zip(files, results):
-        if isinstance(res, Exception):
+        if isinstance(res, str):
             failures.append(path.name)
-            log.error("event=feature_fail graph=%s error=%r", path.stem, res)
+            log.error("event=feature_fail graph=%s error=%s", path.stem, res)
             continue
-        values, graph, seconds = res
+        values, nodes, edges, seconds = res
         rows.append((path.stem, values))
-        timings.append((path.stem, seconds, graph.node_count, graph.edge_count))
+        timings.append((path.stem, seconds, nodes, edges))
         log.info("event=feature graph=%s nodes=%d edges=%d seconds=%.4f",
-                 path.stem, graph.node_count, graph.edge_count, seconds)
+                 path.stem, nodes, edges, seconds)
 
     features_path = out_dir / "features.csv"
     with open(features_path, "w") as fh:

@@ -23,6 +23,11 @@ class EdgeListError(ValueError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
+        self.message = message
+
+    def __reduce__(self):
+        # the default rebuilds from ``args``, the one formatted string
+        return type(self), (self.line_no, self.message)
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,14 @@
 
 import json
 import logging
+import multiprocessing
 import pickle
 
+import networkx as nx
 import numpy as np
 import pytest
 
+from graphsel import cli
 from graphsel.cli import DataError, main, read_features_csv
 from graphsel.features import FEATURE_DIM, SCHEMA_VERSION
 from graphsel.graphs import serialize
@@ -95,6 +98,94 @@ def test_features_partial_failure_keeps_good_rows(tmp_path):
     rows = [ln for ln in (out / "features.csv").read_text().strip().split("\n")
             if not ln.startswith("#")][1:]
     assert [r.split(",")[0] for r in rows] == ["ok_a", "ok_b"]
+
+
+def _features(graph_dir, out, workers: int) -> int:
+    return main(["--set", f"features.workers={workers}", "features",
+                 "--graph-dir", str(graph_dir), "--output-dir", str(out)])
+
+
+@pytest.fixture
+def pool_cores(monkeypatch):
+    """Four usable cores, so the pool is as wide as asked on any machine."""
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 4)
+
+
+@pytest.fixture(scope="module")
+def mixed_dir(tmp_path_factory):
+    """Graphs of several families and sizes, one of them disconnected."""
+    graphs = {
+        "ba": nx.barabasi_albert_graph(150, 3, seed=1),
+        "cycles": nx.disjoint_union(nx.cycle_graph(30), nx.cycle_graph(12)),
+        "gnm": nx.gnm_random_graph(200, 600, seed=2),
+        "path": nx.path_graph(40),
+        "plc": nx.powerlaw_cluster_graph(100, 3, 0.2, seed=3),
+        "ws": nx.watts_strogatz_graph(120, 4, 0.1, seed=4),
+    }
+    root = tmp_path_factory.mktemp("mixed")
+    for name, g in graphs.items():
+        (root / name).write_text("".join(f"{u} {v}\n" for u, v in g.edges()))
+    return root
+
+
+def test_features_are_byte_identical_for_any_worker_count(mixed_dir, tmp_path, pool_cores):
+    csvs, sizes = set(), set()
+    for workers in (1, 2, 4):
+        out = tmp_path / f"w{workers}"
+        assert _features(mixed_dir, out, workers) == 0
+        assert multiprocessing.active_children() == []
+        stamp, body = (out / "features.csv").read_bytes().split(b"\n", 1)
+        assert stamp.startswith(b"# config_hash=")   # hashes the workers key and the paths
+        csvs.add(body)
+        timings = (out / "feature_timings.csv").read_text().strip().split("\n")
+        sizes.add(tuple((row.split(",")[0],) + tuple(row.split(",")[2:]) for row in timings))
+    assert len(csvs) == 1 and len(sizes) == 1
+
+
+def test_features_partial_failure_in_workers(tmp_path, caplog, pool_cores):
+    gdir = tmp_path / "graphs"
+    gdir.mkdir()
+    for name, text in [("ok_a", "0 1\n1 2\n"), ("broken", "0 1\nnot an edge\n"),
+                       ("ok_b", "0 1\n0 2\n1 2\n"), ("ok_c", "5 6\n6 7\n7 5\n")]:
+        (gdir / name).write_text(text)
+    out = tmp_path / "out"
+    assert _features(gdir, out, 2) == 3
+    assert multiprocessing.active_children() == []
+    rows = [ln for ln in (out / "features.csv").read_text().strip().split("\n")
+            if not ln.startswith("#")][1:]
+    assert [r.split(",")[0] for r in rows] == ["ok_a", "ok_b", "ok_c"]
+    assert "event=feature_fail graph=broken error=EdgeListError(\"line 2: " in caplog.text
+    assert "feature extraction failed for: broken" in caplog.text
+
+
+def test_pool_runs_a_rebound_extractor(mixed_dir, tmp_path, monkeypatch, pool_cores):
+    """A closure in place of ``cli._extract_one`` cannot be pickled; the
+    workers still run it, as the zero seconds it reports show."""
+    extract = cli._extract_one
+
+    def untimed(path):
+        values, graph, _ = extract(path)
+        return values, graph, 0.0
+
+    monkeypatch.setattr(cli, "_extract_one", untimed)
+    assert _features(mixed_dir, tmp_path, 2) == 0
+    assert multiprocessing.active_children() == []
+    timings = (tmp_path / "feature_timings.csv").read_text().strip().split("\n")[1:]
+    assert [row.split(",")[1] for row in timings] == ["0.000000"] * 6
+
+
+@pytest.mark.parametrize("n_files,workers", [(1, 4), (3, 1)])
+def test_one_file_or_one_worker_starts_no_pool(tmp_path, monkeypatch, pool_cores,
+                                               n_files, workers):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    gdir = tmp_path / "graphs"
+    gdir.mkdir()
+    for i in range(n_files):
+        (gdir / f"g{i}").write_text(f"0 1\n1 {i + 2}\n")
+    assert _features(gdir, tmp_path / "out", workers) == 0
 
 
 def test_train_artifacts(ws):

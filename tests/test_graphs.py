@@ -1,6 +1,7 @@
 """Edge-list parsing, CSR construction, and round-trip serialization."""
 
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -79,6 +80,16 @@ def test_line_numbers_count_skipped_lines():
     with pytest.raises(EdgeListError) as exc:
         load_edge_list("# comment\n\n0 1\nbad line here\n")
     assert exc.value.line_no == 4
+
+
+def test_edge_list_error_survives_a_pickle_round_trip():
+    with pytest.raises(EdgeListError) as exc:
+        load_edge_list("0 1\nnot an edge\n")
+    back = pickle.loads(pickle.dumps(exc.value))
+    assert type(back) is EdgeListError
+    assert (back.line_no, back.message, str(back)) == (
+        exc.value.line_no, exc.value.message, str(exc.value))
+    assert str(back).startswith("line 2: ")
 
 
 def test_empty_input_rejected():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import special, stats
 
 from graphsel.summaries import SUMMARY_DIM, SUMMARY_NAMES, summarize, summary_names
 
@@ -129,3 +130,14 @@ def test_every_output_finite_on_adversarial_inputs():
         out = summarize(x)
         assert out.shape == (58,)
         assert np.all(np.isfinite(out))
+
+
+def test_kendall_tail_is_the_normal_survival_function_bit_for_bit():
+    """The Kendall p-value reads ``special.ndtr(-|z|)``; scipy defines
+    ``norm.sf(x)`` as ``ndtr(-x)``, so the two agree to the bit, out to the
+    far tail where both underflow to 0."""
+    z = np.concatenate([np.linspace(0.0, 40.0, 4001), np.geomspace(1e-12, 1e3, 400),
+                        [37.5, 38.4, 38.5, 39.0, np.inf]])
+    want = stats.norm.sf(z)
+    assert want[-10] == 0.0 and 0.0 < want[3750] < 1e-300
+    assert np.array_equal(special.ndtr(-z), want)
