@@ -11,12 +11,11 @@ from top-k cosine neighbor lists:
 
 The edges form one table, int64 arrays src, dst and rel (an index into
 RELATIONS), grouped by relation; within a relation, build edges precede
-extension edges. The three arrays are read-only from construction on.
-Node ids number the models first and then the graphs, so an appended test
-graph renumbers no node. Base construction gives every node out-degree
-<= top_k per relation; extending with a test node adds reciprocal
-in-edges from its chosen neighbors, so their out-degree may reach
-top_k + 1. A disjoint union of networks holds several copies side by
+extension edges. Node ids number the models first and then the graphs, so
+an appended test graph renumbers no node. Base construction gives every
+node out-degree <= top_k per relation; extending with a test node adds
+reciprocal in-edges from its chosen neighbors, so their out-degree may
+reach top_k + 1. A disjoint union of networks holds several copies side by
 side, with no edge between them, so that one pass embeds them all.
 """
 
@@ -53,18 +52,14 @@ class GMNetwork:
     top_k: int
     extension_nodes: int = 0
 
-    def __post_init__(self):
-        # the learner keeps segment plans of the edge table beside the
-        # network; a table that cannot be written in place keeps them current
-        for table in (self.src, self.dst, self.rel):
-            table.flags.writeable = False
-
     def edge_count(self) -> int:
         return int(self.src.size)
 
     def validate(self):
         if self.src.ndim != 1 or not self.src.shape == self.dst.shape == self.rel.shape:
             raise ValueError("src, dst and rel must be 1-D arrays of one length")
+        if (len(self.graph_features), len(self.model_features)) != (self.n_graphs, self.n_models):
+            raise ValueError("feature rows do not match the node counts")
         if self.rel.size == 0:
             return
         if self.rel.min() < 0 or self.rel.max() >= len(RELATIONS):

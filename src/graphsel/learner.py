@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import logging
 import pickle
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -48,7 +48,6 @@ class LearnerConfig:
     min_epochs: int = 75
     seed: int = 0
     ridge_lambda: float | None = None    # None: leave-one-out selection
-    nmf_max_iter: int = 500
     nmf_mean_prior: float = 0.1
 
 
@@ -120,42 +119,42 @@ class _LayerPlan:
 
 def _layer_plan(net: GMNetwork, graph_rows: np.ndarray | None = None) -> _LayerPlan:
     """Plans for a layer over every edge of `net`, or, with `graph_rows`,
-    over the in-edges of the models and of those graphs only.
+    over the in-edges of the models and of those graphs only."""
+    ng, m = net.n_graphs, net.n_models
+    n_total = ng + m
+    src, dst, rel = net.src, net.dst, net.rel
+    out_rows = np.arange(ng)
+    if graph_rows is not None:
+        # only the models and the requested graphs are targets
+        out_rows = np.asarray(graph_rows, dtype=np.int64)
+        targets = np.zeros(n_total, dtype=bool)
+        targets[:m] = True
+        targets[m + out_rows] = True
+        keep = targets[dst]
+        src, dst, rel = src[keep], dst[keep], rel[keep]
+    return _LayerPlan(
+        Segments(rel * n_total + src, len(RELATIONS) * n_total), Segments(src, n_total),
+        Segments(dst, n_total), Segments(rel, len(RELATIONS)),
+        Segments(np.arange(m), n_total), Segments(m + out_rows, n_total),
+        None if graph_rows is None else Segments(out_rows, ng))
 
-    Built on first use and kept beside the network, so every epoch reads
-    the same plans; never serialised. The cache belongs to the edge table's
-    arrays, which GMNetwork makes read-only: a network given other arrays
-    (`dataclasses.replace`, reassignment) plans afresh.
+
+def plan_network(net: GMNetwork,
+                 graph_rows: np.ndarray | None = None) -> tuple[_LayerPlan, _LayerPlan]:
+    """The plans of a pass over `net`: one for every layer but the last, and
+    one for the last, which with `graph_rows` feeds only the models and
+    those graphs.
+
+    Plans read the edge table alone, never the parameters, so a caller that
+    passes over one network many times (every epoch of `train`) plans it
+    once.
     """
-    rows = None if graph_rows is None else np.asarray(graph_rows, dtype=np.int64)
-    key = None if rows is None else rows.tobytes()
-    tables = (net.src, net.dst, net.rel)
-    cached = net.__dict__.get("_plans")
-    if cached is None or any(a is not b for a, b in zip(cached[0], tables)):
-        cached = net.__dict__["_plans"] = (tables, {})
-    plans = cached[1]
-    if key not in plans:
-        ng, m = net.n_graphs, net.n_models
-        n_total = ng + m
-        src, dst, rel = tables
-        out_rows = np.arange(ng) if rows is None else rows
-        if rows is not None:
-            # only the models and the requested graphs are targets
-            targets = np.zeros(n_total, dtype=bool)
-            targets[:m] = True
-            targets[m + out_rows] = True
-            keep = targets[dst]
-            src, dst, rel = src[keep], dst[keep], rel[keep]
-        plans[key] = _LayerPlan(
-            Segments(rel * n_total + src, len(RELATIONS) * n_total), Segments(src, n_total),
-            Segments(dst, n_total), Segments(rel, len(RELATIONS)),
-            Segments(np.arange(m), n_total), Segments(m + out_rows, n_total),
-            None if rows is None else Segments(out_rows, ng))
-    return plans[key]
+    full = _layer_plan(net)
+    return full, full if graph_rows is None else _layer_plan(net, graph_rows)
 
 
 def embed_network(pt: dict[str, Tensor], net: GMNetwork,
-                  graph_rows: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
+                  plans: tuple[_LayerPlan, _LayerPlan]) -> tuple[Tensor, Tensor]:
     """Embed the nodes; returns (graph embeddings, model embeddings).
 
     Each layer projects per node type into keys/queries/messages, scores each
@@ -165,8 +164,8 @@ def embed_network(pt: dict[str, Tensor], net: GMNetwork,
     their residual-scaled state. Sizes come from the parameters: k from V,
     one layer per `l{L}.att`, heads and dk from its shape. A network whose
     models are whole copies of V's rows (a `disjoint_union`) tiles V with a
-    gather. Every edge index is read through the plans `_layer_plan` keeps
-    beside the network.
+    gather. Every edge index is read through `plans`, from
+    `plan_network(net, graph_rows)`.
 
     With `graph_rows` (graph indices) and at least one layer, the graph
     embeddings hold only those rows, and the last layer scores only the
@@ -188,8 +187,7 @@ def embed_network(pt: dict[str, Tensor], net: GMNetwork,
 
     for layer in range(layers):
         _, heads, dk, _ = pt[f"l{layer}.att"].shape
-        # the last layer feeds only the models and the requested graphs
-        plan = _layer_plan(net, graph_rows if layer == layers - 1 else None)
+        plan = plans[1] if layer == layers - 1 else plans[0]
 
         def project(name):
             both = concat([zm @ pt[f"l{layer}.{name}.m"], zg @ pt[f"l{layer}.{name}.g"]])
@@ -212,9 +210,9 @@ def embed_network(pt: dict[str, Tensor], net: GMNetwork,
 
 
 def _scores(pt: dict[str, Tensor], net: GMNetwork,
-            graph_rows: np.ndarray | None = None) -> Tensor:
-    """Score matrix of every graph row, or only `graph_rows`, against every model node."""
-    zg, zm = embed_network(pt, net, graph_rows)
+            plans: tuple[_LayerPlan, _LayerPlan]) -> Tensor:
+    """Score matrix of the graph rows `plans` feed against every model node."""
+    zg, zm = embed_network(pt, net, plans)
     return zg @ zm.transpose()
 
 
@@ -286,9 +284,10 @@ def _largest_divisor_at_most(n: int, cap: int) -> int:
 
 
 def _loss_and_grads(params: dict[str, np.ndarray], net: GMNetwork,
+                    plans: tuple[_LayerPlan, _LayerPlan],
                     pv: np.ndarray, obs: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
     pt = {name: Tensor(arr, requires_grad=True) for name, arr in params.items()}
-    loss = sparse_top1_loss(_scores(pt, net), pv, obs)
+    loss = sparse_top1_loss(_scores(pt, net, plans), pv, obs)
     loss.backward()
     grads = {name: (t.grad if t.grad is not None else np.zeros_like(t.value))
              for name, t in pt.items()}
@@ -296,10 +295,10 @@ def _loss_and_grads(params: dict[str, np.ndarray], net: GMNetwork,
 
 
 def _forward_scores(params: dict[str, np.ndarray], net: GMNetwork,
-                    graph_rows: np.ndarray | None = None) -> np.ndarray:
-    """Untaped score matrix: every graph row, or only `graph_rows`, against
-    every model node."""
-    return _scores({name: Tensor(arr) for name, arr in params.items()}, net, graph_rows).value
+                    plans: tuple[_LayerPlan, _LayerPlan]) -> np.ndarray:
+    """Untaped score matrix: the graph rows `plans` feed against every model
+    node."""
+    return _scores({name: Tensor(arr) for name, arr in params.items()}, net, plans).value
 
 
 def train(features: np.ndarray, perf: PerformanceMatrix, config: LearnerConfig) -> MetaLearnerState:
@@ -332,8 +331,7 @@ def train(features: np.ndarray, perf: PerformanceMatrix, config: LearnerConfig) 
                  k_eff, heads_eff, config.k, config.heads)
 
     p_train = perf.rows(train_rows)
-    factors = factorize(p_train, k_eff, config.seed, max_iter=config.nmf_max_iter,
-                        mean_prior_weight=config.nmf_mean_prior)
+    factors = factorize(p_train, k_eff, config.seed, mean_prior_weight=config.nmf_mean_prior)
     # unobserved rows carry surrogate mean factors; they stay in the ridge fit
     # on purpose, anchoring near-duplicate features under heavy masking where
     # a fit on the few observed rows alone interpolates wildly
@@ -364,6 +362,8 @@ def train(features: np.ndarray, perf: PerformanceMatrix, config: LearnerConfig) 
                               for i in scored_rows])
     copies = np.arange(len(scored_rows))
     test_rows = (copies + 1) * (net.n_graphs + 1) - 1   # each copy's last graph
+    # every epoch passes over both networks, so each is planned once
+    net_plans, holdout_plans = plan_network(net), plan_network(holdout, test_rows)
     val_pv, val_obs = perf.values[scored_rows], perf.observed[scored_rows]
 
     def validation_score() -> tuple[float, float]:
@@ -374,7 +374,7 @@ def train(features: np.ndarray, perf: PerformanceMatrix, config: LearnerConfig) 
         early stopper long before the embeddings settle. The logged MRR
         ranks the best observed model against the full model list.
         """
-        scores = _forward_scores(params, holdout, test_rows)
+        scores = _forward_scores(params, holdout, holdout_plans)
         # row c against copy c's own models
         blocks = scores.reshape(copies.size, copies.size, m)[copies, copies]
         mrrs = []
@@ -392,7 +392,7 @@ def train(features: np.ndarray, perf: PerformanceMatrix, config: LearnerConfig) 
     min_delta = 1e-4
 
     for epoch in range(config.max_epochs):
-        loss, grads = _loss_and_grads(params, net, pv, obs)
+        loss, grads = _loss_and_grads(params, net, net_plans, pv, obs)
         if not np.isfinite(loss):
             raise RuntimeError(f"non-finite training loss at epoch {epoch}")
         opt.step(params, grads, config.lr, config.weight_decay)
@@ -421,7 +421,7 @@ def select_model(state: MetaLearnerState, m_feat: np.ndarray) -> ScoreSheet:
     """Online phase: standardize and estimate factors through phi, extend,
     embed, rank."""
     ext = extend_with_test(state.network, state.phi.zscore(m_feat), state.phi.predict(m_feat))
-    scores = _forward_scores(state.params, ext, [ext.n_graphs - 1])[0]
+    scores = _forward_scores(state.params, ext, plan_network(ext, [ext.n_graphs - 1]))[0]
     return ScoreSheet(list(state.model_ids), scores)
 
 
@@ -477,10 +477,11 @@ def gradient_check(seed: int = 0, step: float = 1e-5) -> float:
     """Max relative error between backprop and central finite differences
     over every parameter coordinate of the tiny problem."""
     net, params, pv, obs = make_tiny_problem(seed)
-    _, analytic = _loss_and_grads(params, net, pv, obs)
+    plans = plan_network(net)
+    _, analytic = _loss_and_grads(params, net, plans, pv, obs)
 
     def loss_fn(p):
-        return sparse_top1_loss(Tensor.const(_forward_scores(p, net)), pv, obs).item()
+        return sparse_top1_loss(Tensor.const(_forward_scores(p, net, plans)), pv, obs).item()
 
     fd = finite_difference_grads(loss_fn, params, step)
     return max_relative_error(analytic, fd)
@@ -490,16 +491,12 @@ def gradient_check(seed: int = 0, step: float = 1e-5) -> float:
 
 def save_state(state: MetaLearnerState, path: str):
     """Pickle the bundle (trusted-input format; see README)."""
-    # the network's dataclass fields, without the plans kept beside them;
-    # writeable copies of the read-only edge tables pickle as they always did
-    network = {f.name: getattr(state.network, f.name) for f in fields(state.network)}
-    network.update({name: np.array(network[name]) for name in ("src", "dst", "rel")})
     payload = {
         "format_version": BUNDLE_FORMAT_VERSION,
         "schema_version": SCHEMA_VERSION,
         "params": state.params,
         "phi": vars(state.phi),
-        "network": network,
+        "network": vars(state.network),
         "model_ids": state.model_ids,
         "training_log": state.training_log,
     }
@@ -525,6 +522,7 @@ def load_state(path: str) -> MetaLearnerState:
     try:
         phi = FactorEstimator(**payload["phi"])
         net = GMNetwork(**payload["network"])
+        net.validate()
         return MetaLearnerState(payload["params"], phi, net, payload["model_ids"],
                                 payload["training_log"])
     except (KeyError, TypeError) as exc:

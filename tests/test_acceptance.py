@@ -338,8 +338,7 @@ def test_single_graph_selection_latency(tmp_path, caplog):
     corpus = generate_synthetic_corpus(n_graphs=6, families=3, n_models=3,
                                        noise=0.05, seed=31, min_size=15, max_size=40)
     state = train(corpus.meta_features(), corpus.perf,
-                  LearnerConfig(k=8, top_k=5, max_epochs=0, ridge_lambda=1e-3,
-                                nmf_max_iter=100))
+                  LearnerConfig(k=8, top_k=5, max_epochs=0, ridge_lambda=1e-3))
     bundle = tmp_path / "latency.bundle"
     save_state(state, str(bundle))
 

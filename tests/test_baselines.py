@@ -212,7 +212,7 @@ def test_metalearner_selector_contract():
         sel.rank(np.zeros(4))
 
     base = LearnerConfig(k=4, top_k=3, layers=1, heads=1, max_epochs=1,
-                         min_epochs=0, seed=999, nmf_max_iter=30, ridge_lambda=1e-3)
+                         min_epochs=0, seed=999, ridge_lambda=1e-3)
     sel = MetaLearnerSelector(seed=3, config=base)
     assert base.seed == 999                      # caller's config not mutated
     assert sel.config.seed == 3

@@ -319,6 +319,18 @@ def test_select_error_paths(ws, tmp_path):
         assert main(["select", "--bundle", str(path),
                      "--graph-file", str(ws["graph_dir"] / "g000"),
                      "--output-dir", str(tmp_path)]) == 3, name
+    # a network whose edge table or node counts disagree with each other
+    network = payload["network"]
+    rel = network["rel"].copy()
+    rel[0] = 9
+    for name, bad_network in (("shifted", dict(network, src=network["src"] + 1000)),
+                              ("relation", dict(network, rel=rel)),
+                              ("n_graphs", dict(network, n_graphs=3))):
+        path = tmp_path / f"{name}.bundle"
+        path.write_bytes(pickle.dumps(dict(payload, network=bad_network)))
+        assert main(["select", "--bundle", str(path),
+                     "--graph-file", str(ws["graph_dir"] / "g000"),
+                     "--output-dir", str(tmp_path)]) == 3, name
     # a format-3 bundle still carried a second feature z-scoring and the
     # layer sizes; the loader refuses it rather than guess
     old = tmp_path / "format3.bundle"

@@ -7,7 +7,6 @@ import pytest
 
 from graphsel.gmnet import (REL_TYPES, RELATIONS, build_train_network, cosine_topk,
                             disjoint_union, extend_with_test)
-from graphsel.learner import _layer_plan
 
 
 def relation_edges(net, rel):
@@ -221,32 +220,5 @@ def test_validate_rejects_malformed_networks():
         with_edge(g + 2, g + 2, RELATIONS.index("M-g2g")).validate()
     with pytest.raises(ValueError, match="one length"):
         replace(net, rel=net.rel[:-1]).validate()
-
-
-def test_edge_tables_are_read_only():
-    rng = np.random.default_rng(6)
-    net, *_ = make_net(rng)
-    ext = extend_with_test(net, rng.normal(size=net.meta_dim), rng.uniform(size=3))
-    for g in (net, ext, disjoint_union([net, ext]), replace(net, src=net.src.copy())):
-        for table in (g.src, g.dst, g.rel):
-            with pytest.raises(ValueError, match="read-only"):
-                table[0] = table[1]
-
-
-def test_a_replaced_edge_table_never_reads_the_old_plans():
-    rng = np.random.default_rng(7)
-    net, *_ = make_net(rng)
-    plan, scored = _layer_plan(net), _layer_plan(net, [1])
-    assert _layer_plan(net) is plan and _layer_plan(net, [1]) is scored
-
-    # drop the last edge: a new network, and so no plan of the old one
-    short = replace(net, src=net.src[:-1], dst=net.dst[:-1], rel=net.rel[:-1])
-    for new, old in ((_layer_plan(short), plan), (_layer_plan(short, [1]), scored)):
-        assert new is not old
-    assert np.array_equal(_layer_plan(short).dst.index, short.dst)
-    assert np.array_equal(_layer_plan(short).src.index, short.src)
-
-    # a table reassigned in place of the planned one is planned afresh too
-    short.src = short.src.copy()
-    assert _layer_plan(short).src.index is short.src
-    assert _layer_plan(net) is plan
+    with pytest.raises(ValueError, match="feature rows"):
+        replace(net, n_graphs=net.n_graphs + 1).validate()

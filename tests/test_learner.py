@@ -3,11 +3,12 @@ gradient checking, training loop behavior, and bundle persistence."""
 
 import logging
 import pickle
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from graphsel import learner
 from graphsel.autodiff import Tensor
 from graphsel.features import SCHEMA_VERSION
 from graphsel.gmnet import (RELATIONS, REL_INDEX, REL_TYPES, GMNetwork, build_train_network,
@@ -16,7 +17,6 @@ from graphsel.learner import (
     VAL_FRACTION,
     LearnerConfig,
     _forward_scores,
-    _layer_plan,
     _loss_and_grads,
     embed_network,
     finite_difference_grads,
@@ -25,6 +25,7 @@ from graphsel.learner import (
     load_state,
     make_tiny_problem,
     max_relative_error,
+    plan_network,
     save_state,
     select_model,
     sparse_top1_loss,
@@ -104,9 +105,14 @@ def assert_scores_close(got, want, tol=1e-10):
     assert np.abs(got - want).max() <= tol * scale
 
 
+def scores_of(params, net, graph_rows=None):
+    """Untaped scores of `net` over plans built for this one pass."""
+    return _forward_scores(params, net, plan_network(net, graph_rows))
+
+
 def test_forward_matches_oracle_on_tiny_problem():
     net, params, pv, obs = make_tiny_problem(seed=2)
-    assert_scores_close(_forward_scores(params, net), forward_oracle(params, net))
+    assert_scores_close(scores_of(params, net), forward_oracle(params, net))
 
 
 def test_forward_matches_oracle_with_generic_parameters():
@@ -118,7 +124,7 @@ def test_forward_matches_oracle_with_generic_parameters():
     net = build_train_network(u, v, feats, top_k=2)
     params = perturbed_params(
         init_params(rng, meta_dim, k, layers=2, heads=2, n_models=m, v_init=v), rng)
-    assert_scores_close(_forward_scores(params, net), forward_oracle(params, net))
+    assert_scores_close(scores_of(params, net), forward_oracle(params, net))
 
 
 def test_forward_matches_oracle_on_extended_network():
@@ -129,7 +135,7 @@ def test_forward_matches_oracle_on_extended_network():
         m_test = rng.normal(size=net.meta_dim)
         u_test = rng.uniform(0.1, 1.0, size=params["V"].shape[1])
         ext = extend_with_test(net, m_test, u_test)
-        assert_scores_close(_forward_scores(params, ext), forward_oracle(params, ext))
+        assert_scores_close(scores_of(params, ext), forward_oracle(params, ext))
 
 
 def assert_rel_close(got, want, tol=1e-12):
@@ -146,9 +152,9 @@ def test_scored_rows_pass_equals_full_pass_rows():
         ext = extend_with_test(net, rng.normal(size=net.meta_dim),
                                rng.uniform(0.1, 1.0, size=params["V"].shape[1]))
         for g in (net, ext):
-            full = _forward_scores(params, g)
+            full = scores_of(params, g)
             for rows in ([g.n_graphs - 1], [2, 0], list(range(g.n_graphs))):
-                assert_rel_close(_forward_scores(params, g, rows), full[rows])
+                assert_rel_close(scores_of(params, g, rows), full[rows])
 
 
 def test_union_pass_equals_each_copy_alone():
@@ -161,27 +167,23 @@ def test_union_pass_equals_each_copy_alone():
     union = disjoint_union(copies)
     m = net.n_models
     last = np.cumsum([c.n_graphs for c in copies]) - 1
-    scores = _forward_scores(params, union, last)
+    scores = scores_of(params, union, last)
     for c, copy in enumerate(copies):
-        assert_rel_close(scores[c, c * m:(c + 1) * m], _forward_scores(params, copy)[-1])
+        assert_rel_close(scores[c, c * m:(c + 1) * m], scores_of(params, copy)[-1])
     with pytest.raises(ValueError, match="whole copies"):
         # 12 model nodes are not whole copies of 5 model rows
-        _forward_scores({**params, "V": np.vstack([params["V"], params["V"][:2]])}, union)
+        scores_of({**params, "V": np.vstack([params["V"], params["V"][:2]])}, union)
 
 
 def test_forward_over_constant_parameters_records_no_tape():
     net, params, _, _ = make_tiny_problem(seed=0, layers=2, heads=2)
-    zg, zm = embed_network({name: Tensor.const(a) for name, a in params.items()}, net)
+    plans = plan_network(net)
+    zg, zm = embed_network({name: Tensor.const(a) for name, a in params.items()}, net, plans)
     assert zg.parents == () and zm.parents == ()
     assert not zg.requires_grad and not zm.requires_grad
 
-    zg, zm = embed_network({name: Tensor.param(a) for name, a in params.items()}, net)
+    zg, zm = embed_network({name: Tensor.param(a) for name, a in params.items()}, net, plans)
     assert zg.parents and zm.parents
-
-
-def copied(net):
-    """The same network from copied edge tables, with no plan kept yet."""
-    return replace(net, src=net.src.copy(), dst=net.dst.copy(), rel=net.rel.copy())
 
 
 def test_kept_plans_give_the_bits_of_a_fresh_network():
@@ -195,16 +197,35 @@ def test_kept_plans_give_the_bits_of_a_fresh_network():
         obs = rng.random(pv.shape) < 0.8
         obs[:, 0] = True
         rows = [g.n_graphs - 1, 0]
-        # the first pass builds the plans, the second reads them
-        runs = [(_loss_and_grads(params, network, pv, obs), _forward_scores(params, network, rows))
-                for network in (g, g, copied(g))]
-        assert _layer_plan(g) is _layer_plan(g)
-        assert _layer_plan(g, rows) is _layer_plan(g, rows) is not _layer_plan(g)
-        (loss, grads), scores = runs[0]
-        for (other_loss, other_grads), other_scores in runs[1:]:
-            assert other_loss == loss
-            assert all(other_grads[name].tobytes() == grads[name].tobytes() for name in grads)
-            assert other_scores.tobytes() == scores.tobytes()
+        full, scored = plan_network(g), plan_network(g, rows)
+        # segments sort and build their scatter matrices on first use: the
+        # first pass over a plan pair builds them, the second reads them
+        kept = [(_loss_and_grads(params, g, full, pv, obs), _forward_scores(params, g, scored))
+                for _ in range(2)]
+        (loss, grads), scores = (_loss_and_grads(params, g, plan_network(g), pv, obs),
+                                 scores_of(params, g, rows))
+        for (kept_loss, kept_grads), kept_scores in kept:
+            assert kept_loss == loss
+            assert all(kept_grads[name].tobytes() == grads[name].tobytes() for name in grads)
+            assert kept_scores.tobytes() == scores.tobytes()
+
+
+def test_train_and_select_plan_each_network_once(monkeypatch):
+    layer_plan, built = learner._layer_plan, []
+
+    def counted(net, graph_rows=None):
+        built.append(graph_rows is not None)
+        return layer_plan(net, graph_rows)
+
+    monkeypatch.setattr(learner, "_layer_plan", counted)
+    feats, perf = small_training_problem()
+    state = train(feats, perf, fast_config(max_epochs=10))
+    assert len(state.training_log) == 10
+    # the training network, the holdout union, and the holdout's scored rows
+    assert built == [False, False, True]
+    built.clear()
+    select_model(state, feats[0])
+    assert built == [False, True]
 
 
 # --- initialization ----------------------------------------------------------
@@ -250,7 +271,7 @@ def test_epoch_zero_scores_equal_factor_predictions():
     feats = rng.normal(size=(n, meta_dim))
     net = build_train_network(u, v, feats, top_k=2)
     params = init_params(rng, meta_dim, k, layers=1, heads=1, n_models=m, v_init=v)
-    scores = _forward_scores(params, net)
+    scores = scores_of(params, net)
     # residual output projections are scaled by 0.01, so the attention stack
     # moves scores only slightly off the factor-product warm start
     assert np.abs(scores - u @ v.T).max() < 0.15
@@ -354,16 +375,18 @@ def test_sparse_loss_gradient_flows_only_to_observed_rows():
 
 def forward_loss(net, pv, obs):
     """Loss as a function of the parameters, forward pass only."""
+    plans = plan_network(net)
+
     def loss_fn(p):
         pt = {name: Tensor(arr) for name, arr in p.items()}
-        zg, zm = embed_network(pt, net)
+        zg, zm = embed_network(pt, net, plans)
         return sparse_top1_loss(zg @ zm.transpose(), pv, obs).item()
     return loss_fn
 
 
 def test_backprop_matches_finite_differences_and_detects_corruption():
     net, params, pv, obs = make_tiny_problem(seed=0)
-    _, analytic = _loss_and_grads(params, net, pv, obs)
+    _, analytic = _loss_and_grads(params, net, plan_network(net), pv, obs)
     fd = finite_difference_grads(forward_loss(net, pv, obs), params, step=1e-5)
     assert max_relative_error(analytic, fd) < 1e-4
 
@@ -380,7 +403,7 @@ def test_backprop_matches_finite_differences_with_two_layers_and_heads():
     # off the near-identity start, so every layer and head carries gradient
     net, params, pv, obs = make_tiny_problem(seed=3, layers=2, heads=2)
     params = perturbed_params(params, np.random.default_rng(3))
-    _, analytic = _loss_and_grads(params, net, pv, obs)
+    _, analytic = _loss_and_grads(params, net, plan_network(net), pv, obs)
     fd = finite_difference_grads(forward_loss(net, pv, obs), params, step=1e-5)
     assert np.abs(analytic["l0.att"]).min() > 0.0
     assert max_relative_error(analytic, fd) < 1e-4
@@ -417,7 +440,7 @@ def small_training_problem(seed=0, n=20, m=5, meta_dim=12):
 
 def fast_config(**kw):
     base = dict(k=4, top_k=3, layers=1, heads=1, max_epochs=3, min_epochs=0,
-                patience=50, seed=5, nmf_max_iter=50, ridge_lambda=1e-3)
+                patience=50, seed=5, ridge_lambda=1e-3)
     base.update(kw)
     return LearnerConfig(**base)
 
@@ -491,7 +514,7 @@ def test_one_pass_validation_equals_per_holdout_full_passes():
     mrrs, losses = [], []
     for i in val_rows:
         ext = extend_with_test(state.network, state.phi.zscore(feats[i]), state.phi.predict(feats[i]))
-        s = _forward_scores(state.params, ext)[-1]
+        s = scores_of(state.params, ext)[-1]
         cols = perf.observed[i]
         labels = np.zeros(s.size)
         labels[cols] = label_top1(perf.values[i, cols])
@@ -545,7 +568,6 @@ def test_bundle_holds_the_network_fields_alone(tmp_path):
     state = train(feats, perf, fast_config(max_epochs=2))
     sheet = select_model(state, feats[0])
     names = {f.name for f in fields(GMNetwork)}
-    assert set(vars(state.network)) > names            # the kept plans sit beside them
     path = str(tmp_path / "model.bundle")
     save_state(state, path)
     with open(path, "rb") as fh:
@@ -555,8 +577,6 @@ def test_bundle_holds_the_network_fields_alone(tmp_path):
     assert set(vars(back.network)) == names
     for table in ("src", "dst", "rel"):
         assert np.array_equal(getattr(back.network, table), getattr(state.network, table))
-        with pytest.raises(ValueError, match="read-only"):
-            getattr(back.network, table)[0] = 0
     assert select_model(back, feats[0]).scores.tobytes() == sheet.scores.tobytes()
 
 
@@ -587,6 +607,24 @@ def test_bundle_version_checks(tmp_path):
         load_state(bad2)
 
 
+def test_load_state_refuses_an_inconsistent_network(tmp_path):
+    feats, perf = small_training_problem(seed=6)
+    path = tmp_path / "model.bundle"
+    save_state(train(feats, perf, fast_config(max_epochs=0)), str(path))
+    with open(path, "rb") as fh:
+        payload = pickle.load(fh)
+    net = payload["network"]
+    rel = net["rel"].copy()
+    rel[0] = 9
+    for network, error in ((dict(net, src=net["src"] + 1000), "source index"),
+                           (dict(net, rel=rel), "unknown relation"),
+                           (dict(net, n_graphs=3), "feature rows"),
+                           (dict(net, n_graphs=net["n_graphs"] + 5), "feature rows")):
+        path.write_bytes(pickle.dumps(dict(payload, network=network)))
+        with pytest.raises(ValueError, match=error):
+            load_state(str(path))
+
+
 def test_select_model_matches_oracle_pipeline():
     feats, perf = small_training_problem(seed=8)
     state = train(feats, perf, fast_config(max_epochs=1))
@@ -605,4 +643,4 @@ def test_select_model_matches_oracle_pipeline():
     again = select_model(state, m_feat)
     assert np.array_equal(again.scores, sheet.scores)
     # the scored-rows pass reads the same row as the full extended pass
-    assert_rel_close(sheet.scores, _forward_scores(state.params, ext)[-1])
+    assert_rel_close(sheet.scores, scores_of(state.params, ext)[-1])
