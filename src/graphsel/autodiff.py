@@ -2,15 +2,22 @@
 
 Just enough ops for an attention message-passing network and a listwise
 loss: broadcast arithmetic, matmul, two-operand einsum, exp/log, reductions,
-row gather with scatter-add backward, and segment sums. Values are float64
-throughout; the backward pass walks a topologically sorted tape of closures.
+row gather with scatter-add backward, segment sums and attention-weighted
+segment sums. Values are float64 throughout; the backward pass walks a
+topologically sorted tape of closures.
 
 Every row index an op reads is a ``Segments`` plan: gathers are one
 ``np.take``, scatter-adds one product with a CSR matrix of ones, and
 segment maxima one ``np.maximum.reduceat`` over a stable sort kept in the
-plan; no op goes through ``ufunc.at``. A plain integer index is wrapped in
-a plan for one call; a caller that reads the same index again (every epoch
-of training reads the same edge table) builds the plan once and passes it.
+plan (a radix sort of a uint16 copy when the index has at most 2**16
+buckets); no op goes through ``ufunc.at``. A plain integer index is wrapped
+in a plan for one call; a caller that reads the same index again (every
+epoch of training reads the same edge table) builds the plan once and
+passes it. Attention aggregation is one fused op, ``weighted_segment_sum``,
+over an ``Edges`` plan that keeps two planned head-blocked CSR matrices,
+one per direction: the forward sum and the messages' gradient are each one
+sparse product, with the bits of the gather, weight and segment-sum chain
+it replaces.
 """
 
 from __future__ import annotations
@@ -54,9 +61,13 @@ class Segments:
         self._order = self._indptr = self._matrix = None
 
     def _sorted(self) -> tuple[np.ndarray, np.ndarray]:
-        """The stable sort order of the index and each bucket's start in it."""
+        """The stable sort order of the index and each bucket's start in it.
+
+        An index into at most 2**16 buckets is sorted as a uint16 copy, which
+        numpy's stable sort orders by radix; the permutation is the same."""
         if self._order is None:
-            self._order = np.argsort(self.index, kind="stable")
+            index = self.index.astype(np.uint16) if self.size <= 1 << 16 else self.index
+            self._order = np.argsort(index, kind="stable")
             self._indptr = np.searchsorted(self.index[self._order], np.arange(self.size + 1))
         return self._order, self._indptr
 
@@ -95,6 +106,51 @@ def _segments(index, size: int) -> Segments:
     if index.size != size:
         raise ValueError(f"a plan over {index.size} buckets used for {size}")
     return index
+
+
+class Edges:
+    """A fixed edge list ``src -> dst`` over ``src.size`` nodes, planned for
+    ``weighted_segment_sum``.
+
+    Each direction of that sum is one block-diagonal CSR matrix over
+    (heads · nodes) rows, one block per head, built on first use for a
+    head count and kept. The forward matrix holds edge e of head h at
+    (h·n + dst[e], h·n + src[e]) in the stable order of ``dst``; the
+    transposed one, which only a backward pass builds, holds it at
+    (h·n + src[e], h·n + dst[e]) in the stable order of ``src``. Each also
+    keeps the index e·heads + h of every stored entry into the flattened
+    (E, heads) weights, which a pass writes into the matrix's data just
+    before its product.
+    """
+
+    __slots__ = ("src", "dst", "_blocks")
+
+    def __init__(self, src: Segments, dst: Segments):
+        if src.size != dst.size or src.index.size != dst.index.size:
+            raise ValueError("edge endpoints disagree on the node or edge count")
+        self.src, self.dst = src, dst
+        self._blocks = {}
+
+    def blocks(self, heads: int, transposed: bool):
+        """The (matrix, weight index) pair of one direction for ``heads``."""
+        key = heads, transposed
+        if key not in self._blocks:
+            rows, cols = (self.src, self.dst) if transposed else (self.dst, self.src)
+            self._blocks[key] = _head_blocks(rows, cols, heads)
+        return self._blocks[key]
+
+
+def _head_blocks(rows: Segments, cols: Segments, heads: int):
+    """A CSR matrix whose head-h block holds edge e at (rows[e], cols[e]), in
+    the stable order of ``rows``, and each entry's index e·heads + h."""
+    order, indptr = rows._sorted()
+    n, e = rows.size, order.size
+    shift = np.arange(heads)[:, None]
+    flat = (order * heads + shift).ravel()
+    matrix = sparse.csr_array((np.zeros(flat.size), (cols.index[order] + shift * n).ravel(),
+                               np.append((indptr[:-1] + shift * e).ravel(), heads * e)),
+                              shape=(heads * n, heads * n))
+    return matrix, flat
 
 
 def _as_tensor(x) -> Tensor:
@@ -291,3 +347,29 @@ def segment_softmax(logits: Tensor, segments, num_segments: int) -> Tensor:
     shifted = logits - Tensor.const(plan.take(plan.max(logits.value)))
     e = shifted.exp()
     return e / e.segment_sum(plan, num_segments).gather(plan)
+
+
+def weighted_segment_sum(msgs: Tensor, weights: Tensor, edges: Edges) -> Tensor:
+    """``out[d, h] = Σ weights[e, h] · msgs[src[e], h]`` over the in-edges e
+    of each node d, for ``msgs`` of shape (n, H, dk) and ``weights`` (E, H).
+
+    The forward pass and the messages' gradient are one product each with
+    the planned head-blocked matrices of ``edges`` over the head-major
+    (H·n, dk) rows; the weights' gradient is ``(g[dst] · msgs[src])``
+    summed over dk. Each bucket adds its weighted rows in edge order from 0,
+    so every result has the bits of
+    ``(msgs.gather(src) * weights.reshape(-1, H, 1)).segment_sum(dst, n)``
+    and of its backward pass, without the (E, H, dk) temporaries.
+    """
+    n, heads, dk = msgs.shape
+
+    def product(transposed, rows):
+        matrix, flat = edges.blocks(heads, transposed)
+        # `flat` is in range by construction, and "clip" writes `out` unbuffered
+        np.take(weights.value.ravel(), flat, out=matrix.data, mode="clip")
+        head_major = rows.transpose(1, 0, 2).reshape(heads * n, dk)
+        return (matrix @ head_major).reshape(heads, n, dk).transpose(1, 0, 2)
+
+    return _op(product(False, msgs.value),
+               (msgs, lambda g: product(True, g)),
+               (weights, lambda g: (edges.dst.take(g) * edges.src.take(msgs.value)).sum(axis=2)))

@@ -244,9 +244,10 @@ def pagerank(graph: Graph, a: sp.csr_matrix | None = None) -> np.ndarray:
     inv_deg = np.where(dangling, 0.0, 1.0 / np.maximum(deg, 1.0))
     x = np.full(n, 1.0 / n)
     teleport = (1.0 - PAGERANK_DAMPING) / n
+    a_t = a.T                # scipy builds a new transposed matrix per `.T`
     for _ in range(PAGERANK_MAX_ITER):
         spread = x * inv_deg
-        new = PAGERANK_DAMPING * (a.T @ spread)
+        new = PAGERANK_DAMPING * (a_t @ spread)
         new += PAGERANK_DAMPING * x[dangling].sum() / n + teleport
         if np.abs(new - x).sum() < PAGERANK_TOL:
             x = new

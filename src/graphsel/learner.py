@@ -20,7 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from .autodiff import Segments, Tensor, concat, einsum, segment_softmax
+from .autodiff import (Edges, Segments, Tensor, concat, einsum, segment_softmax,
+                       weighted_segment_sum)
 from .features import SCHEMA_VERSION
 from .gmnet import GMNetwork, RELATIONS, build_train_network, disjoint_union, extend_with_test
 from .metrics import label_top1, mrr
@@ -109,8 +110,8 @@ def init_params(rng: np.random.Generator, meta_dim: int, k: int, layers: int,
 class _LayerPlan:
     """One layer's edge table, each index planned over the rows it reads."""
     keyed: Segments          # rel * n_total + src, into every node's keys under every relation
-    src: Segments            # into the node messages
-    dst: Segments            # into the node queries; the softmax and aggregation buckets
+    dst: Segments            # into the node queries; the softmax buckets
+    edges: Edges             # src -> dst, for the attention-weighted message sums
     rel: Segments            # into the relation priors
     models: Segments         # the model nodes, into the aggregates
     graphs: Segments         # the graph rows the layer outputs, as nodes into the aggregates
@@ -132,9 +133,10 @@ def _layer_plan(net: GMNetwork, graph_rows: np.ndarray | None = None) -> _LayerP
         targets[m + out_rows] = True
         keep = targets[dst]
         src, dst, rel = src[keep], dst[keep], rel[keep]
+    dst_plan = Segments(dst, n_total)
     return _LayerPlan(
-        Segments(rel * n_total + src, len(RELATIONS) * n_total), Segments(src, n_total),
-        Segments(dst, n_total), Segments(rel, len(RELATIONS)),
+        Segments(rel * n_total + src, len(RELATIONS) * n_total), dst_plan,
+        Edges(Segments(src, n_total), dst_plan), Segments(rel, len(RELATIONS)),
         Segments(np.arange(m), n_total), Segments(m + out_rows, n_total),
         None if graph_rows is None else Segments(out_rows, ng))
 
@@ -201,8 +203,7 @@ def embed_network(pt: dict[str, Tensor], net: GMNetwork,
         logits = einsum("ehi,ehi->eh", keyed.gather(plan.keyed), queries.gather(plan.dst)) \
             * mu * (1.0 / np.sqrt(dk))
         att = segment_softmax(logits, plan.dst, n_total)
-        weighted = msgs.gather(plan.src) * att.reshape(-1, heads, 1)
-        agg = weighted.segment_sum(plan.dst, n_total).reshape(n_total, k)
+        agg = weighted_segment_sum(msgs, att, plan.edges).reshape(n_total, k)
         kept = zg if plan.kept is None else zg.gather(plan.kept)
         zg = kept * pt[f"l{layer}.alpha.g"] + agg.gather(plan.graphs) @ pt[f"l{layer}.O.g"]
         zm = zm * pt[f"l{layer}.alpha.m"] + agg.gather(plan.models) @ pt[f"l{layer}.O.m"]
@@ -523,7 +524,32 @@ def load_state(path: str) -> MetaLearnerState:
         phi = FactorEstimator(**payload["phi"])
         net = GMNetwork(**payload["network"])
         net.validate()
+        _check_params(payload["params"], net.meta_dim, len(payload["model_ids"]))
         return MetaLearnerState(payload["params"], phi, net, payload["model_ids"],
                                 payload["training_log"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"bundle payload is incomplete: {exc}") from None
+
+
+def _check_params(params, meta_dim: int, n_models: int):
+    """Raise ValueError unless `params` holds exactly the names and shapes
+    `init_params` makes: layers 0..L-1 for the L contiguous `lL.att` keys,
+    k from V and the head count from `l0.att`."""
+    if not isinstance(params, dict) or np.ndim(params.get("V")) != 2:
+        raise ValueError("bundle parameters hold no (models, k) V matrix")
+    layers = 0
+    while f"l{layers}.att" in params:
+        layers += 1
+    k = np.shape(params["V"])[1]
+    heads = np.shape(params["l0.att"])[1] if layers and np.ndim(params["l0.att"]) == 4 else 1
+    if min(k, heads) < 1:
+        raise ValueError("bundle parameters have an empty embedding or head axis")
+    want = init_params(np.random.default_rng(0), meta_dim, k, layers, heads, n_models)
+    if want.keys() != params.keys():
+        raise ValueError(f"bundle parameters of {layers} layers lack "
+                         f"{sorted(want.keys() - params.keys())} and hold unexpected "
+                         f"{sorted(params.keys() - want.keys())}")
+    for name, arr in want.items():
+        if np.shape(params[name]) != arr.shape:
+            raise ValueError(f"bundle parameter {name} has shape {np.shape(params[name])}, "
+                             f"not {arr.shape}")

@@ -127,7 +127,7 @@ def summarize(values: np.ndarray) -> np.ndarray:
 
     # exact (order-independent) mean: the ratio statistics below divide by
     # mu, and near-zero means would amplify ordinary summation noise
-    mu = math.fsum(s) / n
+    mu = math.fsum(s.tolist()) / n
     var = float(np.mean((s - mu) ** 2))                  # population
     sd = float(np.sqrt(var))
     for a in STD_ALPHAS:

@@ -3,9 +3,9 @@
 Everything here is written from the definitions, not from the package code:
 dense matrix powers for triangle counts, BFS loops for eccentricity, naive
 peeling for core numbers, a line-by-line edge-list parser, direct formulas
-for the summary statistics and the ranking metrics. The two autodiff
-scatters are the package's former bincount and per-call argsort versions,
-kept to pin the bits of their replacements. Slow is fine; these run
+for the summary statistics and the ranking metrics. The autodiff
+scatters and the attention aggregation chain are the package's former
+versions, kept to pin the bits of their replacements. Slow is fine; these run
 on small inputs.
 """
 
@@ -85,6 +85,16 @@ def segment_max_argsort(values, segments, num_segments):
         out[ordered[starts]] = np.maximum.reduceat(values[order], starts, axis=0)
     out[~np.isfinite(out)] = 0.0
     return out
+
+
+def weighted_segment_sum_chain(msgs, weights, edges):
+    """The three-op chain that ``autodiff.weighted_segment_sum`` fuses:
+    gather each edge's source messages (E, H, dk), scale them by the
+    per-head weights (E, H), and sum them into the edge targets. Same
+    signature as the op, so a test can put it in the op's place."""
+    heads = msgs.shape[1]
+    return (msgs.gather(edges.src) * weights.reshape(-1, heads, 1)).segment_sum(
+        edges.dst, edges.dst.size)
 
 
 # --- graph helpers -----------------------------------------------------------

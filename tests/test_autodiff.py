@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphsel.autodiff import Segments, Tensor, concat, einsum, segment_softmax
-from oracles import scatter_rows_bincount, segment_max_argsort
+from graphsel.autodiff import (Edges, Segments, Tensor, concat, einsum, segment_softmax,
+                               weighted_segment_sum)
+from oracles import scatter_rows_bincount, segment_max_argsort, weighted_segment_sum_chain
 
 
 def fd_grad(loss_fn, x, step=1e-6):
@@ -171,6 +172,68 @@ def test_scatters_match_ufunc_at_bit_for_bit(data):
         assert plan.max(wide).tobytes() == segment_max_argsort(wide, segments, n_seg).tobytes()
 
 
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.data())
+def test_weighted_segment_sum_matches_the_chain_bit_for_bit(data):
+    """The fused op's output, message gradient and weight gradient equal the
+    gather -> weight -> segment_sum chain to the last bit, on drawn edge
+    lists (none, repeated, self-loops) over nodes of which the last is always
+    an empty bucket, for dk 1, 2 and 8; one kept plan serves twice, before
+    and after its matrices exist."""
+    n = data.draw(st.integers(1, 6))
+    count = data.draw(st.integers(0, 16))
+    src, dst = (np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=count,
+                                            max_size=count)), dtype=np.int64)
+                for _ in range(2))
+    heads, dk = data.draw(st.integers(1, 4)), data.draw(st.sampled_from([1, 2, 8]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    nodes = n + 1
+
+    def spread(*shape):
+        # magnitudes over many decades, so the summation order shows in the bits
+        return rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+    msgs, weights, out_grad = spread(nodes, heads, dk), rng.uniform(size=(count, heads)), \
+        spread(nodes, heads, dk)
+
+    def run(op, edges):
+        m, w = Tensor.param(msgs), Tensor.param(weights)
+        out = op(m, w, edges)
+        (out * Tensor.const(out_grad)).sum().backward()
+        return [np.ascontiguousarray(a) for a in (out.value, m.grad, w.grad)]
+
+    def plan():
+        return Edges(Segments(src, nodes), Segments(dst, nodes))
+    want = run(weighted_segment_sum_chain, plan())
+    kept = plan()
+    for _ in range(2):
+        got = run(weighted_segment_sum, kept)
+        assert [(a.shape, a.tobytes()) for a in got] == [(a.shape, a.tobytes()) for a in want]
+        assert not got[0][-1].any()          # the empty bucket
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.data())
+def test_segment_sort_is_the_stable_argsort(data):
+    """A plan's order equals the int64 stable argsort of its index, whether it
+    sorts a uint16 copy (at most 2**16 buckets) or the index itself."""
+    size = data.draw(st.sampled_from([1, 5, 400, 1 << 16, (1 << 16) + 1]))
+    values = st.integers(max(0, size - 3), size - 1) | st.integers(0, size - 1)
+    index = np.array(data.draw(st.lists(values, max_size=40)), dtype=np.int64)
+    order, indptr = Segments(index, size)._sorted()
+    assert np.array_equal(order, np.argsort(index, kind="stable"))
+    assert np.array_equal(indptr, np.r_[0, np.cumsum(np.bincount(index, minlength=size))])
+
+
+def test_segment_sort_on_many_ties_and_past_the_uint16_range():
+    rng = np.random.default_rng(4)
+    # 26,280 edge targets over 401 nodes, and a plan of 65,537 buckets whose
+    # top bucket a uint16 copy would wrap to 0
+    past = np.r_[rng.integers(0, 1 << 16, 5_000), [1 << 16, 0, 1 << 16]]
+    for index, size in ((rng.integers(0, 401, 26_280), 401), (past, (1 << 16) + 1)):
+        order, _ = Segments(index, size)._sorted()
+        assert np.array_equal(order, np.argsort(index, kind="stable"))
+
+
 def test_segment_plan_rejects_a_mismatched_index():
     plan = Segments(np.array([0, 2, 2]), 3)
     with pytest.raises(ValueError, match="3 buckets used for 4"):
@@ -182,6 +245,9 @@ def test_segment_plan_rejects_a_mismatched_index():
             Segments(bad, 3)
     with pytest.raises(ValueError, match="1-D"):
         Segments(np.zeros((2, 2), dtype=np.int64), 3)
+    for other in (Segments(np.array([0, 1, 1]), 4), Segments(np.array([0, 1]), 3)):
+        with pytest.raises(ValueError, match="disagree"):
+            Edges(plan, other)
 
 
 def test_segment_softmax_values_and_grads():

@@ -331,6 +331,22 @@ def test_select_error_paths(ws, tmp_path):
         assert main(["select", "--bundle", str(path),
                      "--graph-file", str(ws["graph_dir"] / "g000"),
                      "--output-dir", str(tmp_path)]) == 3, name
+    # parameter sets init_params does not make: no layer-0 attention (which
+    # would read as a bundle of no layers), a second layer without one of its
+    # projections, and a V with a row too few; a whole second layer loads
+    params = payload["params"]
+    two_layers = dict(params, **{name.replace("l0.", "l1.", 1): arr
+                                 for name, arr in params.items() if name.startswith("l0.")})
+    for name, bad_params, rc in (
+            ("two_layers", two_layers, 0),
+            ("no_l0_att", {n: a for n, a in params.items() if n != "l0.att"}, 3),
+            ("no_l1_K_g", {n: a for n, a in two_layers.items() if n != "l1.K.g"}, 3),
+            ("short_V", dict(params, V=params["V"][:-1]), 3)):
+        path = tmp_path / f"{name}.bundle"
+        path.write_bytes(pickle.dumps(dict(payload, params=bad_params)))
+        assert main(["select", "--bundle", str(path),
+                     "--graph-file", str(ws["graph_dir"] / "g000"),
+                     "--output-dir", str(tmp_path)]) == rc, name
     # a format-3 bundle still carried a second feature z-scoring and the
     # layer sizes; the loader refuses it rather than guess
     old = tmp_path / "format3.bundle"

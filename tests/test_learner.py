@@ -35,6 +35,8 @@ from graphsel.learner import (
 from graphsel.metrics import label_top1, mrr
 from graphsel.perf import PerformanceMatrix
 from graphsel.ranking import ScoreSheet
+from graphsel.synth import generate_synthetic_corpus
+from oracles import weighted_segment_sum_chain
 
 
 # --- independent forward oracle ---------------------------------------------
@@ -226,6 +228,29 @@ def test_train_and_select_plan_each_network_once(monkeypatch):
     built.clear()
     select_model(state, feats[0])
     assert built == [False, True]
+
+
+def test_fused_aggregation_keeps_the_bits_of_a_planted_train(monkeypatch):
+    """A default train on the seed-5 planted corpus (10 epochs) and the
+    scores `select_model` gives with it have the same bytes whether each
+    layer aggregates with the fused op or with the gather -> weight ->
+    segment_sum chain it replaced."""
+    corpus = generate_synthetic_corpus(n_graphs=60, families=3, n_models=8,
+                                       noise=0.05, seed=5)
+    feats = corpus.meta_features()
+    config = LearnerConfig(max_epochs=10)
+    fused = train(feats, corpus.perf, config)
+    fused_scores = [select_model(fused, f).scores for f in feats[:5]]
+    monkeypatch.setattr(learner, "weighted_segment_sum", weighted_segment_sum_chain)
+    chain = train(feats, corpus.perf, config)
+
+    assert len(fused.training_log) == 10
+    assert repr(fused.training_log) == repr(chain.training_log)
+    assert fused.params.keys() == chain.params.keys()
+    assert all(fused.params[name].tobytes() == chain.params[name].tobytes()
+               for name in fused.params)
+    for f, scores in zip(feats[:5], fused_scores):
+        assert select_model(fused, f).scores.tobytes() == scores.tobytes()
 
 
 # --- initialization ----------------------------------------------------------
