@@ -324,7 +324,7 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
 
 
 def einsum(spec: str, a: Tensor, b: Tensor) -> Tensor:
-    """Two-operand ``np.einsum`` with explicit output, e.g. "nhi,rhij->rnhj".
+    """Two-operand ``np.einsum`` with explicit output, e.g. "khi,rhij->krhj".
 
     Each operand's gradient is one more einsum of the output gradient with
     the other operand, so every index of an operand must appear in the other

@@ -109,7 +109,7 @@ def init_params(rng: np.random.Generator, meta_dim: int, k: int, layers: int,
 @dataclass(frozen=True)
 class _LayerPlan:
     """One layer's edge table, each index planned over the rows it reads."""
-    keyed: Segments          # rel * n_total + src, into every node's keys under every relation
+    keyed: Segments          # src * R + rel, into every node's keys under each of the R relations
     dst: Segments            # into the node queries; the softmax buckets
     edges: Edges             # src -> dst, for the attention-weighted message sums
     rel: Segments            # into the relation priors
@@ -135,7 +135,7 @@ def _layer_plan(net: GMNetwork, graph_rows: np.ndarray | None = None) -> _LayerP
         src, dst, rel = src[keep], dst[keep], rel[keep]
     dst_plan = Segments(dst, n_total)
     return _LayerPlan(
-        Segments(rel * n_total + src, len(RELATIONS) * n_total), dst_plan,
+        Segments(src * len(RELATIONS) + rel, n_total * len(RELATIONS)), dst_plan,
         Edges(Segments(src, n_total), dst_plan), Segments(rel, len(RELATIONS)),
         Segments(np.arange(m), n_total), Segments(m + out_rows, n_total),
         None if graph_rows is None else Segments(out_rows, ng))
@@ -155,15 +155,36 @@ def plan_network(net: GMNetwork,
     return full, full if graph_rows is None else _layer_plan(net, graph_rows)
 
 
+def relation_keys(zm: Tensor, zg: Tensor, k_m: Tensor, k_g: Tensor, att: Tensor) -> Tensor:
+    """Every node's keys through every relation's bilinear form, as
+    (n·R, H, dk) rows where row i·R + r is node i (models, then graphs)
+    under relation r.
+
+    The forms are folded into each node type's key weights first:
+    F_t[a, r, h] = K_t[a, h] @ att[r, h], with K_t seen as (k, H, dk). F_t
+    has the size of the parameters, and the per-node work is one BLAS
+    product z_t @ F_t per node type, with F_t seen as (k, R·H·dk).
+    """
+    k = k_m.shape[0]
+    _, heads, dk, _ = att.shape
+
+    def folded(weights):
+        return einsum("khi,rhij->krhj", weights.reshape(k, heads, dk), att).reshape(k, -1)
+
+    return concat([zm @ folded(k_m), zg @ folded(k_g)]).reshape(-1, heads, dk)
+
+
 def embed_network(pt: dict[str, Tensor], net: GMNetwork,
                   plans: tuple[_LayerPlan, _LayerPlan]) -> tuple[Tensor, Tensor]:
     """Embed the nodes; returns (graph embeddings, model embeddings).
 
-    Each layer projects per node type into keys/queries/messages, scores each
-    edge per head with a per-relation bilinear form scaled by a learnable
-    relation prior, softmax-normalizes attention per target across all
-    in-edges jointly, and aggregates messages. Targets with no in-edges keep
-    their residual-scaled state. Sizes come from the parameters: k from V,
+    Each layer projects per node type into queries, messages and keys, the
+    keys already through every relation's bilinear form (`relation_keys`).
+    It scores each edge per head as its source's key under the edge's
+    relation against its target's query, scaled by a learnable relation
+    prior, softmax-normalizes attention per target across all in-edges
+    jointly, and aggregates messages. Targets with no in-edges keep their
+    residual-scaled state. Sizes come from the parameters: k from V,
     one layer per `l{L}.att`, heads and dk from its shape. A network whose
     models are whole copies of V's rows (a `disjoint_union`) tiles V with a
     gather. Every edge index is read through `plans`, from
@@ -195,10 +216,9 @@ def embed_network(pt: dict[str, Tensor], net: GMNetwork,
             both = concat([zm @ pt[f"l{layer}.{name}.m"], zg @ pt[f"l{layer}.{name}.g"]])
             return both.reshape(n_total, heads, dk)
 
-        keys, queries, msgs = project("K"), project("Q"), project("M")
-        # every node's keys through every relation's bilinear form, flattened
-        # so that row r * n_total + i is node i under relation r
-        keyed = einsum("nhi,rhij->rnhj", keys, pt[f"l{layer}.att"]).reshape(-1, heads, dk)
+        queries, msgs = project("Q"), project("M")
+        keyed = relation_keys(zm, zg, pt[f"l{layer}.K.m"], pt[f"l{layer}.K.g"],
+                              pt[f"l{layer}.att"])
         mu = pt[f"l{layer}.mu"].gather(plan.rel).reshape(-1, 1)
         logits = einsum("ehi,ehi->eh", keyed.gather(plan.keyed), queries.gather(plan.dst)) \
             * mu * (1.0 / np.sqrt(dk))

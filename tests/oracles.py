@@ -4,9 +4,10 @@ Everything here is written from the definitions, not from the package code:
 dense matrix powers for triangle counts, BFS loops for eccentricity, naive
 peeling for core numbers, a line-by-line edge-list parser, direct formulas
 for the summary statistics and the ranking metrics. The autodiff
-scatters and the attention aggregation chain are the package's former
-versions, kept to pin the bits of their replacements. Slow is fine; these run
-on small inputs.
+scatters, the attention aggregation chain and the per-node relation keys
+are the package's former versions, kept to pin their replacements: the
+first two bit for bit, the keys within a rounding tolerance. Slow is fine;
+these run on small inputs.
 """
 
 import math
@@ -14,6 +15,7 @@ import math
 import numpy as np
 from scipy import stats
 
+from graphsel.autodiff import concat, einsum
 from graphsel.graphs import EdgeListError, from_edges
 
 
@@ -95,6 +97,17 @@ def weighted_segment_sum_chain(msgs, weights, edges):
     heads = msgs.shape[1]
     return (msgs.gather(edges.src) * weights.reshape(-1, heads, 1)).segment_sum(
         edges.dst, edges.dst.size)
+
+
+def relation_keys_per_node(zm, zg, k_m, k_g, att):
+    """The per-node form that ``learner.relation_keys`` folds into the key
+    weights: project every node's keys, then pass each through every
+    relation's bilinear form with one einsum, laid out as row i·R + r for
+    node i under relation r. Same signature as the fold, so a test can put
+    it in the fold's place."""
+    heads, dk = att.shape[1:3]
+    keys = concat([zm @ k_m, zg @ k_g]).reshape(-1, heads, dk)
+    return einsum("nhi,rhij->nrhj", keys, att).reshape(-1, heads, dk)
 
 
 # --- graph helpers -----------------------------------------------------------

@@ -8,12 +8,17 @@ share the same corpus and feature matrix.
 import json
 import logging
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
 import pytest
 
+import graphsel
 from graphsel.autodiff import Tensor
 from graphsel.baselines import make_selector
 from graphsel.cli import main as cli_main
@@ -39,7 +44,7 @@ from graphsel.learner import (
 )
 from graphsel.metrics import auc, label_top1, mrr, ndcg_at_1
 from graphsel.perf import PerformanceMatrix, factorize, mask_random, perturb, to_csv
-from graphsel.ranking import ScoreSheet
+from graphsel.ranking import ScoreSheet, rank_descending
 from graphsel.summaries import SUMMARY_NAMES, summarize
 from graphsel.synth import generate_synthetic_corpus
 
@@ -455,3 +460,43 @@ def test_reruns_are_byte_identical(tmp_path):
     for name in artifacts:
         assert first[name] == second[name], f"{name} changed between reruns"
     json.loads(first["summary.json"].decode())          # still valid JSON
+
+
+# criterion: the BLAS thread count may move the last bits, never a ranking. A
+# short default train on the seed-5 planted corpus and its selections, run
+# under 1 and under 2 OpenBLAS threads, take the same epochs, rank every
+# graph the same, and each score row agrees within SCORE_RTOL_ACROSS_THREADS
+# of its largest |score| (the README's determinism contract)
+SCORE_RTOL_ACROSS_THREADS = 1e-6
+THREAD_COUNT_RUN = """
+import json
+from graphsel.learner import LearnerConfig, select_model, train
+from graphsel.synth import generate_synthetic_corpus
+corpus = generate_synthetic_corpus(n_graphs=60, families=3, n_models=8, noise=0.05, seed=5)
+feats = corpus.meta_features()
+state = train(feats, corpus.perf, LearnerConfig(max_epochs=20))
+print(json.dumps({"epochs": len(state.training_log),
+                  "scores": [select_model(state, f).scores.tolist() for f in feats[:10]]}))
+"""
+
+
+def test_blas_thread_count_keeps_rankings_and_scores_within_tolerance():
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    if cores < 2:
+        pytest.skip("needs 2 usable cores to run 2 BLAS threads")
+    src = str(Path(graphsel.__file__).resolve().parents[1])
+    runs = []
+    for threads in ("1", "2"):
+        # the thread count is read when numpy loads, so each count gets a process
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        child = subprocess.run([sys.executable, "-c", THREAD_COUNT_RUN], env=env,
+                               capture_output=True, text=True, timeout=300)
+        assert child.returncode == 0, child.stderr
+        runs.append(json.loads(child.stdout.splitlines()[-1]))
+    one, two = runs
+    assert one["epochs"] == two["epochs"] == 20
+    for a, b in zip(np.array(one["scores"]), np.array(two["scores"])):
+        assert np.array_equal(rank_descending(a), rank_descending(b))
+        assert np.abs(a - b).max() <= SCORE_RTOL_ACROSS_THREADS * np.abs(b).max()

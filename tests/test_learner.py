@@ -36,7 +36,7 @@ from graphsel.metrics import label_top1, mrr
 from graphsel.perf import PerformanceMatrix
 from graphsel.ranking import ScoreSheet
 from graphsel.synth import generate_synthetic_corpus
-from oracles import weighted_segment_sum_chain
+from oracles import relation_keys_per_node, weighted_segment_sum_chain
 
 
 # --- independent forward oracle ---------------------------------------------
@@ -251,6 +251,53 @@ def test_fused_aggregation_keeps_the_bits_of_a_planted_train(monkeypatch):
                for name in fused.params)
     for f, scores in zip(feats[:5], fused_scores):
         assert select_model(fused, f).scores.tobytes() == scores.tobytes()
+
+
+def test_folded_keys_match_the_per_node_oracle():
+    """Folding each relation's form into the key weights gives the per-node
+    keys, and the same gradients, up to rounding."""
+    rng = np.random.default_rng(21)
+    for heads, dk in ((4, 2), (4, 8)):
+        k, m, ng = heads * dk, 13, 29
+        operands = [rng.normal(size=shape) for shape in
+                    ((m, k), (ng, k), (k, k), (k, k), (len(RELATIONS), heads, dk, dk))]
+        weights = rng.normal(size=((m + ng) * len(RELATIONS), heads, dk))
+        runs = []
+        for keys_of in (learner.relation_keys, relation_keys_per_node):
+            zm, zg, k_m, k_g, att = (Tensor.param(a) for a in operands)
+            keyed = keys_of(zm, zg, k_m, k_g, att)
+            (keyed * Tensor.const(weights)).sum().backward()
+            runs.append((keyed.value, [t.grad for t in (zm, zg, k_m, k_g, att)]))
+        (got, got_grads), (want, want_grads) = runs
+        assert_rel_close(got, want, tol=1e-12)
+        for g, w in zip(got_grads, want_grads):
+            assert_rel_close(g, w, tol=1e-10)
+
+
+def test_folded_keys_train_like_the_per_node_keys(monkeypatch):
+    """A default train on the seed-5 planted corpus (10 epochs) runs the
+    same epochs and ranks 5 graphs the same with folded or per-node keys;
+    losses and scores agree far below any ranking gap."""
+    corpus = generate_synthetic_corpus(n_graphs=60, families=3, n_models=8,
+                                       noise=0.05, seed=5)
+    feats = corpus.meta_features()
+    config = LearnerConfig(max_epochs=10)
+    runs = []
+    for keys_of in (learner.relation_keys, relation_keys_per_node):
+        monkeypatch.setattr(learner, "relation_keys", keys_of)
+        state = train(feats, corpus.perf, config)
+        runs.append((state.training_log, [select_model(state, f) for f in feats[:5]]))
+    (folded_log, folded), (per_node_log, per_node) = runs
+
+    assert len(folded_log) == len(per_node_log) == 10
+    for a, b in zip(folded_log, per_node_log):
+        assert a["epoch"] == b["epoch"]
+        for key in ("loss", "stop_score"):
+            assert abs(a[key] - b[key]) <= 1e-10 * abs(b[key])
+    for a, b in zip(folded, per_node):
+        assert a.model_ids == b.model_ids
+        assert list(a.ranking()) == list(b.ranking())
+        assert_rel_close(a.scores, b.scores, tol=1e-10)
 
 
 # --- initialization ----------------------------------------------------------

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from graphsel.perf import (PerformanceMatrix, _loocv_ridge_lambda, factorize,
                            fit_factor_estimator, from_csv, mask_random, perturb,
@@ -199,6 +202,30 @@ def test_standardize_treats_tiny_spreads_as_noise():
     _, _, big_scale = standardize(big)
     assert big_scale[0] == 1.0
     assert big_scale[1] > 1e5
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.float64, st.tuples(st.integers(2, 30), st.integers(1, 4)),
+                  elements=st.floats(-1e3, 1e3)),
+       st.data())
+def test_standardize_is_invariant_to_shifting_and_scaling_a_column(f, data):
+    """z-scores do not move when one column is shifted by a and scaled by
+    b > 0, on columns whose spread is well above the noise floor (1e-6 of
+    their largest |value|, against the floor's 1e-9), so that rounding in
+    the shift stays far below the tolerance."""
+    col = data.draw(st.integers(0, f.shape[1] - 1))
+    a = data.draw(st.floats(-1e3, 1e3))
+    b = data.draw(st.floats(1e-3, 1e3))
+    moved = f.copy()
+    moved[:, col] = a + b * f[:, col]
+
+    def clear_spread(x):
+        return x.std() > 1e-6 * max(1.0, np.abs(x).max())
+
+    assume(clear_spread(f[:, col]) and clear_spread(moved[:, col]))
+    z, _, _ = standardize(f)
+    z_moved, _, _ = standardize(moved)
+    assert np.abs(z_moved - z).max() <= 1e-6
 
 
 # --- factor estimator ---------------------------------------------------------

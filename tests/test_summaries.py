@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special, stats
 
 from graphsel.summaries import SUMMARY_DIM, SUMMARY_NAMES, summarize, summary_names
@@ -130,6 +132,25 @@ def test_every_output_finite_on_adversarial_inputs():
         out = summarize(x)
         assert out.shape == (58,)
         assert np.all(np.isfinite(out))
+
+
+FINITE = st.floats(-1e12, 1e12, allow_nan=False, allow_infinity=False)
+DISTRIBUTIONS = st.one_of(
+    st.lists(FINITE, min_size=1, max_size=60),
+    # heavy ties: a few distinct values, zero among them, drawn 1-60 times
+    st.lists(FINITE, min_size=1, max_size=4).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool + [0.0]), min_size=1, max_size=60)),
+    # constants, zero included
+    st.tuples(st.one_of(FINITE, st.just(0.0)), st.integers(1, 60)).map(lambda c: [c[0]] * c[1]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(DISTRIBUTIONS)
+def test_any_finite_distribution_gives_58_finite_summaries(values):
+    out = summarize(np.array(values))
+    assert out.shape == (SUMMARY_DIM,) == (58,)
+    assert np.all(np.isfinite(out))
 
 
 def test_kendall_tail_is_the_normal_survival_function_bit_for_bit():
