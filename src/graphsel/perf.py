@@ -116,12 +116,11 @@ def from_csv(text: str) -> PerformanceMatrix:
 class LatentFactors:
     u: np.ndarray
     v: np.ndarray
-    k: int
     objective_trace: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
 def factorize(p: PerformanceMatrix, k: int, seed: int,
-              max_iter: int = NMF_MAX_ITER, mean_prior_weight: float = 0.0) -> LatentFactors:
+              mean_prior_weight: float = 0.0) -> LatentFactors:
     """Masked non-negative factorization P ~= U V^T by multiplicative updates.
 
     Only observed cells enter the weighted Frobenius objective, which is
@@ -167,7 +166,7 @@ def factorize(p: PerformanceMatrix, k: int, seed: int,
         return float(np.sum(r * r))
 
     trace = [objective(u, v)]
-    for _ in range(max_iter):
+    for _ in range(NMF_MAX_ITER):
         u *= ((w * x) @ v) / ((w * (u @ v.T)) @ v + NMF_EPS)
         v *= ((w * x).T @ u) / ((w * (u @ v.T)).T @ u + NMF_EPS)
         obj = objective(u, v)
@@ -180,7 +179,7 @@ def factorize(p: PerformanceMatrix, k: int, seed: int,
     v_full = np.tile(v.mean(axis=0), (m, 1))
     u_full[row_keep] = u
     v_full[col_keep] = v
-    return LatentFactors(u_full, v_full, k, np.asarray(trace))
+    return LatentFactors(u_full, v_full, np.asarray(trace))
 
 
 @dataclass
@@ -215,17 +214,16 @@ def standardize(f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return (f - mean) / scale, mean, scale
 
 
-def _loocv_ridge_lambda(z: np.ndarray, uc: np.ndarray) -> float:
+def _loocv_ridge_lambda(u: np.ndarray, s: np.ndarray, uc: np.ndarray) -> float:
     """Leave-one-out optimal ridge penalty, closed form.
 
-    Takes one thin SVD z = U S V^T and evaluates the classical LOO identity
+    Reads the thin SVD z = U S V^T and evaluates the classical LOO identity
     r_i / (1 - H_ii) on a log grid, with hat matrix H = U diag(a) U^T and
     shrinkage a = s^2 / (s^2 + lambda). The penalty steers how hard
     predictions shrink toward the target mean: clean targets keep it small,
     noisy or underdetermined fits push it up.
     """
     grid = np.geomspace(1e-6, 1e9, 31)
-    u, s, _ = np.linalg.svd(z, full_matrices=False)
     ut_y = u.T @ uc
     u2 = u ** 2
     s2 = s ** 2
@@ -242,11 +240,12 @@ def _loocv_ridge_lambda(z: np.ndarray, uc: np.ndarray) -> float:
 
 def fit_factor_estimator(features: np.ndarray, u: np.ndarray,
                          ridge_lambda: float | None = RIDGE_LAMBDA) -> FactorEstimator:
-    """Closed-form ridge regression, one shared solve for all factor dims.
+    """Closed-form ridge regression from one thin SVD of the design.
 
     Features are z-scored (zero-variance columns get scale 1); the intercept
     absorbs the target mean so the penalty never shrinks it. With
-    ridge_lambda=None the penalty is picked by leave-one-out CV.
+    ridge_lambda=None the penalty is picked by leave-one-out CV. Both read one thin SVD
+    z = U S V^T: weights V diag(s / (s^2 + lambda)) U^T uc, no d x d solve (Golub et al. 1979).
     """
     f = np.asarray(features, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
@@ -256,11 +255,10 @@ def fit_factor_estimator(features: np.ndarray, u: np.ndarray,
         raise ValueError("ridge_lambda must be positive")
     z, mean, scale = standardize(f)
     uc = u - u.mean(axis=0)
+    left, s, vt = np.linalg.svd(z, full_matrices=False)
     if ridge_lambda is None:
-        ridge_lambda = _loocv_ridge_lambda(z, uc)
-    d = z.shape[1]
-    gram = z.T @ z + ridge_lambda * np.eye(d)
-    weights = np.linalg.solve(gram, z.T @ uc)
+        ridge_lambda = _loocv_ridge_lambda(left, s, uc)
+    weights = vt.T @ ((s / (s ** 2 + ridge_lambda))[:, None] * (left.T @ uc))
     intercept = u.mean(axis=0)
     pred = z @ weights + intercept
     ss_res = float(np.sum((u - pred) ** 2))

@@ -144,7 +144,8 @@ def summarize(values: np.ndarray) -> np.ndarray:
     if mn > 0:
         g = float(np.exp(np.mean(np.log(s))))
         gmean = g if np.isfinite(g) else 0.0
-        hmean = _ratio(float(n), float(np.sum(1.0 / s)))
+        with np.errstate(over="ignore"):         # 1 / subnormal -> inf -> 0.0
+            hmean = _ratio(float(n), float(np.sum(1.0 / s)))
     else:
         gmean, hmean = 0.0, 0.0
     out += [gmean, hmean, mu, sd, var]

@@ -467,7 +467,7 @@ def test_reruns_are_byte_identical(tmp_path):
 # under 1 and under 2 OpenBLAS threads, take the same epochs, rank every
 # graph the same, and each score row agrees within SCORE_RTOL_ACROSS_THREADS
 # of its largest |score| (the README's determinism contract)
-SCORE_RTOL_ACROSS_THREADS = 1e-6
+SCORE_RTOL_ACROSS_THREADS = 1e-10
 THREAD_COUNT_RUN = """
 import json
 from graphsel.learner import LearnerConfig, select_model, train

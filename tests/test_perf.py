@@ -230,19 +230,28 @@ def test_standardize_is_invariant_to_shifting_and_scaling_a_column(f, data):
 
 # --- factor estimator ---------------------------------------------------------
 
-def test_ridge_matches_augmented_least_squares():
+@pytest.mark.parametrize("n,d,lam", [(20, 6, 0.37), (20, 60, 1e-6)])
+def test_ridge_matches_augmented_least_squares(n, d, lam):
+    # the wide case is the regime of the meta-feature design (n <= d, rank
+    # n - 1 after centring) at the LOO grid floor, where d x d normal
+    # equations lose about half the digits
     rng = np.random.default_rng(8)
-    f = rng.normal(size=(20, 6))
-    u = rng.normal(size=(20, 3))
-    lam = 0.37
+    f = rng.normal(size=(n, d))
+    u = rng.normal(size=(n, 3))
     est = fit_factor_estimator(f, u, lam)
 
     z = (f - f.mean(axis=0)) / f.std(axis=0)
     uc = u - u.mean(axis=0)
-    aug = np.vstack([z, np.sqrt(lam) * np.eye(6)])
-    target = np.vstack([uc, np.zeros((6, 3))])
+    aug = np.vstack([z, np.sqrt(lam) * np.eye(d)])
+    target = np.vstack([uc, np.zeros((d, 3))])
     w, *_ = np.linalg.lstsq(aug, target, rcond=None)
     assert np.allclose(est.weights, w, atol=1e-8)
+    assert np.linalg.norm(est.weights - w) <= 1e-9 * np.linalg.norm(w)
+    # ridge weights lie in the row space of z: what is left after projecting
+    # them onto the span of its rows is rounding
+    coef, *_ = np.linalg.lstsq(z.T, est.weights, rcond=None)
+    row_resid = np.linalg.norm(est.weights - z.T @ coef)
+    assert row_resid <= 1e-12 * np.linalg.norm(est.weights)
     assert np.allclose(est.intercept, u.mean(axis=0))
     assert np.allclose(est.predict(f), z @ w + u.mean(axis=0), atol=1e-8)
     assert est.ridge_lambda == lam
@@ -289,7 +298,8 @@ def test_loocv_lambda_matches_brute_force_refits(n, d):
     z = (f - f.mean(axis=0)) / f.std(axis=0)
     uc = u - u.mean(axis=0)
 
-    lam = _loocv_ridge_lambda(z, uc)
+    left, s, _ = np.linalg.svd(z, full_matrices=False)
+    lam = _loocv_ridge_lambda(left, s, uc)
     grid = np.geomspace(1e-6, 1e9, 31)
     sse = np.array([_brute_loo_sse(z, uc, g) for g in grid])
     assert lam == pytest.approx(grid[int(np.argmin(sse))])

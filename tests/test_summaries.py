@@ -1,5 +1,7 @@
 """Fixed-length summary vectors against direct-formula references."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -109,6 +111,15 @@ def test_tolerance_grouping_absorbs_last_ulp_noise():
     # well separated values count exactly
     y = np.array([3.0, 1.0, 2.0, 1.0])
     assert dict(zip(SUMMARY_NAMES, summarize(y)))["card"] == 3.0
+
+
+def test_subnormal_value_gives_zero_harmonic_mean_without_warning():
+    # 1 / 5e-324 overflows to inf, so the harmonic mean collapses to 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = dict(zip(SUMMARY_NAMES, summarize(np.array([5e-324, 1.0, 2.0]))))
+    assert got["hmean"] == 0.0
+    assert got["gmean"] > 0.0
 
 
 def test_rejects_bad_input():
