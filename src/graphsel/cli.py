@@ -15,6 +15,7 @@ Each file's seconds in ``feature_timings.csv`` are timed inside its worker.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import multiprocessing
 import os
@@ -332,7 +333,10 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 
 # --- entry point ----------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args leaves
+    it unchanged, so every ``main`` call reuses it."""
     parser = argparse.ArgumentParser(
         prog="graphsel",
         description="Meta-learned model selection for graph learning tasks")

@@ -241,6 +241,7 @@ def pagerank(graph: Graph, a: sp.csr_matrix | None = None) -> np.ndarray:
         a = adjacency_matrix(graph)
     deg = graph.degrees().astype(np.float64)
     dangling = deg == 0
+    any_dangling = bool(dangling.any())
     inv_deg = np.where(dangling, 0.0, 1.0 / np.maximum(deg, 1.0))
     x = np.full(n, 1.0 / n)
     teleport = (1.0 - PAGERANK_DAMPING) / n
@@ -248,7 +249,12 @@ def pagerank(graph: Graph, a: sp.csr_matrix | None = None) -> np.ndarray:
     for _ in range(PAGERANK_MAX_ITER):
         spread = x * inv_deg
         new = PAGERANK_DAMPING * (a_t @ spread)
-        new += PAGERANK_DAMPING * x[dangling].sum() / n + teleport
+        # with no dangling node their share is exactly +0.0, so the shift
+        # is the teleport term alone, bit for bit
+        if any_dangling:
+            new += PAGERANK_DAMPING * x[dangling].sum() / n + teleport
+        else:
+            new += teleport
         if np.abs(new - x).sum() < PAGERANK_TOL:
             x = new
             break

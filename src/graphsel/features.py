@@ -22,6 +22,7 @@ from .summaries import SUMMARY_NAMES, summarize
 SCHEMA_VERSION = 2
 GLOBAL_STAT_NAMES = ("global_density", "global_wedge_density", "global_assortativity")
 FEATURE_DIM = 2 * (len(EXTRACTOR_IDS) * len(SUMMARY_NAMES) + len(GLOBAL_STAT_NAMES))
+PER_EDGE = EXTRACTOR_IDS.index("triangles_per_edge")    # the one distribution not per node
 
 
 def feature_names() -> list[str]:
@@ -75,11 +76,18 @@ def signed_log1p(x: np.ndarray) -> np.ndarray:
 
 
 def meta_graph_features(graph: Graph) -> np.ndarray:
-    """The FEATURE_DIM-long meta-feature vector of one graph."""
+    """The FEATURE_DIM-long meta-feature vector of one graph.
+
+    The six per-node distributions share a length and are summarised as one
+    stack; the per-edge one on its own. Each summary has the bits it would
+    have alone."""
     a = adjacency_matrix(graph)
     two_hop = two_hop_matrix(graph, a)
-    parts = [summarize(values) for values in extract_structural(graph, a, two_hop)]
-    parts.append(global_stats(graph, two_hop))
+    dists = extract_structural(graph, a, two_hop)
+    per_edge = summarize(dists.pop(PER_EDGE))
+    per_node = summarize(np.stack(dists))
+    parts = [*per_node[:PER_EDGE], per_edge, *per_node[PER_EDGE:],
+             global_stats(graph, two_hop)]
     base = np.concatenate(parts)
     vec = np.concatenate([base, signed_log1p(base)])
     if vec.shape[0] != FEATURE_DIM:

@@ -161,15 +161,20 @@ def factorize(p: PerformanceMatrix, k: int, seed: int,
     u = rng.uniform(0.0, scale, size=(row_keep.size, k))
     v = rng.uniform(0.0, scale, size=(col_keep.size, k))
 
-    def objective(uu, vv):
-        r = w * (x - uu @ vv.T)
+    def objective(uv):
+        r = w * (x - uv)
         return float(np.sum(r * r))
 
-    trace = [objective(u, v)]
+    # w * x is loop-invariant, and the objective's U V^T is the next
+    # u-update's: each iteration forms two products of U and V, not three
+    wx = w * x
+    uv = u @ v.T
+    trace = [objective(uv)]
     for _ in range(NMF_MAX_ITER):
-        u *= ((w * x) @ v) / ((w * (u @ v.T)) @ v + NMF_EPS)
-        v *= ((w * x).T @ u) / ((w * (u @ v.T)).T @ u + NMF_EPS)
-        obj = objective(u, v)
+        u *= (wx @ v) / ((w * uv) @ v + NMF_EPS)
+        v *= (wx.T @ u) / ((w * (u @ v.T)).T @ u + NMF_EPS)
+        uv = u @ v.T
+        obj = objective(uv)
         trace.append(obj)
         prev = trace[-2]
         if prev - obj < NMF_REL_TOL * max(prev, NMF_EPS):

@@ -4,19 +4,24 @@ Everything here is written from the definitions, not from the package code:
 dense matrix powers for triangle counts, BFS loops for eccentricity, naive
 peeling for core numbers, a line-by-line edge-list parser, direct formulas
 for the summary statistics and the ranking metrics. The autodiff
-scatters, the attention aggregation chain and the per-node relation keys
-are the package's former versions, kept to pin their replacements: the
-first two bit for bit, the keys within a rounding tolerance. Slow is fine;
-these run on small inputs.
+scatters, the attention aggregation chain, the per-node relation keys, the
+one-distribution summary and the literal NMF update loop are the package's
+former versions, kept to pin their replacements: the keys within a rounding
+tolerance, the rest bit for bit. Slow is fine; these run on small inputs.
 """
 
 import math
 
 import numpy as np
-from scipy import stats
+from scipy import special, stats
 
 from graphsel.autodiff import concat, einsum
+from graphsel.extractors import adjacency_matrix, extract_structural, two_hop_matrix
+from graphsel.features import global_stats, signed_log1p
 from graphsel.graphs import EdgeListError, from_edges
+from graphsel.perf import NMF_EPS, NMF_MAX_ITER, NMF_REL_TOL, LatentFactors
+from graphsel.summaries import (GROUP_ATOL, GROUP_RTOL, HIST_BINS, IQR_ALPHAS, STD_ALPHAS,
+                                SUMMARY_DIM)
 
 
 # --- edge-list parsing -------------------------------------------------------
@@ -353,6 +358,218 @@ def summary_brute(values):
         out += [1.0] + [0.0] * 9
 
     return np.asarray(out, dtype=np.float64)
+
+
+def _group_counts_one(s):
+    """Run lengths of approximately-equal values in a sorted vector."""
+    if s.size == 1:
+        return np.ones(1, dtype=np.int64)
+    gaps = np.diff(s)
+    thresh = GROUP_ATOL + GROUP_RTOL * np.maximum(np.abs(s[1:]), np.abs(s[:-1]))
+    breaks = np.flatnonzero(gaps > thresh)
+    bounds = np.concatenate([[0], breaks + 1, [s.size]])
+    return np.diff(bounds)
+
+
+def _ratio_one(num, den):
+    """num / den under the degenerate-input policy: a zero denominator or a
+    non-finite quotient (float under/overflow) collapses to 0.0."""
+    if den == 0.0:
+        return 0.0
+    out = num / den
+    return float(out) if np.isfinite(out) else 0.0
+
+
+def _correlation_trio_one(s, counts):
+    """(rho, p) x {Spearman, Kendall, Pearson} of the canonical vector vs
+    its sort; both are sorted here, so this measures tie structure only.
+    Self-correlation of a non-constant vector has rho = r = 1 and p = 0
+    exactly for Spearman and Pearson; only Kendall's asymptotic p-value
+    responds to the ties. Tie groups reuse the tolerance rule of the
+    cardinality statistic (instead of exact equality) so last-ulp noise
+    cannot flip the p-value when a graph is relabeled.
+    n < 3 or an effectively constant input -> all zeros."""
+    n = s.size
+    if n < 3 or counts.size < 2:
+        return [0.0] * 6
+    t = counts.astype(np.float64)
+    big_t = float((t * (t - 1.0) / 2.0).sum())
+    x0 = float((t * (t - 1.0) * (t - 2.0)).sum())
+    x1 = float((t * (t - 1.0) * (2.0 * t + 5.0)).sum())
+    m = n * (n - 1.0)
+    # against itself every cross-group pair is concordant, so tau-b is
+    # exactly 1; the p-value keeps the tie-corrected asymptotic variance
+    con_minus_dis = m / 2.0 - big_t
+    var = (m * (2.0 * n + 5.0) - 2.0 * x1) / 18.0 \
+        + 2.0 * big_t * big_t / m + x0 * x0 / (9.0 * m * (n - 2.0))
+    z = con_minus_dis / math.sqrt(var)
+    pval = 2.0 * float(special.ndtr(-abs(z)))   # the normal survival function at |z|
+    return [1.0, 0.0, 1.0, pval, 1.0, 0.0]
+
+
+def summarize_one(values):
+    """``summaries.summarize`` as it was before it took stacks: one
+    distribution at a time, its statistics appended one by one. The stack
+    form must match it bit for bit, row by row."""
+    x = np.asarray(values, dtype=np.float64).ravel()
+    if x.size == 0:
+        raise ValueError("cannot summarize an empty distribution")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("cannot summarize non-finite values")
+    s = np.sort(x)
+    n = s.size
+    out: list[float] = []
+
+    counts = _group_counts_one(s)
+    out.append(float(counts.size))                      # card
+    out.append(float(np.count_nonzero(s)) / n)          # density
+
+    q1, med, q3 = (float(v) for v in np.quantile(s, [0.25, 0.5, 0.75]))
+    iqr = q3 - q1
+    out += [q1, q3, iqr]
+    for a in IQR_ALPHAS:
+        lb = q1 - a * iqr
+        ub = q3 + a * iqr
+        out += [lb, ub, float(np.count_nonzero((s < lb) | (s > ub)))]
+
+    # exact (order-independent) mean: the ratio statistics below divide by
+    # mu, and near-zero means would amplify ordinary summation noise
+    mu = math.fsum(s.tolist()) / n
+    var = float(np.mean((s - mu) ** 2))                  # population
+    sd = float(np.sqrt(var))
+    for a in STD_ALPHAS:
+        lb = mu - a * sd
+        ub = mu + a * sd
+        cnt = float(np.count_nonzero((s < lb) | (s > ub)))
+        out += [lb, ub, cnt, cnt / n]
+
+    out += _correlation_trio_one(s, counts)
+
+    mn, mx = float(s[0]), float(s[-1])
+    out += [mn, mx, mx - mn, med]
+
+    if mn > 0:
+        g = float(np.exp(np.mean(np.log(s))))
+        gmean = g if np.isfinite(g) else 0.0
+        with np.errstate(over="ignore"):         # 1 / subnormal -> inf -> 0.0
+            hmean = _ratio_one(float(n), float(np.sum(1.0 / s)))
+    else:
+        gmean, hmean = 0.0, 0.0
+    out += [gmean, hmean, mu, sd, var]
+
+    if sd > 0:
+        z = (s - mu) / sd
+        out += [float(np.mean(z ** 3)), float(np.mean(z ** 4)) - 3.0]
+    else:
+        out += [0.0, 0.0]
+
+    out.append(_ratio_one(iqr, q3 + q1))                         # quart_disp
+    out.append(float(np.median(np.abs(s - med))))            # mad
+    out.append(float(np.mean(np.abs(s - mu))))               # aad
+    out.append(_ratio_one(sd, mu))                               # cv
+    out.append(_ratio_one(var, mu * mu))                         # efficiency
+    out.append(_ratio_one(var, mu))                              # vmr
+    out.append(_ratio_one(mu * mu, var))                         # snr
+
+    if counts.size > 1:
+        p = counts / n
+        ent = float(-np.sum(p * np.log(p)))
+        out += [ent, ent / np.log(counts.size)]
+    else:
+        out += [0.0, 0.0]
+
+    if mu != 0 and n > 1:
+        # sum_{i,j} |x_i - x_j| = 2 * sum_k (2k + 1 - n) * s_k, 0-indexed sort
+        k = np.arange(n)
+        mean_abs_diff = 2.0 * float(np.sum((2 * k + 1 - n) * s)) / (n * n)
+        out.append(_ratio_one(mean_abs_diff, 2.0 * abs(mu)))
+    else:
+        out.append(0.0)
+
+    five = np.array([mn, q1, med, q3, mx])
+    out.append(float(np.max(np.diff(five))))
+
+    if mx > mn:
+        edges = np.linspace(mn, mx, HIST_BINS + 1)
+        idx = np.clip(np.searchsorted(edges, s, side="right") - 1, 0, HIST_BINS - 1)
+        bin_counts = np.bincount(idx, minlength=HIST_BINS)
+        nonempty = np.flatnonzero(bin_counts)
+        if nonempty.size > 1:
+            sums = np.bincount(idx, weights=s, minlength=HIST_BINS)
+            centroids = sums[nonempty] / bin_counts[nonempty]
+            out.append(float(np.max(np.diff(centroids))))
+        else:
+            out.append(0.0)
+        out += list(bin_counts / n)
+    else:
+        out.append(0.0)
+        out += [1.0] + [0.0] * (HIST_BINS - 1)
+
+    result = np.asarray(out, dtype=np.float64)
+    if result.shape[0] != SUMMARY_DIM or not np.all(np.isfinite(result)):
+        raise AssertionError("summary schema violation")
+    return result
+
+
+def meta_graph_features_one(graph):
+    """``features.meta_graph_features`` composed from ``summarize_one``:
+    every distribution summarised on its own, in EXTRACTOR_IDS order."""
+    a = adjacency_matrix(graph)
+    two_hop = two_hop_matrix(graph, a)
+    parts = [summarize_one(values) for values in extract_structural(graph, a, two_hop)]
+    parts.append(global_stats(graph, two_hop))
+    base = np.concatenate(parts)
+    return np.concatenate([base, signed_log1p(base)])
+
+
+# --- latent factors ----------------------------------------------------------
+
+def factorize_literal(p, k, seed, mean_prior_weight=0.0):
+    """``perf.factorize`` as it was before its loop invariants were hoisted:
+    every iteration forms w * x twice and u @ v.T three times, the objective
+    included. The factors and the objective trace must keep their bytes."""
+    n, m = p.shape
+    if k < 1 or k > min(n, m):
+        raise ValueError(f"rank k={k} must lie in [1, min(n, m)={min(n, m)}]")
+    if not 0.0 <= mean_prior_weight <= 1.0:
+        raise ValueError("mean_prior_weight must lie in [0, 1]")
+    if not p.observed.any():
+        raise ValueError("cannot factorize a fully unobserved matrix")
+    col_sum = p.filled().sum(axis=0)
+    col_cnt = p.observed.sum(axis=0)
+    grand = col_sum.sum() / col_cnt.sum()
+    col_mean = np.where(col_cnt > 0, col_sum / np.maximum(col_cnt, 1), grand)
+    w = np.where(p.observed, 1.0, mean_prior_weight)
+    x = np.where(p.observed, p.values, col_mean[None, :])
+    row_keep = np.flatnonzero(w.any(axis=1))
+    col_keep = np.flatnonzero(w.any(axis=0))
+    w = w[np.ix_(row_keep, col_keep)]
+    x = x[np.ix_(row_keep, col_keep)]
+
+    rng = np.random.default_rng(seed)
+    scale = 1.0 / np.sqrt(k)
+    u = rng.uniform(0.0, scale, size=(row_keep.size, k))
+    v = rng.uniform(0.0, scale, size=(col_keep.size, k))
+
+    def objective(uu, vv):
+        r = w * (x - uu @ vv.T)
+        return float(np.sum(r * r))
+
+    trace = [objective(u, v)]
+    for _ in range(NMF_MAX_ITER):
+        u *= ((w * x) @ v) / ((w * (u @ v.T)) @ v + NMF_EPS)
+        v *= ((w * x).T @ u) / ((w * (u @ v.T)).T @ u + NMF_EPS)
+        obj = objective(u, v)
+        trace.append(obj)
+        prev = trace[-2]
+        if prev - obj < NMF_REL_TOL * max(prev, NMF_EPS):
+            break
+
+    u_full = np.tile(u.mean(axis=0), (n, 1))
+    v_full = np.tile(v.mean(axis=0), (m, 1))
+    u_full[row_keep] = u
+    v_full[col_keep] = v
+    return LatentFactors(u_full, v_full, np.asarray(trace))
 
 
 # --- ranking metrics ---------------------------------------------------------

@@ -52,6 +52,18 @@ def ws(tmp_path_factory):
             "n_graphs": 25, "model_ids": list(corpus.perf.model_ids)}
 
 
+def test_the_parser_is_built_once_and_parses_each_call_afresh():
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    first = parser.parse_args(["--set", "a.b=1", "select"])
+    second = parser.parse_args(["select"])
+    assert first.set == ["a.b=1"]
+    assert second.set == []
+    with pytest.raises(SystemExit):
+        parser.parse_args(["no-such-command"])
+    assert parser.parse_args(["train"]).command == "train"
+
+
 def test_features_artifacts(ws):
     text = ws["features_csv"].read_text()
     lines = text.strip().split("\n")

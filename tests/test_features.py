@@ -1,13 +1,15 @@
 """Meta-graph feature vectors: schema, finiteness, relabeling invariance."""
 
+import networkx as nx
 import numpy as np
 import pytest
 
+from graphsel.extractors import ECC_EXACT_NODE_LIMIT
 from graphsel.features import (FEATURE_DIM, GLOBAL_STAT_NAMES, feature_names, global_stats,
                                meta_graph_features, signed_log1p)
-from graphsel.graphs import from_edges
+from graphsel.graphs import from_edges, load_edge_list
 
-from oracles import adjacency_dense
+from oracles import adjacency_dense, meta_graph_features_one
 
 
 def random_graph(rng, n, p):
@@ -102,3 +104,26 @@ def test_signed_log_transform():
     g = from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     vec = meta_graph_features(g)
     assert np.allclose(vec[409:], signed_log1p(vec[:409]), atol=0, rtol=0)
+
+
+def edge_text(g):
+    return "".join(f"{u} {v}\n" for u, v in g.edges())
+
+
+@pytest.mark.parametrize("text", [
+    "0 0",                                  # one node, one self-loop
+    "0 1",
+    "0 0\n1 1",                             # two self-loop nodes
+    "0 1\n1 2\n2 0",                        # triangle
+    "0 1\n2 3",                             # two disjoint edges
+    edge_text(nx.gnp_random_graph(120, 0.05, seed=1)),
+    edge_text(nx.gnm_random_graph(300, 900, seed=2)),
+    edge_text(nx.barabasi_albert_graph(200, 3, seed=3)),
+    edge_text(nx.watts_strogatz_graph(150, 6, 0.1, seed=4)),
+    edge_text(nx.powerlaw_cluster_graph(250, 3, 0.3, seed=5)),
+    edge_text(nx.barabasi_albert_graph(ECC_EXACT_NODE_LIMIT + 100, 2, seed=6)),
+], ids=["self_loop", "one_edge", "two_self_loops", "triangle", "two_edges",
+        "gnp", "gnm", "ba", "ws", "plc", "ba_over_exact_ecc_limit"])
+def test_features_equal_the_one_summary_per_distribution_composition(text):
+    g = load_edge_list(text)
+    assert meta_graph_features(g).tobytes() == meta_graph_features_one(g).tobytes()

@@ -10,6 +10,8 @@ from graphsel.perf import (PerformanceMatrix, _loocv_ridge_lambda, factorize,
                            fit_factor_estimator, from_csv, mask_random, perturb,
                            standardize, to_csv)
 
+from oracles import factorize_literal
+
 
 def make_matrix(rng, n, m, frac_observed=0.7):
     values = rng.random((n, m))
@@ -174,6 +176,19 @@ def test_mean_prior_is_identity_on_fully_observed_input():
     b = factorize(p, 2, seed=7, mean_prior_weight=0.3)
     assert np.array_equal(a.u, b.u)
     assert np.array_equal(a.v, b.v)
+
+
+@pytest.mark.parametrize("n, m, k, observed, prior", [
+    (90, 300, 32, 0.25, 0.1),        # the warm-start shape: 75% unobserved
+    (12, 7, 3, 0.6, 0.0),
+    (8, 5, 2, 1.0, 0.3),
+])
+def test_factorize_keeps_the_bytes_of_the_literal_update_loop(n, m, k, observed, prior):
+    p = make_matrix(np.random.default_rng(n), n, m, frac_observed=observed)
+    got = factorize(p, k, seed=11, mean_prior_weight=prior)
+    want = factorize_literal(p, k, seed=11, mean_prior_weight=prior)
+    for a, b in ((got.u, want.u), (got.v, want.v), (got.objective_trace, want.objective_trace)):
+        assert a.tobytes() == b.tobytes()
 
 
 # --- standardization ------------------------------------------------------------

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
-from graphsel.summaries import SUMMARY_DIM, SUMMARY_NAMES, summarize, summary_names
+from graphsel.summaries import GROUP_RTOL, SUMMARY_DIM, SUMMARY_NAMES, summarize, summary_names
 
-from oracles import summary_brute
+from oracles import summarize_one, summary_brute
 
 
 def assert_close(got, want, tol=1e-9):
@@ -123,12 +123,10 @@ def test_subnormal_value_gives_zero_harmonic_mean_without_warning():
 
 
 def test_rejects_bad_input():
-    with pytest.raises(ValueError):
-        summarize(np.array([]))
-    with pytest.raises(ValueError):
-        summarize(np.array([1.0, np.nan]))
-    with pytest.raises(ValueError):
-        summarize(np.array([np.inf]))
+    for bad in (np.array([]), np.array([1.0, np.nan]), np.array([np.inf]),
+                np.zeros((0, 3)), np.zeros((2, 0)), np.array([[1.0, 2.0], [0.0, -np.inf]])):
+        with pytest.raises(ValueError):
+            summarize(bad)
 
 
 def test_every_output_finite_on_adversarial_inputs():
@@ -173,3 +171,44 @@ def test_kendall_tail_is_the_normal_survival_function_bit_for_bit():
     want = stats.norm.sf(z)
     assert want[-10] == 0.0 and 0.0 < want[3750] < 1e-300
     assert np.array_equal(special.ndtr(-z), want)
+
+
+def rows_of(n):
+    """Rows of length n: the DISTRIBUTIONS kinds, then signed zeros,
+    subnormals and ties within the grouping tolerance."""
+    return st.one_of(
+        st.lists(FINITE, min_size=n, max_size=n),
+        st.lists(FINITE, min_size=1, max_size=4).flatmap(
+            lambda pool: st.lists(st.sampled_from(pool + [0.0]), min_size=n, max_size=n)),
+        st.one_of(FINITE, st.just(0.0)).map(lambda c: [c] * n),
+        st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0]), min_size=n, max_size=n),
+        st.lists(st.sampled_from([5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 0.0, -0.0, 1.0]),
+                 min_size=n, max_size=n),
+        st.tuples(FINITE, st.lists(st.integers(0, 3), min_size=n, max_size=n)).map(
+            lambda c: [c[0] * (1.0 + k * GROUP_RTOL / 4) for k in c[1]]),
+    )
+
+
+STACKS = st.integers(1, 40).flatmap(lambda n: st.lists(rows_of(n), min_size=1, max_size=6))
+
+
+@settings(max_examples=400, deadline=None)
+@given(STACKS)
+def test_a_stack_summarises_each_row_as_the_one_distribution_oracle_bit_for_bit(rows):
+    x = np.array(rows, dtype=np.float64)
+    want = np.stack([summarize_one(row) for row in x])
+    got = summarize(x)
+    assert got.shape == (len(rows), SUMMARY_DIM)
+    assert got.tobytes() == want.tobytes()
+    assert summarize(x[-1]).tobytes() == want[-1].tobytes()
+
+
+def test_a_row_whose_bin_step_underflows_keeps_its_bits_in_a_stack():
+    # the first row's (max - min) / 10 underflows to 0, and np.linspace
+    # changes its formula for every row of a call when any step is 0; the
+    # second row's 0.3 lies below its bin edge 3 * 0.1 but on 0.3 / 1 * 1
+    x = np.array([[0.0, 5e-324, 1.5e-323, -0.0, 5e-324],
+                  [0.0, 0.3, 1.0, 0.6, 0.7],
+                  [3.0, 3.0, 3.0, 3.0, 3.0]])
+    want = np.stack([summarize_one(row) for row in x])
+    assert summarize(x).tobytes() == want.tobytes()
