@@ -15,8 +15,11 @@ extension edges. Node ids number the models first and then the graphs, so
 an appended test graph renumbers no node. Base construction gives every
 node out-degree <= top_k per relation; extending with a test node adds
 reciprocal in-edges from its chosen neighbors, so their out-degree may
-reach top_k + 1. A disjoint union of networks holds several copies side by
-side, with no edge between them, so that one pass embeds them all.
+reach top_k + 1. Extending with a batch of test graphs gives one extended
+copy per test graph, side by side with no edge between them, so that one
+pass embeds them all; the build-before-extension order then holds within
+each copy. `GMNetwork.validate` runs only where a network comes in from
+outside: when `learner.load_state` reads it from a bundle.
 """
 
 from __future__ import annotations
@@ -51,9 +54,6 @@ class GMNetwork:
     meta_dim: int
     top_k: int
     extension_nodes: int = 0
-
-    def edge_count(self) -> int:
-        return int(self.src.size)
 
     def validate(self):
         if self.src.ndim != 1 or not self.src.shape == self.dst.shape == self.rel.shape:
@@ -128,82 +128,59 @@ def build_train_network(u_hat: np.ndarray, v: np.ndarray, meta_features: np.ndar
         src.append(np.repeat(np.arange(nbrs.shape[0]), nbrs.shape[1]) + first_id[st])
         dst.append(nbrs.ravel() + first_id[tt])
         rel.append(np.full(nbrs.size, r))
-    net = GMNetwork(n, m, *(np.concatenate(parts) for parts in (src, dst, rel)),
-                    np.concatenate([meta, u_hat], axis=1), v.copy(), meta.shape[1], top_k)
-    net.validate()
-    return net
+    return GMNetwork(n, m, *(np.concatenate(parts) for parts in (src, dst, rel)),
+                     np.concatenate([meta, u_hat], axis=1), v.copy(), meta.shape[1], top_k)
 
 
 def extend_with_test(net: GMNetwork, m_test: np.ndarray, u_hat_test: np.ndarray) -> GMNetwork:
-    """Copy the network and splice in one test graph node.
+    """Copies of the network side by side, each with one test graph node
+    spliced in: one copy for one test graph (1-D inputs), or one per row of
+    a batch of c.
 
-    The test node gets top-k out-edges per applicable relation, computed
+    A test node gets top-k out-edges per applicable relation, computed
     against the stored build-time features, plus a reciprocal in-edge from
-    each chosen neighbor. Existing edges are untouched.
+    each chosen neighbor. No edge joins two copies. Node ids number every
+    copy's models first, then every copy's graphs, each copy's test node
+    last, both in copy order. Within each relation the edges run copy after
+    copy, and a copy's build edges, in their order, precede its new ones.
     """
-    m_test = np.asarray(m_test, dtype=np.float64).ravel()
-    u_hat_test = np.asarray(u_hat_test, dtype=np.float64).ravel()
-    if m_test.shape[0] != net.meta_dim:
+    m_test = np.atleast_2d(np.asarray(m_test, dtype=np.float64))
+    u_hat_test = np.atleast_2d(np.asarray(u_hat_test, dtype=np.float64))
+    c = m_test.shape[0]
+    if m_test.shape[1] != net.meta_dim:
         raise ValueError("test meta-feature dimension mismatch")
-    if u_hat_test.shape[0] != net.graph_features.shape[1] - net.meta_dim:
-        raise ValueError("test factor dimension mismatch")
-    g0 = net.n_models
-    t = g0 + net.n_graphs              # the test node's id
+    if u_hat_test.shape != (c, net.graph_features.shape[1] - net.meta_dim):
+        raise ValueError("test factors need one row per test graph, of the network's width")
+    m, n = net.n_models, net.n_graphs
+    first_model = (np.arange(c) * m)[:, None]
+    first_graph = (c * m + np.arange(c) * (n + 1))[:, None]
+    # a copy's node id i moves by its first model's id for a model, and by
+    # its first graph's id less m for a graph
+    shift = np.where(np.arange(m + n) < m, first_model, first_graph - m)
+
+    # (c, edges) blocks, one row per copy, in the order a copy lists them
+    src, dst = [net.src + shift[:, net.src]], [net.dst + shift[:, net.dst]]
+    rel = [np.broadcast_to(net.rel, src[0].shape)]
     meta = net.graph_features[:, :net.meta_dim]
     u_hat = net.graph_features[:, net.meta_dim:]
-    k = net.top_k
-
-    src, dst, rel = [net.src], [net.dst], [net.rel]
     for out_rel, back_rel, nbrs in (
-            ("M-g2g", "M-g2g", cosine_topk(m_test[None, :], meta, k)[0] + g0),
-            ("P-g2g", "P-g2g", cosine_topk(u_hat_test[None, :], u_hat, k)[0] + g0),
-            ("P-g2m", "P-m2g", cosine_topk(u_hat_test[None, :], net.model_features, k)[0])):
-        test_end = np.full(nbrs.size, t)
-        src += [test_end, nbrs]
-        dst += [nbrs, test_end]
-        rel += [np.full(nbrs.size, REL_INDEX[out_rel]), np.full(nbrs.size, REL_INDEX[back_rel])]
-    src, dst, rel = (np.concatenate(parts) for parts in (src, dst, rel))
-    # a stable sort keeps each relation's build edges ahead of the new ones
+            ("M-g2g", "M-g2g", cosine_topk(m_test, meta, net.top_k) + first_graph),
+            ("P-g2g", "P-g2g", cosine_topk(u_hat_test, u_hat, net.top_k) + first_graph),
+            ("P-g2m", "P-m2g", cosine_topk(u_hat_test, net.model_features, net.top_k)
+             + first_model)):
+        ends = np.broadcast_to(first_graph + n, nbrs.shape)     # the test nodes
+        src += [ends, nbrs]
+        dst += [nbrs, ends]
+        rel += [np.full(nbrs.shape, REL_INDEX[out_rel]), np.full(nbrs.shape, REL_INDEX[back_rel])]
+    src, dst, rel = (np.concatenate(parts, axis=1).ravel() for parts in (src, dst, rel))
+    # copy after copy, each in its own order: a stable sort groups the
+    # relations and keeps that order within each
     order = np.argsort(rel, kind="stable")
 
-    feat = np.concatenate([m_test, u_hat_test])[None, :]
-    ext = GMNetwork(net.n_graphs + 1, net.n_models, src[order], dst[order], rel[order],
-                    np.concatenate([net.graph_features, feat], axis=0),
-                    net.model_features, net.meta_dim, k,
-                    net.extension_nodes + 1)
-    ext.validate()
-    return ext
-
-
-def disjoint_union(nets: list[GMNetwork]) -> GMNetwork:
-    """One network holding every copy in `nets`, none joined to another.
-
-    Node ids number every copy's models first, then every copy's graphs, both
-    in copy order. The edge table stays grouped by relation, and each copy's
-    edges keep their order. The copies must share meta_dim and top_k;
-    extension nodes add up.
-    """
-    if not nets:
-        raise ValueError("disjoint_union needs at least one network")
-    first = nets[0]
-    if any(n.meta_dim != first.meta_dim or n.top_k != first.top_k for n in nets):
-        raise ValueError("networks disagree on meta_dim or top_k")
-    n_models = sum(n.n_models for n in nets)
-    model_start = np.cumsum([0] + [n.n_models for n in nets])
-    graph_start = np.cumsum([n_models] + [n.n_graphs for n in nets])
-    src, dst = [], []
-    for n, m0, g0 in zip(nets, model_start, graph_start):
-        # a copy's id i moves to m0 + i for a model and g0 + i - n_models for a graph
-        shift = np.where(np.arange(n.n_models + n.n_graphs) < n.n_models, m0, g0 - n.n_models)
-        src.append(n.src + shift[n.src])
-        dst.append(n.dst + shift[n.dst])
-    rel = np.concatenate([n.rel for n in nets])
-    # each copy is grouped by relation already, so a stable sort keeps its order
-    order = np.argsort(rel, kind="stable")
-    union = GMNetwork(sum(n.n_graphs for n in nets), n_models,
-                      np.concatenate(src)[order], np.concatenate(dst)[order], rel[order],
-                      np.concatenate([n.graph_features for n in nets]),
-                      np.concatenate([n.model_features for n in nets]),
-                      first.meta_dim, first.top_k, sum(n.extension_nodes for n in nets))
-    union.validate()
-    return union
+    graph_features = np.concatenate(
+        [np.broadcast_to(net.graph_features, (c, *net.graph_features.shape)),
+         np.concatenate([m_test, u_hat_test], axis=1)[:, None, :]], axis=1)
+    return GMNetwork(c * (n + 1), c * m, src[order], dst[order], rel[order],
+                     graph_features.reshape(c * (n + 1), -1),
+                     np.tile(net.model_features, (c, 1)), net.meta_dim, net.top_k,
+                     c * (net.extension_nodes + 1))

@@ -3,8 +3,8 @@
 Offline: factorize the observed performance matrix, fit the factor estimator,
 build the network, then optimize the GNN end to end on a listwise top-1
 cross-entropy over observed entries; each epoch scores every holdout graph
-in one untaped pass over the disjoint union of their extended networks, and
-the same loss on each copy's own block of that pass is the stopping score.
+in one untaped pass over one network holding an extended copy per holdout
+graph, and the same loss on those scores is the stopping score.
 Online: extend the network with the test graph, embed, and rank models by
 inner-product scores, computing the last layer only for the rows scored.
 Graph node input states are W @ [meta; estimated factor]; model node input
@@ -23,7 +23,7 @@ import numpy as np
 from .autodiff import (Edges, Segments, Tensor, concat, einsum, segment_softmax,
                        weighted_segment_sum)
 from .features import SCHEMA_VERSION
-from .gmnet import GMNetwork, RELATIONS, build_train_network, disjoint_union, extend_with_test
+from .gmnet import GMNetwork, RELATIONS, build_train_network, extend_with_test
 from .metrics import label_top1, mrr
 from .perf import FactorEstimator, PerformanceMatrix, factorize, fit_factor_estimator
 from .ranking import ScoreSheet
@@ -186,8 +186,8 @@ def embed_network(pt: dict[str, Tensor], net: GMNetwork,
     jointly, and aggregates messages. Targets with no in-edges keep their
     residual-scaled state. Sizes come from the parameters: k from V,
     one layer per `l{L}.att`, heads and dk from its shape. A network whose
-    models are whole copies of V's rows (a `disjoint_union`) tiles V with a
-    gather. Every edge index is read through `plans`, from
+    models are whole copies of V's rows (a batch from `extend_with_test`)
+    tiles V with a gather. Every edge index is read through `plans`, from
     `plan_network(net, graph_rows)`.
 
     With `graph_rows` (graph indices) and at least one layer, the graph
@@ -322,8 +322,22 @@ def _forward_scores(params: dict[str, np.ndarray], net: GMNetwork,
     return _scores({name: Tensor(arr) for name, arr in params.items()}, net, plans).value
 
 
+def _test_scorer(net: GMNetwork, m_test: np.ndarray,
+                 u_hat_test: np.ndarray) -> Callable[[dict[str, np.ndarray]], np.ndarray]:
+    """Extend `net` with c test graphs and plan a pass over their rows, once;
+    the returned function scores each test graph against its own copy's
+    models under the given parameters, as a (c, n_models) array."""
+    ext = extend_with_test(net, m_test, u_hat_test)
+    copies = np.arange(ext.n_models // net.n_models)
+    plans = plan_network(ext, (copies + 1) * (net.n_graphs + 1) - 1)   # each copy's last graph
+    # row c against copy c's own models
+    return lambda params: _forward_scores(params, ext, plans).reshape(
+        copies.size, copies.size, -1)[copies, copies]
+
+
 def train(features: np.ndarray, perf: PerformanceMatrix, config: LearnerConfig) -> MetaLearnerState:
-    """Full offline phase; returns the best-validation-MRR parameter set.
+    """Full offline phase; returns the parameters of the epoch with the best
+    holdout stop score, the negated listwise loss on the holdout graphs.
 
     The factor estimator phi, fit on the raw training rows, owns the only
     feature z-scoring; network, holdout and test nodes all see features
@@ -377,14 +391,11 @@ def train(features: np.ndarray, perf: PerformanceMatrix, config: LearnerConfig) 
             log.warning("fewer than two holdout rows with 2+ observed entries; "
                         "keeping the warm-start parameters")
         return MetaLearnerState(params, phi, net, list(perf.model_ids))
-    # each holdout graph's extended network depends only on the warm start;
-    # their disjoint union scores every holdout row in one pass per epoch
-    holdout = disjoint_union([extend_with_test(net, phi.zscore(f[i]), phi.predict(f[i]))
-                              for i in scored_rows])
-    copies = np.arange(len(scored_rows))
-    test_rows = (copies + 1) * (net.n_graphs + 1) - 1   # each copy's last graph
-    # every epoch passes over both networks, so each is planned once
-    net_plans, holdout_plans = plan_network(net), plan_network(holdout, test_rows)
+    # every epoch passes over both networks, so each is planned once; phi
+    # predicts row by row, as in select, since a batched product rounds apart
+    net_plans = plan_network(net)
+    holdout_scores = _test_scorer(net, phi.zscore(f[scored_rows]),
+                                  np.array([phi.predict(f[i]) for i in scored_rows]))
     val_pv, val_obs = perf.values[scored_rows], perf.observed[scored_rows]
 
     def validation_score() -> tuple[float, float]:
@@ -395,15 +406,13 @@ def train(features: np.ndarray, perf: PerformanceMatrix, config: LearnerConfig) 
         early stopper long before the embeddings settle. The logged MRR
         ranks the best observed model against the full model list.
         """
-        scores = _forward_scores(params, holdout, holdout_plans)
-        # row c against copy c's own models
-        blocks = scores.reshape(copies.size, copies.size, m)[copies, copies]
+        scores = holdout_scores(params)
         mrrs = []
-        for s, pv_i, cols in zip(blocks, val_pv, val_obs):
+        for s, pv_i, cols in zip(scores, val_pv, val_obs):
             labels = np.zeros(m)
             labels[cols] = label_top1(pv_i[cols])
             mrrs.append(mrr(s, labels))
-        loss = sparse_top1_loss(Tensor.const(blocks), val_pv, val_obs).item()
+        loss = sparse_top1_loss(Tensor.const(scores), val_pv, val_obs).item()
         return -loss, float(np.mean(mrrs))
 
     best_params = None
@@ -441,8 +450,8 @@ def train(features: np.ndarray, perf: PerformanceMatrix, config: LearnerConfig) 
 def select_model(state: MetaLearnerState, m_feat: np.ndarray) -> ScoreSheet:
     """Online phase: standardize and estimate factors through phi, extend,
     embed, rank."""
-    ext = extend_with_test(state.network, state.phi.zscore(m_feat), state.phi.predict(m_feat))
-    scores = _forward_scores(state.params, ext, plan_network(ext, [ext.n_graphs - 1]))[0]
+    scores = _test_scorer(state.network, state.phi.zscore(m_feat),
+                          state.phi.predict(m_feat))(state.params)[0]
     return ScoreSheet(list(state.model_ids), scores)
 
 
@@ -526,7 +535,8 @@ def save_state(state: MetaLearnerState, path: str):
 
 
 def load_state(path: str) -> MetaLearnerState:
-    """Read a bundle; a truncated, foreign or outdated one raises ValueError."""
+    """Read a bundle; a truncated, foreign, outdated or inconsistent one
+    raises ValueError. The one place a network is validated."""
     with open(path, "rb") as fh:
         try:
             payload = pickle.load(fh)
@@ -544,17 +554,20 @@ def load_state(path: str) -> MetaLearnerState:
         phi = FactorEstimator(**payload["phi"])
         net = GMNetwork(**payload["network"])
         net.validate()
-        _check_params(payload["params"], net.meta_dim, len(payload["model_ids"]))
+        _check_shapes(payload["params"], phi, net, payload["model_ids"])
         return MetaLearnerState(payload["params"], phi, net, payload["model_ids"],
                                 payload["training_log"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"bundle payload is incomplete: {exc}") from None
 
 
-def _check_params(params, meta_dim: int, n_models: int):
-    """Raise ValueError unless `params` holds exactly the names and shapes
-    `init_params` makes: layers 0..L-1 for the L contiguous `lL.att` keys,
-    k from V and the head count from `l0.att`."""
+def _check_shapes(params, phi: FactorEstimator, net: GMNetwork, model_ids):
+    """Raise ValueError unless there is one distinct model id per model node,
+    `params` holds exactly what `init_params` makes (layers 0..L-1 for the L
+    contiguous `lL.att` keys, k from V, heads from `l0.att`), and phi's and
+    the network's arrays have the widths k and `net.meta_dim` give them."""
+    if len(set(model_ids)) != len(model_ids) or net.n_models != len(model_ids):
+        raise ValueError("bundle model ids are not one distinct id per model node")
     if not isinstance(params, dict) or np.ndim(params.get("V")) != 2:
         raise ValueError("bundle parameters hold no (models, k) V matrix")
     layers = 0
@@ -564,12 +577,18 @@ def _check_params(params, meta_dim: int, n_models: int):
     heads = np.shape(params["l0.att"])[1] if layers and np.ndim(params["l0.att"]) == 4 else 1
     if min(k, heads) < 1:
         raise ValueError("bundle parameters have an empty embedding or head axis")
-    want = init_params(np.random.default_rng(0), meta_dim, k, layers, heads, n_models)
+    d = net.meta_dim
+    want = init_params(np.random.default_rng(0), d, k, layers, heads, net.n_models)
     if want.keys() != params.keys():
         raise ValueError(f"bundle parameters of {layers} layers lack "
                          f"{sorted(want.keys() - params.keys())} and hold unexpected "
                          f"{sorted(params.keys() - want.keys())}")
-    for name, arr in want.items():
-        if np.shape(params[name]) != arr.shape:
-            raise ValueError(f"bundle parameter {name} has shape {np.shape(params[name])}, "
-                             f"not {arr.shape}")
+    for name, got, shape in (
+            *((f"parameter {name}", params[name], arr.shape) for name, arr in want.items()),
+            ("network graph_features", net.graph_features, (net.n_graphs, d + k)),
+            ("network model_features", net.model_features, (net.n_models, k)),
+            ("phi weights", phi.weights, (d, k)), ("phi intercept", phi.intercept, (k,)),
+            ("phi feature_mean", phi.feature_mean, (d,)),
+            ("phi feature_scale", phi.feature_scale, (d,))):
+        if np.shape(got) != shape:
+            raise ValueError(f"bundle {name} has shape {np.shape(got)}, not {shape}")

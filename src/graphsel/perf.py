@@ -123,17 +123,18 @@ def factorize(p: PerformanceMatrix, k: int, seed: int,
               mean_prior_weight: float = 0.0) -> LatentFactors:
     """Masked non-negative factorization P ~= U V^T by multiplicative updates.
 
-    Only observed cells enter the weighted Frobenius objective, which is
-    non-increasing under these updates. Rows/columns with no observations
-    cannot be fit; they are dropped for the updates and reinserted as the
-    mean of the fitted factors, with a warning.
+    A cell weighs w = 1 where observed and mean_prior_weight elsewhere,
+    where its target is the column's observed mean. The updates minimise
+    sum(w * (X - U V^T)^2) and keep it non-increasing; the traced objective
+    the loop stops on, sum((w * (X - U V^T))^2), weighs cells by w^2, so the
+    two differ where w is neither 0 nor 1. With no prior only observed cells
+    enter; rows/columns with no observations cannot be fit, so they are
+    dropped for the updates and reinserted as the mean of the fitted
+    factors, with a warning.
 
-    mean_prior_weight > 0 additionally pulls every unobserved cell toward
-    its column's observed mean with that weight (observed cells keep weight
-    1). Under heavy masking the plain objective has far more free factor
-    entries than data and interpolates noise; the prior degrades the fit
-    toward column-level structure instead. A fully observed matrix is
-    unaffected.
+    Under heavy masking the plain objective has more free factor entries
+    than data and interpolates noise; the prior pulls the fit toward
+    column-level structure. A fully observed matrix is unaffected.
     """
     n, m = p.shape
     if k < 1 or k > min(n, m):

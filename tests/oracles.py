@@ -5,8 +5,8 @@ dense matrix powers for triangle counts, BFS loops for eccentricity, naive
 peeling for core numbers, a line-by-line edge-list parser, direct formulas
 for the summary statistics and the ranking metrics. The autodiff
 scatters, the attention aggregation chain, the per-node relation keys, the
-one-distribution summary and the literal NMF update loop are the package's
-former versions, kept to pin their replacements: the keys within a rounding
+one-distribution summary, the literal NMF update loop and the one-copy
+network extension with its disjoint union are the package's former versions, kept to pin their replacements: the keys within a rounding
 tolerance, the rest bit for bit. Slow is fine; these run on small inputs.
 """
 
@@ -18,6 +18,7 @@ from scipy import special, stats
 from graphsel.autodiff import concat, einsum
 from graphsel.extractors import adjacency_matrix, extract_structural, two_hop_matrix
 from graphsel.features import global_stats, signed_log1p
+from graphsel.gmnet import REL_INDEX, GMNetwork, cosine_topk
 from graphsel.graphs import EdgeListError, from_edges
 from graphsel.perf import NMF_EPS, NMF_MAX_ITER, NMF_REL_TOL, LatentFactors
 from graphsel.summaries import (GROUP_ATOL, GROUP_RTOL, HIST_BINS, IQR_ALPHAS, STD_ALPHAS,
@@ -113,6 +114,61 @@ def relation_keys_per_node(zm, zg, k_m, k_g, att):
     heads, dk = att.shape[1:3]
     keys = concat([zm @ k_m, zg @ k_g]).reshape(-1, heads, dk)
     return einsum("nhi,rhij->nrhj", keys, att).reshape(-1, heads, dk)
+
+
+# --- G-M network extension -----------------------------------------------------
+
+def extend_with_test_one(net, m_test, u_hat_test):
+    """One test graph node spliced into a copy of the network: top-k
+    out-edges per applicable relation and a reciprocal in-edge from each
+    chosen neighbor, appended after each relation's build edges."""
+    m_test = np.asarray(m_test, dtype=np.float64).ravel()
+    u_hat_test = np.asarray(u_hat_test, dtype=np.float64).ravel()
+    g0 = net.n_models
+    t = g0 + net.n_graphs              # the test node's id
+    meta = net.graph_features[:, :net.meta_dim]
+    u_hat = net.graph_features[:, net.meta_dim:]
+    k = net.top_k
+
+    src, dst, rel = [net.src], [net.dst], [net.rel]
+    for out_rel, back_rel, nbrs in (
+            ("M-g2g", "M-g2g", cosine_topk(m_test[None, :], meta, k)[0] + g0),
+            ("P-g2g", "P-g2g", cosine_topk(u_hat_test[None, :], u_hat, k)[0] + g0),
+            ("P-g2m", "P-m2g", cosine_topk(u_hat_test[None, :], net.model_features, k)[0])):
+        test_end = np.full(nbrs.size, t)
+        src += [test_end, nbrs]
+        dst += [nbrs, test_end]
+        rel += [np.full(nbrs.size, REL_INDEX[out_rel]), np.full(nbrs.size, REL_INDEX[back_rel])]
+    src, dst, rel = (np.concatenate(parts) for parts in (src, dst, rel))
+    order = np.argsort(rel, kind="stable")
+
+    feat = np.concatenate([m_test, u_hat_test])[None, :]
+    return GMNetwork(net.n_graphs + 1, net.n_models, src[order], dst[order], rel[order],
+                     np.concatenate([net.graph_features, feat], axis=0),
+                     net.model_features, net.meta_dim, k, net.extension_nodes + 1)
+
+
+def disjoint_union(nets):
+    """One network holding every copy in `nets`, none joined to another:
+    every copy's models first, then every copy's graphs, both in copy order;
+    the edge table grouped by relation, each copy's edges in their order."""
+    n_models = sum(n.n_models for n in nets)
+    model_start = np.cumsum([0] + [n.n_models for n in nets])
+    graph_start = np.cumsum([n_models] + [n.n_graphs for n in nets])
+    src, dst = [], []
+    for n, m0, g0 in zip(nets, model_start, graph_start):
+        # a copy's id i moves to m0 + i for a model and g0 + i - n_models for a graph
+        shift = np.where(np.arange(n.n_models + n.n_graphs) < n.n_models, m0, g0 - n.n_models)
+        src.append(n.src + shift[n.src])
+        dst.append(n.dst + shift[n.dst])
+    rel = np.concatenate([n.rel for n in nets])
+    order = np.argsort(rel, kind="stable")
+    first = nets[0]
+    return GMNetwork(sum(n.n_graphs for n in nets), n_models,
+                     np.concatenate(src)[order], np.concatenate(dst)[order], rel[order],
+                     np.concatenate([n.graph_features for n in nets]),
+                     np.concatenate([n.model_features for n in nets]),
+                     first.meta_dim, first.top_k, sum(n.extension_nodes for n in nets))
 
 
 # --- graph helpers -----------------------------------------------------------

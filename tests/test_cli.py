@@ -12,9 +12,11 @@ import pytest
 from graphsel import cli
 from graphsel.cli import DataError, main, read_features_csv
 from graphsel.features import FEATURE_DIM, SCHEMA_VERSION
+from graphsel.gmnet import REL_INDEX, GMNetwork
 from graphsel.graphs import serialize
 from graphsel.perf import to_csv
 from graphsel.synth import generate_synthetic_corpus
+from oracles import disjoint_union
 
 TRAIN_SETS = [
     "--set", "hyper.k=4", "--set", "hyper.top_k=3", "--set", "hyper.layers=1",
@@ -331,12 +333,20 @@ def test_select_error_paths(ws, tmp_path):
         assert main(["select", "--bundle", str(path),
                      "--graph-file", str(ws["graph_dir"] / "g000"),
                      "--output-dir", str(tmp_path)]) == 3, name
-    # a network whose edge table or node counts disagree with each other
+    # a network whose edge table or node counts disagree with each other: an
+    # edge beyond the nodes, an unknown relation, a P-g2m edge from a model,
+    # a self edge, and too few graphs for the feature rows
     network = payload["network"]
     rel = network["rel"].copy()
     rel[0] = 9
+    g2m = np.flatnonzero(network["rel"] == REL_INDEX["P-g2m"])[0]
+    from_model, self_edge = network["src"].copy(), network["src"].copy()
+    from_model[g2m] = 0
+    self_edge[0] = network["dst"][0]
     for name, bad_network in (("shifted", dict(network, src=network["src"] + 1000)),
                               ("relation", dict(network, rel=rel)),
+                              ("endpoint_type", dict(network, src=from_model)),
+                              ("self_edge", dict(network, src=self_edge)),
                               ("n_graphs", dict(network, n_graphs=3))):
         path = tmp_path / f"{name}.bundle"
         path.write_bytes(pickle.dumps(dict(payload, network=bad_network)))
@@ -359,6 +369,25 @@ def test_select_error_paths(ws, tmp_path):
         assert main(["select", "--bundle", str(path),
                      "--graph-file", str(ws["graph_dir"] / "g000"),
                      "--output-dir", str(tmp_path)]) == rc, name
+    # arrays that disagree with the meta-feature width or k, a network of two
+    # copies of the models for one list of model ids, and a model id twice
+    phi = payload["phi"]
+    doubled = vars(disjoint_union([GMNetwork(**network)] * 2))
+    ids = payload["model_ids"]
+    for name, tampered in (
+            ("graph_features", {"network": dict(network,
+                                                graph_features=network["graph_features"][:, :-1])}),
+            ("model_features", {"network": dict(network,
+                                                model_features=network["model_features"][:, :-1])}),
+            ("phi_weights", {"phi": dict(phi, weights=phi["weights"][:-1])}),
+            ("phi_feature_mean", {"phi": dict(phi, feature_mean=phi["feature_mean"][:-1])}),
+            ("two_model_copies", {"network": doubled}),
+            ("duplicate_model_id", {"model_ids": [ids[0]] + list(ids[:-1])})):
+        path = tmp_path / f"{name}.bundle"
+        path.write_bytes(pickle.dumps(dict(payload, **tampered)))
+        assert main(["select", "--bundle", str(path),
+                     "--graph-file", str(ws["graph_dir"] / "g000"),
+                     "--output-dir", str(tmp_path)]) == 3, name
     # a format-3 bundle still carried a second feature z-scoring and the
     # layer sizes; the loader refuses it rather than guess
     old = tmp_path / "format3.bundle"

@@ -5,8 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from graphsel.gmnet import (REL_TYPES, RELATIONS, build_train_network, cosine_topk,
-                            disjoint_union, extend_with_test)
+from graphsel.gmnet import REL_TYPES, RELATIONS, build_train_network, cosine_topk, extend_with_test
+from oracles import disjoint_union, extend_with_test_one
 
 
 def relation_edges(net, rel):
@@ -97,7 +97,7 @@ def test_build_matches_neighbor_lists():
     assert np.array_equal(net.graph_features, np.concatenate([meta, u], axis=1))
     assert np.array_equal(net.model_features, v)
     assert net.meta_dim == 5
-    assert net.edge_count() == sum(len(e) for e in want.values())
+    assert net.src.size == sum(len(e) for e in want.values())
 
 
 def test_build_validation():
@@ -167,16 +167,15 @@ def test_extension_dimension_validation():
         extend_with_test(net, np.zeros(5), np.zeros(2))    # factor dim is 3
 
 
-def test_disjoint_union_keeps_copies_apart_and_in_order():
+def test_batched_extension_keeps_copies_apart_and_in_order():
     rng = np.random.default_rng(6)
     net, *_ = make_net(rng, n=6, m=4, top_k=2)
-    small, *_ = make_net(rng, n=5, m=3, top_k=2)
-    copies = [extend_with_test(net, rng.normal(size=5), rng.uniform(0.1, 1.0, size=3)),
-              small, extend_with_test(net, rng.normal(size=5), rng.uniform(0.1, 1.0, size=3))]
-    union = disjoint_union(copies)
+    m_test, u_test = rng.normal(size=(3, 5)), rng.uniform(0.1, 1.0, size=(3, 3))
+    copies = [extend_with_test(net, a, b) for a, b in zip(m_test, u_test)]
+    union = extend_with_test(net, m_test, u_test)
     union.validate()
-    assert (union.n_models, union.n_graphs) == (11, 19)
-    assert union.extension_nodes == 2
+    assert (union.n_models, union.n_graphs) == (12, 21)
+    assert union.extension_nodes == 3
     assert np.all(np.diff(union.rel) >= 0)        # still grouped by relation
 
     # every copy's models come first, then every copy's graphs
@@ -196,8 +195,35 @@ def test_disjoint_union_keeps_copies_apart_and_in_order():
         assert np.array_equal(union.model_features[copy_of[:union.n_models] == i],
                               c.model_features)
 
-    with pytest.raises(ValueError, match="top_k"):
-        disjoint_union([net, replace(small, top_k=3)])
+    with pytest.raises(ValueError, match="one row per test graph"):
+        extend_with_test(net, m_test, u_test[:2])
+
+
+def test_batched_extension_equals_the_union_of_one_copy_extensions():
+    """The batch is array-equal to extending one copy per test graph and
+    joining the copies, for 1 to 4 copies, also where top_k reaches past
+    the graphs or models; every network built or extended validates."""
+    rng = np.random.default_rng(7)
+    for n, m, top_k in ((6, 4, 2), (5, 3, 5), (4, 6, 9)):
+        net, *_ = make_net(rng, n=n, m=m, top_k=top_k)
+        net.validate()
+        for c in range(1, 5):
+            m_test, u_test = rng.normal(size=(c, 5)), rng.uniform(0.1, 1.0, size=(c, 3))
+            if c == 2:
+                u_test[1] = u_test[0]            # two test graphs on one factor row
+            got = extend_with_test(net, m_test, u_test)
+            got.validate()
+            want = disjoint_union([extend_with_test_one(net, a, b)
+                                   for a, b in zip(m_test, u_test)])
+            for name in ("src", "dst", "rel", "graph_features", "model_features"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), (n, c, name)
+                assert getattr(got, name).dtype == getattr(want, name).dtype
+            assert (got.n_graphs, got.n_models, got.extension_nodes) == \
+                (want.n_graphs, want.n_models, want.extension_nodes)
+        one = extend_with_test(net, m_test[0], u_test[0])      # 1-D: one copy
+        want = extend_with_test_one(net, m_test[0], u_test[0])
+        for name in ("src", "dst", "rel", "graph_features", "model_features"):
+            assert np.array_equal(getattr(one, name), getattr(want, name))
 
 
 def test_validate_rejects_malformed_networks():

@@ -12,7 +12,7 @@ from graphsel import learner
 from graphsel.autodiff import Tensor
 from graphsel.features import SCHEMA_VERSION
 from graphsel.gmnet import (RELATIONS, REL_INDEX, REL_TYPES, GMNetwork, build_train_network,
-                            disjoint_union, extend_with_test)
+                            extend_with_test)
 from graphsel.learner import (
     VAL_FRACTION,
     LearnerConfig,
@@ -164,16 +164,16 @@ def test_union_pass_equals_each_copy_alone():
     net, params, _, _ = make_tiny_problem(seed=8, layers=2, heads=2)
     params = perturbed_params(params, rng)
     k = params["V"].shape[1]
-    copies = [net] + [extend_with_test(net, rng.normal(size=net.meta_dim),
-                                       rng.uniform(0.1, 1.0, size=k)) for _ in range(3)]
-    union = disjoint_union(copies)
+    m_test, u_test = rng.normal(size=(3, net.meta_dim)), rng.uniform(0.1, 1.0, size=(3, k))
+    copies = [extend_with_test(net, a, b) for a, b in zip(m_test, u_test)]
+    union = extend_with_test(net, m_test, u_test)
     m = net.n_models
     last = np.cumsum([c.n_graphs for c in copies]) - 1
     scores = scores_of(params, union, last)
     for c, copy in enumerate(copies):
         assert_rel_close(scores[c, c * m:(c + 1) * m], scores_of(params, copy)[-1])
     with pytest.raises(ValueError, match="whole copies"):
-        # 12 model nodes are not whole copies of 5 model rows
+        # 9 model nodes are not whole copies of 5 model rows
         scores_of({**params, "V": np.vstack([params["V"], params["V"][:2]])}, union)
 
 
@@ -223,7 +223,7 @@ def test_train_and_select_plan_each_network_once(monkeypatch):
     feats, perf = small_training_problem()
     state = train(feats, perf, fast_config(max_epochs=10))
     assert len(state.training_log) == 10
-    # the training network, the holdout union, and the holdout's scored rows
+    # the training network, the holdout's extended network, and its scored rows
     assert built == [False, False, True]
     built.clear()
     select_model(state, feats[0])
