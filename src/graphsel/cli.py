@@ -19,7 +19,6 @@ import functools
 import logging
 import multiprocessing
 import os
-import pickle
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -229,7 +228,7 @@ def cmd_select(cfg: RunConfig) -> int:
     graph_path = _require_path(cfg, "paths", "graph_file")
     try:
         state = learner.load_state(str(bundle_path))
-    except (OSError, ValueError, pickle.UnpicklingError) as exc:
+    except (OSError, ValueError) as exc:
         raise DataError(f"cannot load bundle: {exc}") from None
 
     t0 = time.perf_counter()

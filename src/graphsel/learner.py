@@ -13,8 +13,9 @@ states are the (trainable) latent factor rows.
 
 from __future__ import annotations
 
+import json
 import logging
-import pickle
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -30,7 +31,7 @@ from .ranking import ScoreSheet
 
 log = logging.getLogger(__name__)
 
-BUNDLE_FORMAT_VERSION = 4
+BUNDLE_FORMAT_VERSION = 5
 # share of training graphs held out for early stopping
 VAL_FRACTION = 0.1
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -63,6 +64,24 @@ class MetaLearnerState:
 
 # --- parameters -----------------------------------------------------------
 
+def param_shapes(meta_dim: int, k: int, layers: int, heads: int,
+                 n_models: int) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every parameter, in the order `init_params` draws
+    them and a bundle stores them; attention forms are (R, H, dk, dk) in
+    RELATIONS order."""
+    if k % heads != 0:
+        raise ValueError("embedding dim must be divisible by head count")
+    dk = k // heads
+    shapes = {"W": (k, meta_dim + k), "V": (n_models, k)}
+    for layer in range(layers):
+        for t in ("g", "m"):
+            shapes.update({f"l{layer}.{name}.{t}": (k, k) for name in ("K", "Q", "M", "O")})
+            shapes[f"l{layer}.alpha.{t}"] = ()
+        shapes[f"l{layer}.att"] = (len(RELATIONS), heads, dk, dk)
+        shapes[f"l{layer}.mu"] = (len(RELATIONS),)
+    return shapes
+
+
 def init_params(rng: np.random.Generator, meta_dim: int, k: int, layers: int,
                 heads: int, n_models: int, v_init: np.ndarray | None = None) -> dict[str, np.ndarray]:
     """Near-identity initialization around the factor warm start.
@@ -73,34 +92,22 @@ def init_params(rng: np.random.Generator, meta_dim: int, k: int, layers: int,
     observed performances the listwise gradient is mostly noise and the
     early stopper needs a sane model to fall back on; the attention stack
     then has to earn its way off the identity. Glorot everywhere else.
-    Draw order is fixed by insertion order, which also fixes the parameter
-    traversal order for the optimizer and finite differencing.
+    Draw order is the order of `param_shapes`, which also fixes the
+    parameter traversal order for the optimizer and finite differencing.
     """
-    if k % heads != 0:
-        raise ValueError("embedding dim must be divisible by head count")
-    dk = k // heads
-
-    def glorot(rows, cols):
-        limit = np.sqrt(6.0 / (rows + cols))
-        return rng.uniform(-limit, limit, size=(rows, cols))
-
     params: dict[str, np.ndarray] = {}
-    params["W"] = np.concatenate([np.zeros((k, meta_dim)), np.eye(k)], axis=1)
-    if v_init is not None:
-        params["V"] = np.array(v_init, dtype=np.float64)
-    else:
-        params["V"] = rng.uniform(0.0, 1.0 / np.sqrt(k), size=(n_models, k))
-    for layer in range(layers):
-        for t in ("g", "m"):
-            params[f"l{layer}.K.{t}"] = glorot(k, k)
-            params[f"l{layer}.Q.{t}"] = glorot(k, k)
-            params[f"l{layer}.M.{t}"] = glorot(k, k)
-            params[f"l{layer}.O.{t}"] = glorot(k, k) * 0.01
-            params[f"l{layer}.alpha.{t}"] = np.array(1.0)
-        # (R, H, dk, dk) in RELATIONS order, drawn relation-major
-        params[f"l{layer}.att"] = np.stack(
-            [[glorot(dk, dk) for _ in range(heads)] for _ in RELATIONS])
-        params[f"l{layer}.mu"] = np.ones(len(RELATIONS))
+    for name, shape in param_shapes(meta_dim, k, layers, heads, n_models).items():
+        role = name.split(".")[1] if "." in name else name
+        if role == "W":
+            params[name] = np.concatenate([np.zeros((k, meta_dim)), np.eye(k)], axis=1)
+        elif role == "V":
+            params[name] = (rng.uniform(0.0, 1.0 / np.sqrt(k), size=shape) if v_init is None
+                            else np.array(v_init, dtype=np.float64))
+        elif role in ("alpha", "mu"):
+            params[name] = np.ones(shape)
+        else:                   # Glorot over the last two axes; O two orders smaller
+            limit = np.sqrt(6.0 / (shape[-2] + shape[-1]))
+            params[name] = rng.uniform(-limit, limit, size=shape) * (0.01 if role == "O" else 1.0)
     return params
 
 
@@ -519,76 +526,93 @@ def gradient_check(seed: int = 0, step: float = 1e-5) -> float:
 
 # --- persistence -----------------------------------------------------------
 
+_DIMENSIONS = ("meta_dim", "k", "layers", "heads", "n_graphs", "top_k")
+_HEADER_KEYS = {"format_version", "schema_version", *_DIMENSIONS, "model_ids",
+                "ridge_lambda", "r2", "training_log"}
+
+
+def _bundle_layout(head: dict) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of each float array of a bundle, in float-record order."""
+    d, k, m = head["meta_dim"], head["k"], len(head["model_ids"])
+    return {**param_shapes(d, k, head["layers"], head["heads"], m),
+            "phi.weights": (d, k), "phi.intercept": (k,), "phi.feature_mean": (d,),
+            "phi.feature_scale": (d,), "network.graph_features": (head["n_graphs"], d + k),
+            "network.model_features": (m, k)}
+
+
 def save_state(state: MetaLearnerState, path: str):
-    """Pickle the bundle (trusted-input format; see README)."""
-    payload = {
-        "format_version": BUNDLE_FORMAT_VERSION,
-        "schema_version": SCHEMA_VERSION,
-        "params": state.params,
-        "phi": vars(state.phi),
-        "network": vars(state.network),
-        "model_ids": state.model_ids,
-        "training_log": state.training_log,
-    }
+    """Write the bundle, format 5 (see README), as three .npy records: the
+    JSON header as a 0-d string, every float array in `_bundle_layout` order
+    as one float64 vector, and the (3, E) int64 edge table src, dst, rel.
+    They go to an open handle, so numpy adds no suffix to `path`."""
+    params, phi, net = state.params, state.phi, state.network
+    layers = sum(name.endswith(".att") for name in params)
+    head = {"format_version": BUNDLE_FORMAT_VERSION, "schema_version": SCHEMA_VERSION,
+            "meta_dim": net.meta_dim, "k": params["V"].shape[1], "layers": layers,
+            "heads": params["l0.att"].shape[1] if layers else 1, "n_graphs": net.n_graphs,
+            "top_k": net.top_k, "model_ids": list(state.model_ids),
+            "ridge_lambda": phi.ridge_lambda, "r2": phi.r2, "training_log": state.training_log}
+    arrays = {**params, "phi.weights": phi.weights, "phi.intercept": phi.intercept,
+              "phi.feature_mean": phi.feature_mean, "phi.feature_scale": phi.feature_scale,
+              "network.graph_features": net.graph_features,
+              "network.model_features": net.model_features}
     with open(path, "wb") as fh:
-        pickle.dump(payload, fh, protocol=5)
+        for record in (np.array(json.dumps(head)),
+                       np.concatenate([np.ravel(arrays[name]) for name in _bundle_layout(head)]),
+                       np.array([net.src, net.dst, net.rel], dtype=np.int64)):
+            np.save(fh, record, allow_pickle=False)
 
 
 def load_state(path: str) -> MetaLearnerState:
-    """Read a bundle; a truncated, foreign, outdated or inconsistent one
-    raises ValueError. The one place a network is validated."""
+    """Read a bundle written by `save_state`; raise ValueError unless it is
+    exactly the three records, with the header, layout and values README's
+    Bundle section lists. The one place a network is validated. The float
+    arrays are views of the one float record."""
     with open(path, "rb") as fh:
         try:
-            payload = pickle.load(fh)
-        except EOFError:
-            raise ValueError("bundle is empty or truncated") from None
-    if not isinstance(payload, dict):
-        raise ValueError(f"bundle holds a {type(payload).__name__}, not a bundle payload")
-    if payload.get("format_version") != BUNDLE_FORMAT_VERSION:
-        raise ValueError(f"unsupported bundle format {payload.get('format_version')!r}")
-    if payload.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(
-            f"bundle feature schema {payload.get('schema_version')!r} does not match "
-            f"current schema {SCHEMA_VERSION}; regenerate features and retrain")
-    try:
-        phi = FactorEstimator(**payload["phi"])
-        net = GMNetwork(**payload["network"])
-        net.validate()
-        _check_shapes(payload["params"], phi, net, payload["model_ids"])
-        return MetaLearnerState(payload["params"], phi, net, payload["model_ids"],
-                                payload["training_log"])
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"bundle payload is incomplete: {exc}") from None
-
-
-def _check_shapes(params, phi: FactorEstimator, net: GMNetwork, model_ids):
-    """Raise ValueError unless there is one distinct model id per model node,
-    `params` holds exactly what `init_params` makes (layers 0..L-1 for the L
-    contiguous `lL.att` keys, k from V, heads from `l0.att`), and phi's and
-    the network's arrays have the widths k and `net.meta_dim` give them."""
-    if len(set(model_ids)) != len(model_ids) or net.n_models != len(model_ids):
-        raise ValueError("bundle model ids are not one distinct id per model node")
-    if not isinstance(params, dict) or np.ndim(params.get("V")) != 2:
-        raise ValueError("bundle parameters hold no (models, k) V matrix")
-    layers = 0
-    while f"l{layers}.att" in params:
-        layers += 1
-    k = np.shape(params["V"])[1]
-    heads = np.shape(params["l0.att"])[1] if layers and np.ndim(params["l0.att"]) == 4 else 1
-    if min(k, heads) < 1:
-        raise ValueError("bundle parameters have an empty embedding or head axis")
-    d = net.meta_dim
-    want = init_params(np.random.default_rng(0), d, k, layers, heads, net.n_models)
-    if want.keys() != params.keys():
-        raise ValueError(f"bundle parameters of {layers} layers lack "
-                         f"{sorted(want.keys() - params.keys())} and hold unexpected "
-                         f"{sorted(params.keys() - want.keys())}")
-    for name, got, shape in (
-            *((f"parameter {name}", params[name], arr.shape) for name, arr in want.items()),
-            ("network graph_features", net.graph_features, (net.n_graphs, d + k)),
-            ("network model_features", net.model_features, (net.n_models, k)),
-            ("phi weights", phi.weights, (d, k)), ("phi intercept", phi.intercept, (k,)),
-            ("phi feature_mean", phi.feature_mean, (d,)),
-            ("phi feature_scale", phi.feature_scale, (d,))):
-        if np.shape(got) != shape:
-            raise ValueError(f"bundle {name} has shape {np.shape(got)}, not {shape}")
+            header, floats, edges = [np.lib.format.read_array(fh, allow_pickle=False)
+                                     for _ in range(3)]
+            is_text = header.dtype.kind == "U" and header.ndim == 0
+            head = json.loads(header.item()) if is_text else {}
+        except (ValueError, RecursionError):        # RecursionError: JSON nested too deep
+            raise ValueError("bundle is empty, truncated, or not three .npy records of plain "
+                             "arrays led by JSON (formats up to 4 were pickles; retrain)") from None
+        if fh.read(1):
+            raise ValueError("bundle has bytes after its three records")
+    version = head.get("format_version") if isinstance(head, dict) else None
+    if version != BUNDLE_FORMAT_VERSION:
+        raise ValueError(f"unsupported bundle format {version!r}")
+    if head.get("schema_version") != SCHEMA_VERSION:
+        raise ValueError(f"bundle feature schema {head.get('schema_version')!r} does not match "
+                         f"current schema {SCHEMA_VERSION}; regenerate features and retrain")
+    if head.keys() != _HEADER_KEYS:
+        raise ValueError(f"bundle header keys {sorted(head)} are not {sorted(_HEADER_KEYS)}")
+    ids = head["model_ids"]
+    bad = [key for key in _DIMENSIONS
+           if type(head[key]) is not int or head[key] < (key != "layers")]
+    bad += [key for key in ("ridge_lambda", "r2")
+            if type(head[key]) not in (int, float) or not math.isfinite(head[key])]
+    if not (isinstance(ids, list) and ids and all(type(i) is str for i in ids)
+            and len(set(ids)) == len(ids)):
+        bad.append("model_ids")
+    # a layer holds floats, so no larger count can spin the layout loop
+    if bad or head["layers"] > floats.size:
+        raise ValueError(f"bundle header values {bad or ['layers']} are out of range")
+    layout = _bundle_layout(head)
+    sizes = [math.prod(shape) for shape in layout.values()]
+    if floats.dtype != np.float64 or floats.shape != (sum(sizes),):
+        raise ValueError(f"bundle float record is {floats.dtype} {floats.shape}, "
+                         f"not float64 ({sum(sizes)},) as its header gives")
+    if not np.isfinite(floats).all():
+        raise ValueError("bundle float record holds a non-finite value")
+    if edges.dtype != np.int64 or edges.ndim != 2 or len(edges) != 3:
+        raise ValueError(f"bundle edge record is {edges.dtype} {edges.shape}, not int64 (3, E)")
+    arrays = {name: part.reshape(shape) for (name, shape), part
+              in zip(layout.items(), np.split(floats, np.cumsum(sizes)[:-1]))}
+    phi = FactorEstimator(arrays.pop("phi.weights"), arrays.pop("phi.intercept"),
+                          arrays.pop("phi.feature_mean"), arrays.pop("phi.feature_scale"),
+                          head["ridge_lambda"], head["r2"])
+    net = GMNetwork(head["n_graphs"], len(ids), *edges, arrays.pop("network.graph_features"),
+                    arrays.pop("network.model_features"), head["meta_dim"], head["top_k"])
+    net.validate()
+    return MetaLearnerState(arrays, phi, net, ids, head["training_log"])

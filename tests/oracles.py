@@ -5,11 +5,16 @@ dense matrix powers for triangle counts, BFS loops for eccentricity, naive
 peeling for core numbers, a line-by-line edge-list parser, direct formulas
 for the summary statistics and the ranking metrics. The autodiff
 scatters, the attention aggregation chain, the per-node relation keys, the
-one-distribution summary, the literal NMF update loop and the one-copy
-network extension with its disjoint union are the package's former versions, kept to pin their replacements: the keys within a rounding
-tolerance, the rest bit for bit. Slow is fine; these run on small inputs.
+one-distribution summary, the literal NMF update loop, the one-copy
+network extension with its disjoint union and the one-array-at-a-time
+parameter draws are the package's former versions, kept to pin their
+replacements: the keys within a rounding tolerance, the rest bit for bit.
+Slow is fine; these run on small inputs.
+The bundle record reader and writer follow the format's definition, for
+tests that tamper with one record.
 """
 
+import json
 import math
 
 import numpy as np
@@ -18,11 +23,57 @@ from scipy import special, stats
 from graphsel.autodiff import concat, einsum
 from graphsel.extractors import adjacency_matrix, extract_structural, two_hop_matrix
 from graphsel.features import global_stats, signed_log1p
-from graphsel.gmnet import REL_INDEX, GMNetwork, cosine_topk
+from graphsel.gmnet import REL_INDEX, RELATIONS, GMNetwork, cosine_topk
 from graphsel.graphs import EdgeListError, from_edges
 from graphsel.perf import NMF_EPS, NMF_MAX_ITER, NMF_REL_TOL, LatentFactors
 from graphsel.summaries import (GROUP_ATOL, GROUP_RTOL, HIST_BINS, IQR_ALPHAS, STD_ALPHAS,
                                 SUMMARY_DIM)
+
+
+# --- parameters --------------------------------------------------------------
+
+def init_params_literal(rng, meta_dim, k, layers, heads, n_models, v_init=None):
+    """The parameter draws written out one array at a time, in the order the
+    package draws them: relation-major, head-minor for the attention forms."""
+    dk = k // heads
+
+    def glorot(rows, cols):
+        limit = np.sqrt(6.0 / (rows + cols))
+        return rng.uniform(-limit, limit, size=(rows, cols))
+
+    params = {"W": np.concatenate([np.zeros((k, meta_dim)), np.eye(k)], axis=1)}
+    if v_init is not None:
+        params["V"] = np.array(v_init, dtype=np.float64)
+    else:
+        params["V"] = rng.uniform(0.0, 1.0 / np.sqrt(k), size=(n_models, k))
+    for layer in range(layers):
+        for t in ("g", "m"):
+            params[f"l{layer}.K.{t}"] = glorot(k, k)
+            params[f"l{layer}.Q.{t}"] = glorot(k, k)
+            params[f"l{layer}.M.{t}"] = glorot(k, k)
+            params[f"l{layer}.O.{t}"] = glorot(k, k) * 0.01
+            params[f"l{layer}.alpha.{t}"] = np.array(1.0)
+        params[f"l{layer}.att"] = np.stack(
+            [[glorot(dk, dk) for _ in range(heads)] for _ in RELATIONS])
+        params[f"l{layer}.mu"] = np.ones(len(RELATIONS))
+    return params
+
+
+# --- bundle records ----------------------------------------------------------
+
+def read_bundle(path):
+    """A bundle's three .npy records: (header dict, float vector, edge table)."""
+    with open(path, "rb") as fh:
+        header, floats, edges = (np.load(fh) for _ in range(3))
+    return json.loads(header.item()), floats, edges
+
+
+def write_bundle(path, header, *records):
+    """A JSON header record followed by `records`, as .npy records."""
+    with open(path, "wb") as fh:
+        np.save(fh, np.array(json.dumps(header)))
+        for record in records:
+            np.save(fh, record)
 
 
 # --- edge-list parsing -------------------------------------------------------

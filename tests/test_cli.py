@@ -1,22 +1,25 @@
 """End-to-end CLI runs, in process: exit codes, artifacts, determinism."""
 
+import io
 import json
 import logging
 import multiprocessing
+import os
 import pickle
+from dataclasses import replace
 
 import networkx as nx
 import numpy as np
 import pytest
 
-from graphsel import cli
+from graphsel import cli, learner
 from graphsel.cli import DataError, main, read_features_csv
 from graphsel.features import FEATURE_DIM, SCHEMA_VERSION
-from graphsel.gmnet import REL_INDEX, GMNetwork
+from graphsel.gmnet import REL_INDEX
 from graphsel.graphs import serialize
 from graphsel.perf import to_csv
 from graphsel.synth import generate_synthetic_corpus
-from oracles import disjoint_union
+from oracles import read_bundle, write_bundle
 
 TRAIN_SETS = [
     "--set", "hyper.k=4", "--set", "hyper.top_k=3", "--set", "hyper.layers=1",
@@ -308,105 +311,152 @@ def test_select_ranks_models(ws, tmp_path, capsys):
     assert (tmp_path / "ranking.csv").read_bytes() == before
 
 
+class _Planted:
+    """An object whose unpickling creates the directory `marker`."""
+
+    def __init__(self, marker):
+        self.marker = str(marker)
+
+    def __reduce__(self):
+        return os.mkdir, (self.marker,)
+
+
 def test_select_error_paths(ws, tmp_path):
+    def select(bundle):
+        return main(["select", "--bundle", str(bundle),
+                     "--graph-file", str(ws["graph_dir"] / "g000"),
+                     "--output-dir", str(tmp_path)])
+
+    def select_written(name, header, *records):
+        path = tmp_path / f"{name}.bundle"
+        write_bundle(path, header, *records)
+        return select(path)
+
     # bundle flag not set
     assert main(["select", "--graph-file", str(ws["graph_dir"] / "g000"),
                  "--output-dir", str(tmp_path)]) == 2
     # bundle file missing
-    assert main(["select", "--bundle", str(tmp_path / "none.bundle"),
-                 "--graph-file", str(ws["graph_dir"] / "g000"),
-                 "--output-dir", str(tmp_path)]) == 3
-    # bundle not a pickle
-    garbage = tmp_path / "garbage.bundle"
-    garbage.write_bytes(b"not a pickle at all")
-    assert main(["select", "--bundle", str(garbage),
-                 "--graph-file", str(ws["graph_dir"] / "g000"),
-                 "--output-dir", str(tmp_path)]) == 3
-    # empty bundle, a pickled non-dict, and a payload missing a key
-    with open(ws["bundle"], "rb") as fh:
-        payload = pickle.load(fh)
-    broken = {"empty": b"", "list": pickle.dumps([1, 2]),
-              "keyless": pickle.dumps({k: v for k, v in payload.items() if k != "network"})}
-    for name, data in broken.items():
+    assert select(tmp_path / "none.bundle") == 3
+    # not a bundle, empty, a pickle (as every bundle of format 4 or older
+    # is), cut off inside its float record, or followed by more bytes; a
+    # header that is not JSON, JSON nested too deep to parse, or a JSON list
+    raw = ws["bundle"].read_bytes()
+    header, floats, edges = read_bundle(ws["bundle"])
+
+    def records(text):
+        out = io.BytesIO()
+        for record in (np.array(text), floats, edges):
+            np.save(out, record)
+        return out.getvalue()
+
+    for name, data in (("garbage", b"not a bundle at all"), ("empty", b""),
+                       ("pickle", pickle.dumps([1, 2])), ("truncated", raw[:len(raw) // 2]),
+                       ("trailing", raw + b"\0"), ("not_json", records("{not json")),
+                       ("deep_json", records("[" * 100_000 + "]" * 100_000)),
+                       ("json_list", records("[5]"))):
         path = tmp_path / f"{name}.bundle"
         path.write_bytes(data)
-        assert main(["select", "--bundle", str(path),
-                     "--graph-file", str(ws["graph_dir"] / "g000"),
-                     "--output-dir", str(tmp_path)]) == 3, name
-    # a network whose edge table or node counts disagree with each other: an
-    # edge beyond the nodes, an unknown relation, a P-g2m edge from a model,
-    # a self edge, and too few graphs for the feature rows
-    network = payload["network"]
-    rel = network["rel"].copy()
-    rel[0] = 9
-    g2m = np.flatnonzero(network["rel"] == REL_INDEX["P-g2m"])[0]
-    from_model, self_edge = network["src"].copy(), network["src"].copy()
-    from_model[g2m] = 0
-    self_edge[0] = network["dst"][0]
-    for name, bad_network in (("shifted", dict(network, src=network["src"] + 1000)),
-                              ("relation", dict(network, rel=rel)),
-                              ("endpoint_type", dict(network, src=from_model)),
-                              ("self_edge", dict(network, src=self_edge)),
-                              ("n_graphs", dict(network, n_graphs=3))):
-        path = tmp_path / f"{name}.bundle"
-        path.write_bytes(pickle.dumps(dict(payload, network=bad_network)))
-        assert main(["select", "--bundle", str(path),
-                     "--graph-file", str(ws["graph_dir"] / "g000"),
-                     "--output-dir", str(tmp_path)]) == 3, name
-    # parameter sets init_params does not make: no layer-0 attention (which
-    # would read as a bundle of no layers), a second layer without one of its
-    # projections, and a V with a row too few; a whole second layer loads
-    params = payload["params"]
+        assert select(path) == 3, name
+    # a header of another format or feature schema, without a key, or with
+    # dimensions its float record does not hold: heads that do not divide k,
+    # a layer more or none, too few graphs, a float k; a model id twice; a
+    # non-finite R²
+    ids = header["model_ids"]
+    for name, tampered in (
+            ("format3", dict(header, format_version=3)),
+            ("stale_schema", dict(header, schema_version=99)),
+            ("keyless", {key: v for key, v in header.items() if key != "top_k"}),
+            ("heads", dict(header, heads=header["k"] + 1)),
+            ("extra_layer", dict(header, layers=header["layers"] + 1)),
+            ("no_layer", dict(header, layers=0)),
+            ("n_graphs", dict(header, n_graphs=3)),
+            ("float_k", dict(header, k=float(header["k"]))),
+            ("duplicate_model_id", dict(header, model_ids=[ids[0]] + ids[:-1])),
+            ("nan_r2", dict(header, r2=float("nan")))):
+        assert select_written(name, tampered, floats, edges) == 3, name
+    # a float record of the wrong dtype or one value short or long, an edge
+    # table of the wrong dtype or shape, and one that disagrees with the node
+    # counts: an edge beyond the nodes, an unknown relation, a P-g2m edge
+    # from a model, a self edge
+    src, dst, rel = edges
+    g2m = np.flatnonzero(rel == REL_INDEX["P-g2m"])[0]
+
+    def edited(row, at, value):
+        out = edges.copy()
+        out[row, at] = value
+        return out
+
+    for name, records in (
+            ("float32", (floats.astype(np.float32), edges)),
+            ("short", (floats[:-1], edges)),
+            ("long", (np.append(floats, 0.5), edges)),
+            ("int32_edges", (floats, edges.astype(np.int32))),
+            ("two_edge_rows", (floats, edges[:2])),
+            ("shifted", (floats, np.stack([src + 1000, dst, rel]))),
+            ("relation", (floats, edited(2, 0, 9))),
+            ("endpoint_type", (floats, edited(0, g2m, 0))),
+            ("self_edge", (floats, edited(0, 0, dst[0])))):
+        assert select_written(name, header, *records) == 3, name
+    # states whose arrays disagree with the width, k or model count the
+    # header gives them, written as float records of the wrong length: a V
+    # a row short, graph or model feature rows a column short, phi weights
+    # a row short, a feature mean a value short; and states holding a
+    # non-finite value; a state of two layers loads
+    state = learner.load_state(str(ws["bundle"]))
+    params, phi, net = state.params, state.phi, state.network
+
+    def poked(arr, value):
+        out = np.array(arr)
+        out.flat[0] = value
+        return out
+
     two_layers = dict(params, **{name.replace("l0.", "l1.", 1): arr
                                  for name, arr in params.items() if name.startswith("l0.")})
-    for name, bad_params, rc in (
-            ("two_layers", two_layers, 0),
-            ("no_l0_att", {n: a for n, a in params.items() if n != "l0.att"}, 3),
-            ("no_l1_K_g", {n: a for n, a in two_layers.items() if n != "l1.K.g"}, 3),
-            ("short_V", dict(params, V=params["V"][:-1]), 3)):
+    for name, tampered, rc in (
+            ("two_layers", replace(state, params=two_layers), 0),
+            ("short_V", replace(state, params=dict(params, V=params["V"][:-1])), 3),
+            ("graph_features", replace(state, network=replace(
+                net, graph_features=net.graph_features[:, :-1])), 3),
+            ("model_features", replace(state, network=replace(
+                net, model_features=net.model_features[:, :-1])), 3),
+            ("phi_weights", replace(state, phi=replace(phi, weights=phi.weights[:-1])), 3),
+            ("phi_feature_mean", replace(state, phi=replace(
+                phi, feature_mean=phi.feature_mean[:-1])), 3),
+            ("nan_V", replace(state, params=dict(params, V=poked(params["V"], np.nan))), 3),
+            ("inf_graph_features", replace(state, network=replace(
+                net, graph_features=poked(net.graph_features, np.inf))), 3),
+            ("nan_feature_scale", replace(state, phi=replace(
+                phi, feature_scale=poked(phi.feature_scale, np.nan))), 3)):
         path = tmp_path / f"{name}.bundle"
-        path.write_bytes(pickle.dumps(dict(payload, params=bad_params)))
-        assert main(["select", "--bundle", str(path),
-                     "--graph-file", str(ws["graph_dir"] / "g000"),
-                     "--output-dir", str(tmp_path)]) == rc, name
-    # arrays that disagree with the meta-feature width or k, a network of two
-    # copies of the models for one list of model ids, and a model id twice
-    phi = payload["phi"]
-    doubled = vars(disjoint_union([GMNetwork(**network)] * 2))
-    ids = payload["model_ids"]
-    for name, tampered in (
-            ("graph_features", {"network": dict(network,
-                                                graph_features=network["graph_features"][:, :-1])}),
-            ("model_features", {"network": dict(network,
-                                                model_features=network["model_features"][:, :-1])}),
-            ("phi_weights", {"phi": dict(phi, weights=phi["weights"][:-1])}),
-            ("phi_feature_mean", {"phi": dict(phi, feature_mean=phi["feature_mean"][:-1])}),
-            ("two_model_copies", {"network": doubled}),
-            ("duplicate_model_id", {"model_ids": [ids[0]] + list(ids[:-1])})):
-        path = tmp_path / f"{name}.bundle"
-        path.write_bytes(pickle.dumps(dict(payload, **tampered)))
-        assert main(["select", "--bundle", str(path),
-                     "--graph-file", str(ws["graph_dir"] / "g000"),
-                     "--output-dir", str(tmp_path)]) == 3, name
-    # a format-3 bundle still carried a second feature z-scoring and the
-    # layer sizes; the loader refuses it rather than guess
-    old = tmp_path / "format3.bundle"
-    old.write_bytes(pickle.dumps(dict(payload, format_version=3)))
-    assert main(["select", "--bundle", str(old),
-                 "--graph-file", str(ws["graph_dir"] / "g000"),
-                 "--output-dir", str(tmp_path)]) == 3
-    # stale feature schema inside an otherwise valid bundle
-    payload["schema_version"] = 99
-    stale = tmp_path / "stale.bundle"
-    with open(stale, "wb") as fh:
-        pickle.dump(payload, fh)
-    assert main(["select", "--bundle", str(stale),
-                 "--graph-file", str(ws["graph_dir"] / "g000"),
-                 "--output-dir", str(tmp_path)]) == 3
+        learner.save_state(tampered, str(path))
+        assert select(path) == rc, name
     # unreadable graph file
     assert main(["select", "--bundle", str(ws["bundle"]),
                  "--graph-file", str(tmp_path / "no_graph"),
                  "--output-dir", str(tmp_path)]) == 3
+
+
+def test_a_planted_pickle_never_runs(ws, tmp_path):
+    proof = tmp_path / "proof"
+    pickle.loads(pickle.dumps(_Planted(proof)))
+    assert proof.is_dir()                  # unpickling the payload does run it
+
+    marker = tmp_path / "marker"
+    _, floats, edges = read_bundle(ws["bundle"])
+    whole = tmp_path / "whole.bundle"      # the shape of a format-4 bundle
+    whole.write_bytes(pickle.dumps({"format_version": 4, "params": _Planted(marker)}))
+    first = tmp_path / "first.bundle"      # an object array as the header record
+    with open(first, "wb") as fh:
+        np.save(fh, np.array([_Planted(marker)], dtype=object), allow_pickle=True)
+        np.save(fh, floats)
+        np.save(fh, edges)
+    for path in (whole, first):
+        with pytest.raises(ValueError):
+            learner.load_state(str(path))
+        assert main(["select", "--bundle", str(path),
+                     "--graph-file", str(ws["graph_dir"] / "g000"),
+                     "--output-dir", str(tmp_path)]) == 3
+        assert not marker.exists()
 
 
 def test_select_names_the_line_of_a_node_id_beyond_int64(ws, tmp_path, caplog):

@@ -152,6 +152,25 @@ def test_serialize_round_trip_preserves_isolated_nodes():
         assert back.node_count == n
 
 
+@st.composite
+def graphs(draw):
+    """Graphs of 1 to 30 nodes from any pairs, self-loops, repeats and
+    isolated nodes included."""
+    n = draw(st.integers(1, 30))
+    node = st.integers(0, n - 1)
+    return from_edges(n, draw(st.lists(st.tuples(node, node), max_size=60)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(graphs())
+def test_edge_list_round_trip_keeps_every_node(g):
+    back = load_edge_list(serialize(g))
+    assert back == g
+    assert back.node_count == g.node_count
+    assert np.array_equal(back.original_ids, np.arange(g.node_count))
+    assert np.array_equal(back.indptr, g.indptr) and np.array_equal(back.indices, g.indices)
+
+
 def test_from_edges_cleans_and_validates():
     g = from_edges(4, [(0, 1), (1, 0), (2, 2), (1, 3)])
     assert g.edge_set() == {(0, 1), (1, 3)}

@@ -1,9 +1,11 @@
 """Meta-learner: forward pass vs a straight-line oracle, listwise loss,
 gradient checking, training loop behavior, and bundle persistence."""
 
+import ast
 import logging
 import pickle
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from graphsel.learner import (
     load_state,
     make_tiny_problem,
     max_relative_error,
+    param_shapes,
     plan_network,
     save_state,
     select_model,
@@ -36,7 +39,8 @@ from graphsel.metrics import label_top1, mrr
 from graphsel.perf import PerformanceMatrix
 from graphsel.ranking import ScoreSheet
 from graphsel.synth import generate_synthetic_corpus
-from oracles import relation_keys_per_node, weighted_segment_sum_chain
+from oracles import (init_params_literal, read_bundle, relation_keys_per_node,
+                     weighted_segment_sum_chain, write_bundle)
 
 
 # --- independent forward oracle ---------------------------------------------
@@ -307,6 +311,9 @@ def test_init_params_near_identity_structure():
     meta_dim, k, heads = 7, 8, 2
     v = rng.uniform(size=(5, k))
     params = init_params(rng, meta_dim, k, layers=2, heads=heads, n_models=5, v_init=v)
+    # the one shape table names what init_params makes, in its order
+    assert list(param_shapes(meta_dim, k, 2, heads, 5).items()) == \
+        [(name, arr.shape) for name, arr in params.items()]
 
     assert np.array_equal(params["W"][:, :meta_dim], np.zeros((k, meta_dim)))
     assert np.array_equal(params["W"][:, meta_dim:], np.eye(k))
@@ -331,6 +338,19 @@ def test_init_params_validation_and_default_v():
     params = init_params(rng, 4, 4, layers=1, heads=1, n_models=3)
     assert params["V"].shape == (3, 4)
     assert params["V"].min() >= 0.0 and params["V"].max() <= 1.0 / 2.0
+
+
+@pytest.mark.parametrize("meta_dim,k,layers,heads,n_models,warm", [
+    (818, 8, 2, 4, 8, True), (6, 4, 1, 1, 3, False), (10, 12, 3, 3, 5, False), (5, 6, 0, 2, 4, False)])
+def test_init_params_draws_what_the_literal_version_drew(meta_dim, k, layers, heads, n_models, warm):
+    v = np.random.default_rng(7).uniform(size=(n_models, k)) if warm else None
+    got = init_params(np.random.default_rng(11), meta_dim, k, layers, heads, n_models, v_init=v)
+    want = init_params_literal(np.random.default_rng(11), meta_dim, k, layers, heads,
+                               n_models, v_init=v)
+    assert list(got) == list(want)
+    for name, arr in want.items():
+        assert got[name].dtype == arr.dtype and got[name].shape == arr.shape, name
+        assert got[name].tobytes() == arr.tobytes(), name
 
 
 def test_epoch_zero_scores_equal_factor_predictions():
@@ -621,34 +641,41 @@ def test_bundle_round_trip(tmp_path):
     save_state(state, path)
     back = load_state(path)
 
-    assert sorted(back.params) == sorted(state.params)
+    assert list(back.params) == list(state.params)
     for name in state.params:
         assert np.array_equal(back.params[name], state.params[name])
-    assert np.array_equal(back.phi.weights, state.phi.weights)
-    assert back.phi.ridge_lambda == state.phi.ridge_lambda
-    assert np.array_equal(back.phi.feature_mean, state.phi.feature_mean)
+        assert back.params[name].shape == state.params[name].shape
+    for name in ("weights", "intercept", "feature_mean", "feature_scale", "ridge_lambda", "r2"):
+        assert np.array_equal(getattr(back.phi, name), getattr(state.phi, name)), name
     for table in ("src", "dst", "rel"):
         assert np.array_equal(getattr(back.network, table), getattr(state.network, table))
     assert back.model_ids == state.model_ids
     assert back.training_log == state.training_log
-    with open(path, "rb") as fh:
-        assert pickle.load(fh)["schema_version"] == SCHEMA_VERSION
+    header, floats, edges = read_bundle(path)
+    assert header["schema_version"] == SCHEMA_VERSION
+    assert floats.dtype == np.float64 and floats.ndim == 1
+    assert edges.dtype == np.int64 and edges.shape == (3, state.network.src.size)
 
 
 def test_bundle_holds_the_network_fields_alone(tmp_path):
     feats, perf = small_training_problem(seed=6)
     state = train(feats, perf, fast_config(max_epochs=2))
     sheet = select_model(state, feats[0])
-    names = {f.name for f in fields(GMNetwork)}
     path = str(tmp_path / "model.bundle")
     save_state(state, path)
-    with open(path, "rb") as fh:
-        assert set(pickle.load(fh)["network"]) == names
+    # the network's scalars are its header dimensions; n_models, meta_dim and
+    # extension_nodes are implied, and the arrays are records
+    header, _, _ = read_bundle(path)
+    assert set(header) == {"format_version", "schema_version", "meta_dim", "k", "layers",
+                           "heads", "n_graphs", "top_k", "model_ids", "ridge_lambda", "r2",
+                           "training_log"}
 
     back = load_state(path)
-    assert set(vars(back.network)) == names
-    for table in ("src", "dst", "rel"):
-        assert np.array_equal(getattr(back.network, table), getattr(state.network, table))
+    for f in fields(GMNetwork):
+        got, want = getattr(back.network, f.name), getattr(state.network, f.name)
+        assert type(got) is type(want), f.name
+        assert np.array_equal(got, want), f.name
+        assert np.asarray(got).dtype == np.asarray(want).dtype, f.name
     assert select_model(back, feats[0]).scores.tobytes() == sheet.scores.tobytes()
 
 
@@ -657,44 +684,67 @@ def test_bundle_version_checks(tmp_path):
     state = train(feats, perf, fast_config(max_epochs=0))
     path = str(tmp_path / "model.bundle")
     save_state(state, path)
-    with open(path, "rb") as fh:
-        payload = pickle.load(fh)
+    header, floats, edges = read_bundle(path)
+    bad = str(tmp_path / "bad.bundle")
 
     # format 1 held one attention matrix per relation and head, format 2
     # per-relation edge arrays, format 3 a second feature z-scoring and the
-    # layer sizes next to the parameters
-    for version in (1, 2, 3, 99):
-        payload_bad = dict(payload, format_version=version)
-        bad = str(tmp_path / "bad_format.bundle")
-        with open(bad, "wb") as fh:
-            pickle.dump(payload_bad, fh)
+    # layer sizes next to the parameters, format 4 the state as one pickle
+    for version in (1, 2, 3, 4, 99):
+        write_bundle(bad, dict(header, format_version=version), floats, edges)
         with pytest.raises(ValueError, match="unsupported bundle format"):
             load_state(bad)
+    # a real pickle, as bundles up to format 4 were, is refused unread
+    with open(bad, "wb") as fh:
+        pickle.dump({"format_version": 4, "schema_version": SCHEMA_VERSION,
+                     "params": state.params}, fh)
+    with pytest.raises(ValueError, match="formats up to 4"):
+        load_state(bad)
 
-    payload_bad = dict(payload, schema_version=payload["schema_version"] + 1)
-    bad2 = str(tmp_path / "bad_schema.bundle")
-    with open(bad2, "wb") as fh:
-        pickle.dump(payload_bad, fh)
+    write_bundle(bad, dict(header, schema_version=SCHEMA_VERSION + 1), floats, edges)
     with pytest.raises(ValueError, match="schema"):
-        load_state(bad2)
+        load_state(bad)
 
 
 def test_load_state_refuses_an_inconsistent_network(tmp_path):
     feats, perf = small_training_problem(seed=6)
     path = tmp_path / "model.bundle"
     save_state(train(feats, perf, fast_config(max_epochs=0)), str(path))
-    with open(path, "rb") as fh:
-        payload = pickle.load(fh)
-    net = payload["network"]
-    rel = net["rel"].copy()
-    rel[0] = 9
-    for network, error in ((dict(net, src=net["src"] + 1000), "source index"),
-                           (dict(net, rel=rel), "unknown relation"),
-                           (dict(net, n_graphs=3), "feature rows"),
-                           (dict(net, n_graphs=net["n_graphs"] + 5), "feature rows")):
-        path.write_bytes(pickle.dumps(dict(payload, network=network)))
+    header, floats, edges = read_bundle(path)
+    rel_tampered, dst_tampered = edges.copy(), edges.copy()
+    rel_tampered[2, 0] = 9
+    dst_tampered[1, -1] = -1
+    for tampered_header, tampered_edges, error in (
+            (header, edges + np.array([[1000], [0], [0]]), "source index"),
+            (header, dst_tampered, "target index"),
+            (header, rel_tampered, "unknown relation"),
+            # feature rows follow n_graphs, so a count off makes the float
+            # record the wrong length for its header
+            (dict(header, n_graphs=3), edges, "float record"),
+            (dict(header, n_graphs=header["n_graphs"] + 5), edges, "float record")):
+        write_bundle(path, tampered_header, floats, tampered_edges)
         with pytest.raises(ValueError, match=error):
             load_state(str(path))
+
+
+def test_no_module_can_unpickle():
+    """Loading a bundle never executes code: no module of the package
+    imports pickle or passes numpy anything but a literal allow_pickle=False."""
+    modules = sorted(Path(learner.__file__).parent.glob("*.py"))
+    assert {"learner.py", "cli.py"} <= {m.name for m in modules}
+    for module in modules:
+        for node in ast.walk(ast.parse(module.read_text(), filename=str(module))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                names = []
+            assert not {n.split(".")[0] for n in names} & {"pickle", "_pickle", "shelve"}, \
+                f"{module.name}:{node.lineno} imports {names}"
+            if isinstance(node, ast.keyword) and node.arg == "allow_pickle":
+                assert isinstance(node.value, ast.Constant) and node.value.value is False, \
+                    f"{module.name}:{node.lineno} passes allow_pickle={ast.unparse(node.value)}"
 
 
 def test_select_model_matches_oracle_pipeline():

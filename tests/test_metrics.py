@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphsel.metrics import METRIC_NAMES, auc, label_top1, mrr, ndcg_at_1, score_row
 from graphsel.ranking import ScoreSheet, rank_descending
@@ -26,6 +28,28 @@ def test_metrics_match_oracles_on_random_instances():
         assert ndcg_at_1(scores, perf) == pytest.approx(ndcg1_brute(scores, perf), abs=1e-12)
         if 0 < labels.sum() < labels.size:
             assert auc(scores, labels) == pytest.approx(auc_brute(scores, labels), abs=1e-12)
+
+
+# scores from a small set give ties; doubling any of them is exact
+SCORES = st.sampled_from([-3.5, -1.0, 0.0, 0.25, 0.5, 1e-300, 7.0, 1e300])
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.integers(2, 12).flatmap(lambda m: st.tuples(
+    st.lists(SCORES, min_size=m, max_size=m),
+    st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.9, 1.0]), min_size=m, max_size=m))))
+def test_metrics_are_bounded_and_scale_free(case):
+    scores, perf = np.array(case[0]), np.array(case[1])
+    labels = label_top1(perf)
+    for s in (scores, scores * 2.0):
+        assert 0.0 < mrr(s, labels) <= 1.0
+        assert 0.0 <= ndcg_at_1(s, perf) <= 1.0
+        if 0 < labels.sum() < labels.size:
+            assert 0.0 <= auc(s, labels) <= 1.0
+    assert mrr(scores * 2.0, labels) == mrr(scores, labels)
+    assert ndcg_at_1(scores * 2.0, perf) == ndcg_at_1(scores, perf)
+    if 0 < labels.sum() < labels.size:
+        assert auc(scores * 2.0, labels) == auc(scores, labels)
 
 
 def test_label_top1_marks_all_tied_maxima():
