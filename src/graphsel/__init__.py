@@ -11,7 +11,6 @@ from .learner import (LearnerConfig, MetaLearnerState, load_state, save_state,
                       select_model, train)
 from .perf import PerformanceMatrix, factorize, fit_factor_estimator
 from .ranking import ScoreSheet
-from .synth import SyntheticCorpus, generate_synthetic_corpus
 
 __version__ = "0.1.0"
 
@@ -21,6 +20,6 @@ __all__ = [
     "LearnerConfig", "MetaLearnerState", "load_state", "save_state",
     "select_model", "train",
     "PerformanceMatrix", "factorize", "fit_factor_estimator",
-    "ScoreSheet", "SyntheticCorpus", "generate_synthetic_corpus",
+    "ScoreSheet",
     "__version__",
 ]

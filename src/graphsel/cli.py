@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import baselines, harness, learner, synth
+from . import baselines, harness, learner
 from .config import ConfigError, RunConfig, load_config
 from .features import FEATURE_DIM, SCHEMA_VERSION, feature_names, meta_graph_features
 from .graphs import load_edge_list
@@ -213,9 +213,10 @@ def cmd_train(cfg: RunConfig) -> int:
 
     with open(out_dir / "training_log.csv", "w") as fh:
         fh.write(_stamp(cfg))
-        fh.write("epoch,loss,val_mrr\n")
+        fh.write("epoch,loss,val_mrr,stop_score\n")
         for entry in state.training_log:
-            fh.write(f"{entry['epoch']},{entry['loss']!r},{entry['val_mrr']!r}\n")
+            fh.write(f"{entry['epoch']},{entry['loss']!r},{entry['val_mrr']!r},"
+                     f"{entry['stop_score']!r}\n")
     log.info("event=trained epochs=%d bundle=%s seconds=%.2f phi_r2=%.4f",
              len(state.training_log), bundle_path, seconds, state.phi.r2)
     return 0
@@ -280,6 +281,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     folds = cfg.get("eval", "folds")
 
     if cfg.get("eval", "synthetic"):
+        from . import synth     # networkx, which no other command needs
         corpus = synth.generate_synthetic_corpus(
             n_graphs=cfg.get("eval", "n_graphs"), families=cfg.get("eval", "families"),
             n_models=cfg.get("eval", "n_models"), noise=cfg.get("eval", "noise"),

@@ -56,10 +56,6 @@ class GMNetwork:
     extension_nodes: int = 0
 
     def validate(self):
-        if self.src.ndim != 1 or not self.src.shape == self.dst.shape == self.rel.shape:
-            raise ValueError("src, dst and rel must be 1-D arrays of one length")
-        if (len(self.graph_features), len(self.model_features)) != (self.n_graphs, self.n_models):
-            raise ValueError("feature rows do not match the node counts")
         if self.rel.size == 0:
             return
         if self.rel.min() < 0 or self.rel.max() >= len(RELATIONS):

@@ -31,7 +31,7 @@ from .ranking import ScoreSheet
 
 log = logging.getLogger(__name__)
 
-BUNDLE_FORMAT_VERSION = 5
+BUNDLE_FORMAT_VERSION = 6
 # share of training graphs held out for early stopping
 VAL_FRACTION = 0.1
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -59,6 +59,7 @@ class MetaLearnerState:
     phi: FactorEstimator
     network: GMNetwork
     model_ids: list[str]
+    # `train`'s per-epoch record; a bundle does not hold it
     training_log: list[dict] = field(default_factory=list)
 
 
@@ -462,73 +463,11 @@ def select_model(state: MetaLearnerState, m_feat: np.ndarray) -> ScoreSheet:
     return ScoreSheet(list(state.model_ids), scores)
 
 
-# --- gradient checking -----------------------------------------------------
-
-def make_tiny_problem(seed: int = 0, layers: int = 1, heads: int = 1):
-    """n=4 graphs, m=3 models, k=4 (1 layer and 1 head by default): small
-    enough to finite-difference every coordinate."""
-    rng = np.random.default_rng(seed)
-    n, m, k, meta_dim = 4, 3, 4, 6
-    feats = rng.normal(size=(n, meta_dim))
-    u = rng.uniform(0.1, 1.0, size=(n, k))
-    v = rng.uniform(0.1, 1.0, size=(m, k))
-    net = build_train_network(u, v, feats, top_k=2)
-    params = init_params(rng, meta_dim, k, layers=layers, heads=heads, n_models=m, v_init=v)
-    pv = rng.uniform(0.0, 1.0, size=(n, m))
-    obs = rng.random((n, m)) < 0.8
-    obs[0, 0] = True                 # keep at least one observed entry
-    return net, params, pv, obs
-
-
-def finite_difference_grads(loss_fn: Callable[[dict[str, np.ndarray]], float],
-                            params: dict[str, np.ndarray], step: float = 1e-5) -> dict[str, np.ndarray]:
-    """Central differences, perturbing each parameter array in place."""
-    grads = {}
-    for name, arr in params.items():
-        if not isinstance(arr, np.ndarray):
-            raise TypeError(f"parameter {name!r} is {type(arr).__name__}, not an ndarray")
-        g = np.zeros_like(arr)
-        for i in np.ndindex(arr.shape):
-            orig = arr[i]
-            arr[i] = orig + step
-            hi = loss_fn(params)
-            arr[i] = orig - step
-            lo = loss_fn(params)
-            arr[i] = orig
-            g[i] = (hi - lo) / (2.0 * step)
-        grads[name] = g
-    return grads
-
-
-def max_relative_error(g1: dict[str, np.ndarray], g2: dict[str, np.ndarray]) -> float:
-    worst = 0.0
-    for name in g1:
-        a = g1[name].ravel()
-        b = g2[name].ravel()
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-6)
-        worst = max(worst, float(np.max(np.abs(a - b) / denom)))
-    return worst
-
-
-def gradient_check(seed: int = 0, step: float = 1e-5) -> float:
-    """Max relative error between backprop and central finite differences
-    over every parameter coordinate of the tiny problem."""
-    net, params, pv, obs = make_tiny_problem(seed)
-    plans = plan_network(net)
-    _, analytic = _loss_and_grads(params, net, plans, pv, obs)
-
-    def loss_fn(p):
-        return sparse_top1_loss(Tensor.const(_forward_scores(p, net, plans)), pv, obs).item()
-
-    fd = finite_difference_grads(loss_fn, params, step)
-    return max_relative_error(analytic, fd)
-
-
 # --- persistence -----------------------------------------------------------
 
 _DIMENSIONS = ("meta_dim", "k", "layers", "heads", "n_graphs", "top_k")
 _HEADER_KEYS = {"format_version", "schema_version", *_DIMENSIONS, "model_ids",
-                "ridge_lambda", "r2", "training_log"}
+                "ridge_lambda", "r2"}
 
 
 def _bundle_layout(head: dict) -> dict[str, tuple[int, ...]]:
@@ -541,7 +480,7 @@ def _bundle_layout(head: dict) -> dict[str, tuple[int, ...]]:
 
 
 def save_state(state: MetaLearnerState, path: str):
-    """Write the bundle, format 5 (see README), as three .npy records: the
+    """Write the bundle, format 6 (see README), as three .npy records: the
     JSON header as a 0-d string, every float array in `_bundle_layout` order
     as one float64 vector, and the (3, E) int64 edge table src, dst, rel.
     They go to an open handle, so numpy adds no suffix to `path`."""
@@ -551,7 +490,7 @@ def save_state(state: MetaLearnerState, path: str):
             "meta_dim": net.meta_dim, "k": params["V"].shape[1], "layers": layers,
             "heads": params["l0.att"].shape[1] if layers else 1, "n_graphs": net.n_graphs,
             "top_k": net.top_k, "model_ids": list(state.model_ids),
-            "ridge_lambda": phi.ridge_lambda, "r2": phi.r2, "training_log": state.training_log}
+            "ridge_lambda": phi.ridge_lambda, "r2": phi.r2}
     arrays = {**params, "phi.weights": phi.weights, "phi.intercept": phi.intercept,
               "phi.feature_mean": phi.feature_mean, "phi.feature_scale": phi.feature_scale,
               "network.graph_features": net.graph_features,
@@ -615,4 +554,4 @@ def load_state(path: str) -> MetaLearnerState:
     net = GMNetwork(head["n_graphs"], len(ids), *edges, arrays.pop("network.graph_features"),
                     arrays.pop("network.model_features"), head["meta_dim"], head["top_k"])
     net.validate()
-    return MetaLearnerState(arrays, phi, net, ids, head["training_log"])
+    return MetaLearnerState(arrays, phi, net, ids)

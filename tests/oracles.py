@@ -11,7 +11,10 @@ parameter draws are the package's former versions, kept to pin their
 replacements: the keys within a rounding tolerance, the rest bit for bit.
 Slow is fine; these run on small inputs.
 The bundle record reader and writer follow the format's definition, for
-tests that tamper with one record.
+tests that tamper with one record. The gradient-check helpers are the
+exception: they build a tiny problem from the package's own network and
+parameter draws and compare its backward pass with central finite
+differences of its own loss.
 """
 
 import json
@@ -20,11 +23,13 @@ import math
 import numpy as np
 from scipy import special, stats
 
-from graphsel.autodiff import concat, einsum
+from graphsel.autodiff import Tensor, concat, einsum
 from graphsel.extractors import adjacency_matrix, extract_structural, two_hop_matrix
 from graphsel.features import global_stats, signed_log1p
-from graphsel.gmnet import REL_INDEX, RELATIONS, GMNetwork, cosine_topk
+from graphsel.gmnet import REL_INDEX, RELATIONS, GMNetwork, build_train_network, cosine_topk
 from graphsel.graphs import EdgeListError, from_edges
+from graphsel.learner import (_forward_scores, _loss_and_grads, init_params, plan_network,
+                              sparse_top1_loss)
 from graphsel.perf import NMF_EPS, NMF_MAX_ITER, NMF_REL_TOL, LatentFactors
 from graphsel.summaries import (GROUP_ATOL, GROUP_RTOL, HIST_BINS, IQR_ALPHAS, STD_ALPHAS,
                                 SUMMARY_DIM)
@@ -57,6 +62,67 @@ def init_params_literal(rng, meta_dim, k, layers, heads, n_models, v_init=None):
             [[glorot(dk, dk) for _ in range(heads)] for _ in RELATIONS])
         params[f"l{layer}.mu"] = np.ones(len(RELATIONS))
     return params
+
+
+# --- gradient checking -------------------------------------------------------
+
+def make_tiny_problem(seed=0, layers=1, heads=1):
+    """n=4 graphs, m=3 models, k=4 (1 layer and 1 head by default): small
+    enough to finite-difference every coordinate."""
+    rng = np.random.default_rng(seed)
+    n, m, k, meta_dim = 4, 3, 4, 6
+    feats = rng.normal(size=(n, meta_dim))
+    u = rng.uniform(0.1, 1.0, size=(n, k))
+    v = rng.uniform(0.1, 1.0, size=(m, k))
+    net = build_train_network(u, v, feats, top_k=2)
+    params = init_params(rng, meta_dim, k, layers=layers, heads=heads, n_models=m, v_init=v)
+    pv = rng.uniform(0.0, 1.0, size=(n, m))
+    obs = rng.random((n, m)) < 0.8
+    obs[0, 0] = True                 # keep at least one observed entry
+    return net, params, pv, obs
+
+
+def finite_difference_grads(loss_fn, params, step=1e-5):
+    """Central differences, perturbing each parameter array in place."""
+    grads = {}
+    for name, arr in params.items():
+        if not isinstance(arr, np.ndarray):
+            raise TypeError(f"parameter {name!r} is {type(arr).__name__}, not an ndarray")
+        g = np.zeros_like(arr)
+        for i in np.ndindex(arr.shape):
+            orig = arr[i]
+            arr[i] = orig + step
+            hi = loss_fn(params)
+            arr[i] = orig - step
+            lo = loss_fn(params)
+            arr[i] = orig
+            g[i] = (hi - lo) / (2.0 * step)
+        grads[name] = g
+    return grads
+
+
+def max_relative_error(g1, g2):
+    worst = 0.0
+    for name in g1:
+        a = g1[name].ravel()
+        b = g2[name].ravel()
+        denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-6)
+        worst = max(worst, float(np.max(np.abs(a - b) / denom)))
+    return worst
+
+
+def gradient_check(seed=0, step=1e-5):
+    """Max relative error between backprop and central finite differences
+    over every parameter coordinate of the tiny problem."""
+    net, params, pv, obs = make_tiny_problem(seed)
+    plans = plan_network(net)
+    _, analytic = _loss_and_grads(params, net, plans, pv, obs)
+
+    def loss_fn(p):
+        return sparse_top1_loss(Tensor.const(_forward_scores(p, net, plans)), pv, obs).item()
+
+    fd = finite_difference_grads(loss_fn, params, step)
+    return max_relative_error(analytic, fd)
 
 
 # --- bundle records ----------------------------------------------------------

@@ -36,7 +36,6 @@ from graphsel.graphs import from_edges, serialize
 from graphsel.harness import cross_validate, perturbation_sweep
 from graphsel.learner import (
     LearnerConfig,
-    gradient_check,
     save_state,
     sparse_top1_loss,
     top1_probability,
@@ -52,6 +51,7 @@ from oracles import (
     auc_brute,
     degrees_brute,
     eccentricity_brute,
+    gradient_check,
     kcore_brute,
     mrr_brute,
     ndcg1_brute,
@@ -480,18 +480,23 @@ print(json.dumps({"epochs": len(state.training_log),
 """
 
 
+def child_env(**extra):
+    """The environment with this package's source first on PYTHONPATH."""
+    src = str(Path(graphsel.__file__).resolve().parents[1])
+    return {**os.environ, **extra,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_blas_thread_count_keeps_rankings_and_scores_within_tolerance():
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count() or 1)
     if cores < 2:
         pytest.skip("needs 2 usable cores to run 2 BLAS threads")
-    src = str(Path(graphsel.__file__).resolve().parents[1])
     runs = []
     for threads in ("1", "2"):
         # the thread count is read when numpy loads, so each count gets a process
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        child = subprocess.run([sys.executable, "-c", THREAD_COUNT_RUN], env=env,
+        child = subprocess.run([sys.executable, "-c", THREAD_COUNT_RUN],
+                               env=child_env(OPENBLAS_NUM_THREADS=threads),
                                capture_output=True, text=True, timeout=300)
         assert child.returncode == 0, child.stderr
         runs.append(json.loads(child.stdout.splitlines()[-1]))
@@ -500,3 +505,14 @@ def test_blas_thread_count_keeps_rankings_and_scores_within_tolerance():
     for a, b in zip(np.array(one["scores"]), np.array(two["scores"])):
         assert np.array_equal(rank_descending(a), rank_descending(b))
         assert np.abs(a - b).max() <= SCORE_RTOL_ACROSS_THREADS * np.abs(b).max()
+
+
+# criterion: `select` loads only what it uses; importing the package and its
+# CLI does not import networkx, which only the synthetic corpus needs
+def test_importing_the_package_and_cli_leaves_networkx_unloaded():
+    child = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, graphsel, graphsel.cli; print('networkx' in sys.modules)"],
+        env=child_env(), capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "False"

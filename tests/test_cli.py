@@ -205,14 +205,30 @@ def test_one_file_or_one_worker_starts_no_pool(tmp_path, monkeypatch, pool_cores
     assert _features(gdir, tmp_path / "out", workers) == 0
 
 
-def test_train_artifacts(ws):
+def test_train_artifacts(ws, tmp_path, monkeypatch):
     assert ws["bundle"].exists()
     log_lines = (ws["train_dir"] / "training_log.csv").read_text().strip().split("\n")
-    assert log_lines[2] == "epoch,loss,val_mrr"
+    assert log_lines[2] == "epoch,loss,val_mrr,stop_score"
     assert len(log_lines) == 3 + 2                       # max_epochs=2
     epoch0 = log_lines[3].split(",")
     assert epoch0[0] == "0"
     assert float(epoch0[1]) > 0
+
+    # the log file is the only copy of what train records, every field of it
+    trained, train = [], learner.train
+
+    def keep(*args):
+        trained.append(train(*args))
+        return trained[-1]
+
+    monkeypatch.setattr(learner, "train", keep)
+    assert main(TRAIN_SETS + [
+        "train", "--features-csv", str(ws["features_csv"]),
+        "--performance-csv", str(ws["perf_csv"]), "--output-dir", str(tmp_path)]) == 0
+    rows = (tmp_path / "training_log.csv").read_text().strip().split("\n")[3:]
+    assert [row.split(",") for row in rows] == \
+        [[str(e["epoch"]), repr(e["loss"]), repr(e["val_mrr"]), repr(e["stop_score"])]
+         for e in trained[0].training_log]
 
 
 def test_train_id_mismatch_is_a_data_error(ws, tmp_path):
@@ -364,6 +380,7 @@ def test_select_error_paths(ws, tmp_path):
     ids = header["model_ids"]
     for name, tampered in (
             ("format3", dict(header, format_version=3)),
+            ("format5", dict(header, format_version=5)),
             ("stale_schema", dict(header, schema_version=99)),
             ("keyless", {key: v for key, v in header.items() if key != "top_k"}),
             ("heads", dict(header, heads=header["k"] + 1)),

@@ -21,12 +21,8 @@ from graphsel.learner import (
     _forward_scores,
     _loss_and_grads,
     embed_network,
-    finite_difference_grads,
-    gradient_check,
     init_params,
     load_state,
-    make_tiny_problem,
-    max_relative_error,
     param_shapes,
     plan_network,
     save_state,
@@ -39,7 +35,8 @@ from graphsel.metrics import label_top1, mrr
 from graphsel.perf import PerformanceMatrix
 from graphsel.ranking import ScoreSheet
 from graphsel.synth import generate_synthetic_corpus
-from oracles import (init_params_literal, read_bundle, relation_keys_per_node,
+from oracles import (finite_difference_grads, gradient_check, init_params_literal,
+                     make_tiny_problem, max_relative_error, read_bundle, relation_keys_per_node,
                      weighted_segment_sum_chain, write_bundle)
 
 
@@ -650,7 +647,7 @@ def test_bundle_round_trip(tmp_path):
     for table in ("src", "dst", "rel"):
         assert np.array_equal(getattr(back.network, table), getattr(state.network, table))
     assert back.model_ids == state.model_ids
-    assert back.training_log == state.training_log
+    assert state.training_log and back.training_log == []     # training_log.csv holds it
     header, floats, edges = read_bundle(path)
     assert header["schema_version"] == SCHEMA_VERSION
     assert floats.dtype == np.float64 and floats.ndim == 1
@@ -667,8 +664,7 @@ def test_bundle_holds_the_network_fields_alone(tmp_path):
     # extension_nodes are implied, and the arrays are records
     header, _, _ = read_bundle(path)
     assert set(header) == {"format_version", "schema_version", "meta_dim", "k", "layers",
-                           "heads", "n_graphs", "top_k", "model_ids", "ridge_lambda", "r2",
-                           "training_log"}
+                           "heads", "n_graphs", "top_k", "model_ids", "ridge_lambda", "r2"}
 
     back = load_state(path)
     for f in fields(GMNetwork):
@@ -689,8 +685,9 @@ def test_bundle_version_checks(tmp_path):
 
     # format 1 held one attention matrix per relation and head, format 2
     # per-relation edge arrays, format 3 a second feature z-scoring and the
-    # layer sizes next to the parameters, format 4 the state as one pickle
-    for version in (1, 2, 3, 4, 99):
+    # layer sizes next to the parameters, format 4 the state as one pickle,
+    # format 5 the training log in its header
+    for version in (1, 2, 3, 4, 5, 99):
         write_bundle(bad, dict(header, format_version=version), floats, edges)
         with pytest.raises(ValueError, match="unsupported bundle format"):
             load_state(bad)
@@ -703,6 +700,10 @@ def test_bundle_version_checks(tmp_path):
 
     write_bundle(bad, dict(header, schema_version=SCHEMA_VERSION + 1), floats, edges)
     with pytest.raises(ValueError, match="schema"):
+        load_state(bad)
+    # the log lives in training_log.csv alone; a format-6 header with it is malformed
+    write_bundle(bad, dict(header, training_log=[]), floats, edges)
+    with pytest.raises(ValueError, match="header keys"):
         load_state(bad)
 
 
