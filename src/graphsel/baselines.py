@@ -112,19 +112,18 @@ def kmeans(x: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class IsacSelector:
-    """Cluster graphs by meta-features; rank by within-cluster mean perf."""
+    """Cluster graphs by meta-features into ceil(sqrt(n)) clusters; rank by
+    within-cluster mean perf."""
 
-    def __init__(self, seed: int = 0, n_clusters: int = 0):
+    def __init__(self, seed: int = 0):
         self.seed = seed
-        self.n_clusters = n_clusters
         self.model_ids: list[str] = []
 
     def fit(self, features: np.ndarray, perf: PerformanceMatrix):
         self.model_ids = list(perf.model_ids)
         f = np.asarray(features, dtype=np.float64)
         fs, self.mean, self.scale = standardize(f)
-        k = self.n_clusters if self.n_clusters > 0 else int(np.ceil(np.sqrt(f.shape[0])))
-        self.centroids, assign = kmeans(fs, k, self.seed)
+        self.centroids, assign = kmeans(fs, int(np.ceil(np.sqrt(f.shape[0]))), self.seed)
         global_scores = _masked_column_means(perf.filled(), perf.observed)
         self.cluster_scores = []
         for c in range(self.centroids.shape[0]):
@@ -170,8 +169,7 @@ class ArgosmartSelector:
 class SurrogateSelector:
     """One ridge regressor per model, fit on the rows observing that model."""
 
-    def __init__(self, seed: int = 0, ridge_lambda: float = 1e-3):
-        self.ridge_lambda = ridge_lambda
+    def __init__(self, seed: int = 0):
         self.model_ids: list[str] = []
 
     def fit(self, features: np.ndarray, perf: PerformanceMatrix):
@@ -185,8 +183,7 @@ class SurrogateSelector:
             if rows.size < 2:
                 self.columns.append(global_mean)
             else:
-                est = fit_factor_estimator(f[rows], perf.values[rows, j][:, None],
-                                           self.ridge_lambda)
+                est = fit_factor_estimator(f[rows], perf.values[rows, j][:, None])
                 self.columns.append(est)
         return self
 
@@ -198,22 +195,21 @@ class SurrogateSelector:
 
 
 class AlorsSelector:
-    """Factorize the matrix, regress graph factors from meta-features, score
-    by regressed-factor x model-factor inner products."""
+    """Factorize the matrix at rank 32 (clamped to its shape), regress graph
+    factors from meta-features, score by regressed-factor x model-factor
+    inner products."""
 
-    def __init__(self, seed: int = 0, k: int = 32, ridge_lambda: float = 1e-3):
+    def __init__(self, seed: int = 0):
         self.seed = seed
-        self.k = k
-        self.ridge_lambda = ridge_lambda
         self.model_ids: list[str] = []
 
     def fit(self, features: np.ndarray, perf: PerformanceMatrix):
         self.model_ids = list(perf.model_ids)
         f = np.asarray(features, dtype=np.float64)
-        k_eff = max(1, min(self.k, perf.shape[0], perf.shape[1]))
+        k_eff = max(1, min(32, perf.shape[0], perf.shape[1]))
         factors = factorize(perf, k_eff, self.seed)
         self.v = factors.v
-        self.estimator = fit_factor_estimator(f, factors.u, self.ridge_lambda)
+        self.estimator = fit_factor_estimator(f, factors.u)
         return self
 
     def rank(self, m_feat: np.ndarray) -> ScoreSheet:

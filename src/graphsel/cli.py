@@ -231,6 +231,9 @@ def cmd_select(cfg: RunConfig) -> int:
         state = learner.load_state(str(bundle_path))
     except (OSError, ValueError) as exc:
         raise DataError(f"cannot load bundle: {exc}") from None
+    if state.network.meta_dim != FEATURE_DIM:
+        raise DataError(f"bundle was trained on {state.network.meta_dim} features per graph, "
+                        f"not the {FEATURE_DIM} that select extracts")
 
     t0 = time.perf_counter()
     try:

@@ -124,48 +124,34 @@ def load_edge_list(text: str) -> Graph:
     is otherwise ignored. Self-loops are dropped but their endpoint still
     becomes a node. Ids are remapped to 0..n-1 by first appearance.
 
-    The text is parsed in one pass over all lines, not line by line. Each
-    check runs on every line that the earlier checks passed, so the first
-    bad line of the input is the one reported, with the error a line-by-line
-    reading gives it: a wrong token count, then a non-integer endpoint, then
-    a negative one, then one above 2**63 - 1, then a non-numeric weight.
+    The text is parsed in one pass over all lines, which only detects a
+    fault. On one, the content lines are read in order and the first that
+    `_line_error` refuses is reported, with the error a line-by-line reading
+    gives it: a wrong token count, then a non-integer endpoint, then a
+    negative one, then one above 2**63 - 1, then a non-numeric weight.
     """
     lines = [raw.strip() for raw in text.splitlines()]
     keep = [line[:1] not in ("", "#") for line in lines]
     content = list(itertools.compress(lines, keep))
     counts = np.fromiter(map(len, map(str.split, content)), np.int64, len(content))
     tokens = " ".join(content).split()
-    starts = np.cumsum(counts) - counts
-
-    stop, error = len(content), None      # the first bad line and its message
-    bad = np.flatnonzero((counts < 2) | (counts > 3))
-    if bad.size:
-        stop = int(bad[0])
-        error = f"expected 2 or 3 tokens, got {counts[stop]}"
-    if np.all(counts[:stop] == 2):
-        ends = tokens[:2 * stop]
-    else:
-        ends = _take(tokens, (starts[:stop, None] + (0, 1)).ravel())
     try:
-        ids = np.fromiter(map(int, ends), np.int64, len(ends))
+        if np.any((counts < 2) | (counts > 3)):
+            raise ValueError("token count")
+        if np.all(counts == 2):
+            ends = tokens
+        else:
+            starts = np.cumsum(counts) - counts
+            ends = _take(tokens, (starts[:, None] + (0, 1)).ravel())
+            list(map(float, _take(tokens, starts[counts == 3] + 2)))     # checked, not kept
+        ids = np.fromiter(map(int, ends), np.int64, len(ends))          # OverflowError past int64
+        if np.any(ids < 0):
+            raise ValueError("negative id")
     except (ValueError, OverflowError):
-        pairs = list(zip(ends[0::2], ends[1::2]))
-        stop = next(i for i, pair in enumerate(pairs) if _endpoint_error(pair))
-        error = _endpoint_error(pairs[stop])
-        ids = np.fromiter(map(int, ends[:2 * stop]), np.int64, 2 * stop)
-    negative = np.flatnonzero(ids.reshape(-1, 2).min(axis=1) < 0)
-    if negative.size:
-        stop = int(negative[0])
-        error = _endpoint_error(ends[2 * stop:2 * stop + 2])
-    weighted = np.flatnonzero(counts[:stop] == 3)
-    weights = _take(tokens, starts[weighted] + 2)
-    try:
-        list(map(float, weights))       # checked, not kept
-    except ValueError:
-        first = next(i for i, w in enumerate(weights) if not _is_float(w))
-        stop, error = int(weighted[first]), f"non-numeric weight {weights[first]!r}"
-    if error is not None:
-        raise EdgeListError(int(np.flatnonzero(keep)[stop]) + 1, error)
+        for line_no, line in zip(np.flatnonzero(keep).tolist(), content):
+            if error := _line_error(line.split()):
+                raise EdgeListError(line_no + 1, error) from None
+        raise
     if not content:
         raise ValueError("empty graph: no edges or nodes in input")
 
@@ -196,25 +182,24 @@ def _take(tokens: list[str], at: np.ndarray) -> list[str]:
     return list(map(tokens.__getitem__, at.tolist()))
 
 
-def _endpoint_error(pair) -> str | None:
-    """Why a line's two endpoint tokens are not node ids, or None."""
+def _line_error(tokens: list[str]) -> str | None:
+    """Why a content line's tokens are not an edge, or None."""
+    if len(tokens) not in (2, 3):
+        return f"expected 2 or 3 tokens, got {len(tokens)}"
     try:
-        u, v = int(pair[0]), int(pair[1])
+        u, v = int(tokens[0]), int(tokens[1])
     except ValueError:
-        return f"non-integer endpoint in {list(pair)}"
+        return f"non-integer endpoint in {tokens[:2]}"
     if u < 0 or v < 0:
-        return f"negative node id in {list(pair)}"
+        return f"negative node id in {tokens[:2]}"
     if u > ID_MAX or v > ID_MAX:
-        return f"node id above {ID_MAX} in {list(pair)}"
+        return f"node id above {ID_MAX} in {tokens[:2]}"
+    if len(tokens) == 3:
+        try:
+            float(tokens[2])
+        except ValueError:
+            return f"non-numeric weight {tokens[2]!r}"
     return None
-
-
-def _is_float(token: str) -> bool:
-    try:
-        float(token)
-    except ValueError:
-        return False
-    return True
 
 
 def serialize(graph: Graph) -> str:

@@ -198,11 +198,10 @@ def embed_network(pt: dict[str, Tensor], net: GMNetwork,
     tiles V with a gather. Every edge index is read through `plans`, from
     `plan_network(net, graph_rows)`.
 
-    With `graph_rows` (graph indices) and at least one layer, the graph
-    embeddings hold only those rows, and the last layer scores only the
-    in-edges of the models and of those graphs. A target's softmax reads its
-    own in-edges alone, so the rows it returns are the same as in the full
-    pass.
+    With `graph_rows` (graph indices), the graph embeddings hold only those
+    rows, and the last layer, if any, scores only the in-edges of the models
+    and of those graphs. A target's softmax reads its own in-edges alone, so
+    the rows it returns are the same as in the full pass.
     """
     k = pt["V"].shape[1]
     layers = sum(name.endswith(".att") for name in pt)
@@ -235,6 +234,8 @@ def embed_network(pt: dict[str, Tensor], net: GMNetwork,
         kept = zg if plan.kept is None else zg.gather(plan.kept)
         zg = kept * pt[f"l{layer}.alpha.g"] + agg.gather(plan.graphs) @ pt[f"l{layer}.O.g"]
         zm = zm * pt[f"l{layer}.alpha.m"] + agg.gather(plan.models) @ pt[f"l{layer}.O.m"]
+    if not layers and plans[1].kept is not None:
+        zg = zg.gather(plans[1].kept)
     return zg, zm
 
 

@@ -19,7 +19,7 @@ from graphsel.baselines import (
     make_selector,
 )
 from graphsel.learner import LearnerConfig
-from graphsel.perf import PerformanceMatrix, factorize, fit_factor_estimator
+from graphsel.perf import RIDGE_LAMBDA, PerformanceMatrix, factorize, fit_factor_estimator
 from graphsel.ranking import ScoreSheet
 
 
@@ -49,7 +49,8 @@ def test_registry_instantiates_every_kind():
         assert hasattr(sel, "fit") and hasattr(sel, "rank")
     with pytest.raises(ValueError, match="unknown selector"):
         make_selector("oracle9000")
-    assert make_selector("isac", seed=1, n_clusters=2).n_clusters == 2
+    with pytest.raises(TypeError):        # only the meta-learner takes options
+        make_selector("isac", seed=1, n_clusters=2)
 
 
 def test_masked_column_means_fallback():
@@ -122,10 +123,24 @@ def test_kmeans_basics():
 
 
 def test_isac_single_cluster_equals_global_means():
-    feats, perf = random_problem(seed=2, density=0.8)
-    sel = IsacSelector(seed=0, n_clusters=1).fit(feats, perf)
+    # ceil(sqrt(n)) clusters: a lone graph is one cluster
+    feats, perf = random_problem(seed=2, n=1, density=0.8)
+    sel = IsacSelector(seed=0).fit(feats, perf)
     want = _masked_column_means(perf.filled(), perf.observed)
-    assert np.allclose(sel.rank(feats[5]).scores, want)
+    assert np.allclose(sel.rank(feats[0] + 1.0).scores, want)
+
+
+@pytest.mark.parametrize("n", [12, 17])
+def test_isac_ranks_by_the_member_means_of_ceil_sqrt_n_clusters(n):
+    feats, perf = random_problem(seed=2, n=n, density=0.8)
+    sel = IsacSelector(seed=0).fit(feats, perf)
+    assert sel.centroids.shape[0] == int(np.ceil(np.sqrt(n)))
+    z = (feats - sel.mean) / sel.scale
+    assign = ((z[:, None, :] - sel.centroids) ** 2).sum(axis=2).argmin(axis=1)
+    for i in range(n):
+        members = assign == assign[i]
+        want = _masked_column_means(perf.filled()[members], perf.observed[members])
+        assert np.allclose(sel.rank(feats[i]).scores, want)
 
 
 def test_isac_routes_query_to_nearest_cluster():
@@ -137,7 +152,7 @@ def test_isac_routes_query_to_nearest_cluster():
     values = np.zeros((20, 2))
     values[:10, 0], values[:10, 1] = 0.9, 0.1
     values[10:, 0], values[10:, 1] = 0.1, 0.9
-    sel = IsacSelector(seed=0, n_clusters=2).fit(feats, matrix(values))
+    sel = IsacSelector(seed=0).fit(feats, matrix(values))
     assert sel.rank(fa[0]).best() == 0
     assert sel.rank(fb[0] + 0.3).best() == 1
 
@@ -182,28 +197,27 @@ def test_surrogate_per_column_regressions_and_fallback():
     observed[0, 2] = True                        # a single observer: fallback
     perf = matrix(values, observed)
 
-    sel = SurrogateSelector(seed=0, ridge_lambda=1e-3).fit(feats, perf)
+    sel = SurrogateSelector(seed=0).fit(feats, perf)
     q = rng.normal(size=d)
     got = sel.rank(q).scores
 
     for j in range(2):
-        est = fit_factor_estimator(feats, values[:, j][:, None], 1e-3)
+        est = fit_factor_estimator(feats, values[:, j][:, None], RIDGE_LAMBDA)
         assert got[j] == pytest.approx(float(est.predict(q)[0]), abs=1e-12)
     assert got[2] == pytest.approx(values[observed].mean())
 
 
 def test_alors_equals_manual_factorization_pipeline():
-    feats, perf = random_problem(seed=7, n=10, m=5, density=0.9)
-    sel = AlorsSelector(seed=2, k=3).fit(feats, perf)
-    q = np.random.default_rng(8).normal(size=feats.shape[1])
+    # rank 32, clamped to the matrix shape
+    for n, m, k in ((10, 5, 5), (40, 36, 32)):
+        feats, perf = random_problem(seed=7, n=n, m=m, density=0.9)
+        sel = AlorsSelector(seed=2).fit(feats, perf)
+        q = np.random.default_rng(8).normal(size=feats.shape[1])
 
-    factors = factorize(perf, 3, 2)
-    est = fit_factor_estimator(feats, factors.u, 1e-3)
-    want = est.predict(q) @ factors.v.T
-    assert np.array_equal(sel.rank(q).scores, want)
-
-    big_k = AlorsSelector(seed=2, k=99).fit(feats, perf)   # clamps to min(n, m)
-    assert np.all(np.isfinite(big_k.rank(q).scores))
+        factors = factorize(perf, k, 2)
+        est = fit_factor_estimator(feats, factors.u, RIDGE_LAMBDA)
+        want = est.predict(q) @ factors.v.T
+        assert np.array_equal(sel.rank(q).scores, want)
 
 
 def test_metalearner_selector_contract():

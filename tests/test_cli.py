@@ -17,7 +17,8 @@ from graphsel.cli import DataError, main, read_features_csv
 from graphsel.features import FEATURE_DIM, SCHEMA_VERSION
 from graphsel.gmnet import REL_INDEX
 from graphsel.graphs import serialize
-from graphsel.perf import to_csv
+from graphsel.learner import LearnerConfig
+from graphsel.perf import from_csv, to_csv
 from graphsel.synth import generate_synthetic_corpus
 from oracles import read_bundle, write_bundle
 
@@ -337,7 +338,7 @@ class _Planted:
         return os.mkdir, (self.marker,)
 
 
-def test_select_error_paths(ws, tmp_path):
+def test_select_error_paths(ws, tmp_path, caplog):
     def select(bundle):
         return main(["select", "--bundle", str(bundle),
                      "--graph-file", str(ws["graph_dir"] / "g000"),
@@ -447,10 +448,38 @@ def test_select_error_paths(ws, tmp_path):
         path = tmp_path / f"{name}.bundle"
         learner.save_state(tampered, str(path))
         assert select(path) == rc, name
+    # a whole bundle, trained on features of another width than select extracts
+    perf = from_csv(ws["perf_csv"].read_text())
+    narrow = learner.train(np.random.default_rng(0).random((perf.shape[0], 6)), perf,
+                           LearnerConfig(k=2, top_k=3, layers=1, heads=1, max_epochs=0))
+    learner.save_state(narrow, str(tmp_path / "narrow.bundle"))
+    caplog.clear()
+    assert select(tmp_path / "narrow.bundle") == 3
+    assert f"trained on 6 features per graph, not the {FEATURE_DIM}" in caplog.text
     # unreadable graph file
     assert main(["select", "--bundle", str(ws["bundle"]),
                  "--graph-file", str(tmp_path / "no_graph"),
                  "--output-dir", str(tmp_path)]) == 3
+
+
+def test_a_zero_layer_state_selects_its_factor_estimate(ws, tmp_path):
+    feat_ids, feats = read_features_csv(ws["features_csv"])
+    perf = from_csv(ws["perf_csv"].read_text())
+    feats = feats[[feat_ids.index(g) for g in perf.graph_ids]]
+    config = LearnerConfig(k=4, top_k=3, layers=0, heads=1, max_epochs=0, min_epochs=0,
+                           ridge_lambda=1e-3)
+    warm = learner.train(feats, perf, config)
+    for m_feat in feats[:3]:
+        np.testing.assert_allclose(learner.select_model(warm, m_feat).scores,
+                                   warm.phi.predict(m_feat) @ warm.params["V"].T,
+                                   rtol=0, atol=1e-12)
+    trained = learner.train(feats, perf, replace(config, max_epochs=5))
+    assert trained.training_log
+    assert np.isfinite(learner.select_model(trained, feats[0]).scores).all()
+    bundle = tmp_path / "flat.bundle"
+    learner.save_state(trained, str(bundle))
+    assert main(["select", "--bundle", str(bundle), "--graph-file", str(ws["graph_dir"] / "g000"),
+                 "--output-dir", str(tmp_path)]) == 0
 
 
 def test_a_planted_pickle_never_runs(ws, tmp_path):
