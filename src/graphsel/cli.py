@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, harness, learner
-from .config import ConfigError, RunConfig, load_config
+from .config import SCHEMA, ConfigError, RunConfig, load_config
 from .features import FEATURE_DIM, SCHEMA_VERSION, feature_names, meta_graph_features
 from .graphs import load_edge_list
 from .learner import LearnerConfig
@@ -285,10 +285,13 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 
     if cfg.get("eval", "synthetic"):
         from . import synth     # networkx, which no other command needs
-        corpus = synth.generate_synthetic_corpus(
-            n_graphs=cfg.get("eval", "n_graphs"), families=cfg.get("eval", "families"),
-            n_models=cfg.get("eval", "n_models"), noise=cfg.get("eval", "noise"),
-            seed=seed)
+        try:
+            corpus = synth.generate_synthetic_corpus(
+                n_graphs=cfg.get("eval", "n_graphs"), families=cfg.get("eval", "families"),
+                n_models=cfg.get("eval", "n_models"), noise=cfg.get("eval", "noise"),
+                seed=seed)
+        except ValueError as exc:    # a corpus shape the [eval] ranges let through
+            raise ConfigError(f"synthetic corpus: {exc}") from None
         started = time.perf_counter()
         feats = corpus.meta_features()
         log.info("event=corpus_features graphs=%d seconds=%.2f",
@@ -370,15 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_FLAG_TO_KEY = {
-    "graph_dir": ("paths", "graph_dir"),
-    "output_dir": ("paths", "output_dir"),
-    "features_csv": ("paths", "features_csv"),
-    "performance_csv": ("paths", "performance_csv"),
-    "bundle": ("paths", "bundle"),
-    "graph_file": ("paths", "graph_file"),
-}
-
 COMMANDS = {
     "features": cmd_features,
     "train": cmd_train,
@@ -391,11 +385,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO,
                         format="%(levelname)s %(name)s %(message)s", stream=sys.stderr)
-    overrides = list(args.set)
-    for flag, (section, key) in _FLAG_TO_KEY.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides.append(f"{section}.{key}={value}")
+    # each subcommand flag's dest is a [paths] key
+    overrides = list(args.set) + [f"paths.{dest}={value}" for dest, value in vars(args).items()
+                                  if ("paths", dest) in SCHEMA and value is not None]
     try:
         cfg = load_config(args.config, overrides)
         return COMMANDS[args.command](cfg)

@@ -3,15 +3,16 @@
 Every key lives in a fixed schema; unknown sections or keys are rejected so
 typos fail loudly instead of silently running defaults. Command-line
 overrides use ``section.key=value`` and pass through the same validation.
-The config hash stamped into output artifacts is the SHA-256 of the
-canonical sorted key=value rendering.
+The [hyper] section is ``LearnerConfig``: its fields give the keys, types,
+defaults and ranges. The config hash stamped into output artifacts is the
+SHA-256 of the sorted key=value rendering of [hyper] and [eval].
 """
 
 from __future__ import annotations
 
 import configparser
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .baselines import ALL_KINDS, BASELINE_KINDS
 from .harness import DEFAULT_PERTURBATION_RATES, DEFAULT_SPARSITIES
@@ -43,8 +44,6 @@ def _str_list(text: str) -> tuple[str, ...]:
     return tuple(x.strip() for x in text.split(",") if x.strip() != "")
 
 
-_HYPER = LearnerConfig()      # the [hyper] defaults are the library's own
-
 # (section, key) -> (parser, default, validator or None)
 SCHEMA: dict[tuple[str, str], tuple] = {
     ("paths", "graph_dir"): (str, "", None),
@@ -56,19 +55,10 @@ SCHEMA: dict[tuple[str, str], tuple] = {
 
     ("features", "workers"): (int, 4, lambda v: v >= 1),
 
-    ("hyper", "k"): (int, _HYPER.k, lambda v: v >= 1),
-    ("hyper", "top_k"): (int, _HYPER.top_k, lambda v: v >= 1),
-    ("hyper", "layers"): (int, _HYPER.layers, lambda v: v >= 1),
-    ("hyper", "heads"): (int, _HYPER.heads, lambda v: v >= 1),
-    ("hyper", "lr"): (float, _HYPER.lr, lambda v: v > 0),
-    ("hyper", "weight_decay"): (float, _HYPER.weight_decay, lambda v: v >= 0),
-    ("hyper", "max_epochs"): (int, _HYPER.max_epochs, lambda v: v >= 0),
-    ("hyper", "patience"): (int, _HYPER.patience, lambda v: v >= 1),
-    ("hyper", "min_epochs"): (int, _HYPER.min_epochs, lambda v: v >= 0),
-    # "auto" = leave-one-out selection
-    ("hyper", "ridge_lambda"): (_auto_float, _HYPER.ridge_lambda, lambda v: v is None or v > 0),
-    ("hyper", "nmf_mean_prior"): (float, _HYPER.nmf_mean_prior, lambda v: 0 <= v <= 1),
-    ("hyper", "seed"): (int, _HYPER.seed, lambda v: v >= 0),
+    # [hyper] is LearnerConfig, which checks its own ranges;
+    # ridge_lambda "auto" = leave-one-out selection
+    **{("hyper", f.name): (_auto_float if f.name == "ridge_lambda" else type(f.default),
+                           f.default, None) for f in fields(LearnerConfig)},
 
     ("eval", "folds"): (int, 5, lambda v: v >= 2),
     ("eval", "selectors"): (_str_list, ALL_KINDS, None),
@@ -94,7 +84,8 @@ class RunConfig:
         return self.values[(section, key)]
 
     def hash(self) -> str:
-        lines = [f"{s}.{k}={self.values[(s, k)]!r}" for s, k in sorted(self.values)]
+        lines = [f"{s}.{k}={v!r}" for (s, k), v in sorted(self.values.items())
+                 if s in ("hyper", "eval")]      # what the outputs depend on
         return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
 
 
@@ -131,4 +122,8 @@ def load_config(path: str | None = None, overrides: list[str] | None = None) -> 
         target, raw = item.split("=", 1)
         section, key = target.split(".", 1)
         values[(section, key)] = _parse_value(section, key, raw)
+    try:
+        LearnerConfig(**{k: v for (s, k), v in values.items() if s == "hyper"})
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return RunConfig(values)

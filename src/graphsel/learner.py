@@ -37,8 +37,9 @@ VAL_FRACTION = 0.1
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
-@dataclass
+@dataclass(frozen=True)
 class LearnerConfig:
+    """The meta-learner's settings; each field is a [hyper] config key."""
     k: int = 32
     top_k: int = 30
     layers: int = 2
@@ -51,6 +52,18 @@ class LearnerConfig:
     seed: int = 0
     ridge_lambda: float | None = None    # None: leave-one-out selection
     nmf_mean_prior: float = 0.1
+
+    def __post_init__(self):
+        in_range = {"k": self.k >= 1, "top_k": self.top_k >= 1, "layers": self.layers >= 0,
+                    "heads": self.heads >= 1, "lr": self.lr > 0,
+                    "weight_decay": self.weight_decay >= 0, "max_epochs": self.max_epochs >= 0,
+                    "patience": self.patience >= 1, "min_epochs": self.min_epochs >= 0,
+                    "seed": self.seed >= 0,
+                    "ridge_lambda": self.ridge_lambda is None or self.ridge_lambda > 0,
+                    "nmf_mean_prior": 0 <= self.nmf_mean_prior <= 1}
+        for name, ok in in_range.items():
+            if not ok:
+                raise ValueError(f"value out of range for [hyper] {name}: {getattr(self, name)!r}")
 
 
 @dataclass
@@ -307,10 +320,7 @@ class Adam:
 # --- training --------------------------------------------------------------
 
 def _largest_divisor_at_most(n: int, cap: int) -> int:
-    for h in range(min(cap, n), 0, -1):
-        if n % h == 0:
-            return h
-    return 1
+    return next(h for h in range(min(cap, n), 0, -1) if n % h == 0)
 
 
 def _loss_and_grads(params: dict[str, np.ndarray], net: GMNetwork,

@@ -152,9 +152,7 @@ def test_features_are_byte_identical_for_any_worker_count(mixed_dir, tmp_path, p
         out = tmp_path / f"w{workers}"
         assert _features(mixed_dir, out, workers) == 0
         assert multiprocessing.active_children() == []
-        stamp, body = (out / "features.csv").read_bytes().split(b"\n", 1)
-        assert stamp.startswith(b"# config_hash=")   # hashes the workers key and the paths
-        csvs.add(body)
+        csvs.add((out / "features.csv").read_bytes())     # the config_hash stamp too
         timings = (out / "feature_timings.csv").read_text().strip().split("\n")
         sizes.add(tuple((row.split(",")[0],) + tuple(row.split(",")[2:]) for row in timings))
     assert len(csvs) == 1 and len(sizes) == 1
@@ -480,6 +478,17 @@ def test_a_zero_layer_state_selects_its_factor_estimate(ws, tmp_path):
     learner.save_state(trained, str(bundle))
     assert main(["select", "--bundle", str(bundle), "--graph-file", str(ws["graph_dir"] / "g000"),
                  "--output-dir", str(tmp_path)]) == 0
+    # the command line trains the same kind of bundle, and select ranks every model with it
+    out = tmp_path / "cli"
+    assert main(TRAIN_SETS + ["--set", "hyper.layers=0", "train",
+                              "--features-csv", str(ws["features_csv"]),
+                              "--performance-csv", str(ws["perf_csv"]),
+                              "--output-dir", str(out)]) == 0
+    assert learner.load_state(str(out / "model.bundle")).params.keys() == {"W", "V"}
+    assert main(["select", "--bundle", str(out / "model.bundle"),
+                 "--graph-file", str(ws["graph_dir"] / "g000"), "--output-dir", str(out)]) == 0
+    ranking = (out / "ranking.csv").read_text().strip().split("\n")[3:]
+    assert sorted(row.split(",")[1] for row in ranking) == sorted(ws["model_ids"])
 
 
 def test_a_planted_pickle_never_runs(ws, tmp_path):
@@ -560,6 +569,16 @@ def test_evaluate_synthetic_with_sweeps(tmp_path):
     sweep = (tmp_path / "sparsity_sweep.csv").read_text().strip().split("\n")
     assert sweep[2] == "selector,setting,fold,metric,value"
     assert len(sweep) == 3 + 1 * 2 * 2 * 3               # selectors x settings x folds x metrics
+
+
+def test_a_corpus_shape_the_generator_refuses_exits_2(tmp_path, caplog):
+    # n_models=2 passes the [eval] range but gives one of three families no model
+    rc = main(["--set", "eval.n_models=2", "--set", "eval.run_sweeps=false",
+               "--set", "eval.selectors=random",
+               "evaluate", "--output-dir", str(tmp_path)])
+    assert rc == 2
+    assert "event=config_error" in caplog.text
+    assert "need at least one model per family" in caplog.text
 
 
 def test_more_folds_than_graphs_exits_2(tmp_path, caplog):

@@ -1,9 +1,12 @@
 """Typed config: defaults, file loading, overrides, validation, hashing."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from graphsel.cli import main
-from graphsel.config import ConfigError, load_config
+from graphsel.config import SCHEMA, ConfigError, load_config
 
 
 def test_defaults():
@@ -83,9 +86,12 @@ def test_hash_is_stable_and_value_sensitive():
     a = load_config()
     b = load_config()
     assert a.hash() == b.hash()
-    assert a.hash() == "dccac2f81f9c4fa6"
+    assert a.hash() == "8b927b2f572e19ef"
     c = load_config(overrides=["hyper.k=8"])
     assert c.hash() != a.hash()
+    # where the outputs go and how many workers write them leave the hash alone
+    assert load_config(overrides=["paths.output_dir=elsewhere"]).hash() == a.hash()
+    assert load_config(overrides=["features.workers=1"]).hash() == a.hash()
     # an override equal to the default hashes identically
     d = load_config(overrides=["hyper.k=32"])
     assert d.hash() == a.hash()
@@ -127,3 +133,13 @@ def test_unparseable_file_is_a_config_error(tmp_path, text):
 def test_missing_file_rejected(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(str(tmp_path / "nope.ini"))
+
+
+def test_readme_configuration_table_names_every_key_outside_paths():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    named = {tuple(name.split(".", 1))
+             for row in section.splitlines() if row.startswith("| `")
+             for name in re.findall(r"`([a-z_]+\.[a-z_]+)`", row.split("|")[1])}
+    assert named <= set(SCHEMA)
+    assert {sk for sk in SCHEMA if sk[0] != "paths"} <= named

@@ -534,6 +534,17 @@ def fast_config(**kw):
     return LearnerConfig(**base)
 
 
+OUT_OF_RANGE = {"k": 0, "top_k": 0, "layers": -1, "heads": 0, "lr": 0.0,
+                "weight_decay": -1.0, "max_epochs": -1, "patience": 0, "min_epochs": -1,
+                "seed": -1, "ridge_lambda": 0.0, "nmf_mean_prior": 1.5}
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(LearnerConfig)])
+def test_config_refuses_what_the_command_line_refuses(name):
+    with pytest.raises(ValueError, match=rf"\[hyper\] {name}: "):
+        LearnerConfig(**{name: OUT_OF_RANGE[name]})
+
+
 def test_train_is_deterministic():
     feats, perf = small_training_problem()
     a = train(feats, perf, fast_config())
