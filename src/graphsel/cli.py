@@ -26,11 +26,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import baselines, harness, learner
+from . import baselines, harness, learner, synth
 from .config import SCHEMA, ConfigError, RunConfig, load_config
 from .features import FEATURE_DIM, SCHEMA_VERSION, feature_names, meta_graph_features
 from .graphs import load_edge_list
-from .learner import LearnerConfig
 from .perf import PerformanceMatrix, from_csv
 
 log = logging.getLogger("graphsel")
@@ -38,12 +37,6 @@ log = logging.getLogger("graphsel")
 
 class DataError(RuntimeError):
     pass
-
-
-def _learner_config(cfg: RunConfig) -> LearnerConfig:
-    """Every [hyper] key has the name of a LearnerConfig field."""
-    return LearnerConfig(**{key: value for (section, key), value in cfg.values.items()
-                            if section == "hyper"})
 
 
 def _stamp(cfg: RunConfig) -> str:
@@ -207,7 +200,10 @@ def cmd_train(cfg: RunConfig) -> int:
     bundle_path = cfg.get("paths", "bundle") or str(out_dir / "model.bundle")
 
     started = time.perf_counter()
-    state = learner.train(feats, perf, _learner_config(cfg))
+    try:
+        state = learner.train(feats, perf, cfg.learner)
+    except ValueError as exc:    # inputs that cannot be trained on, named by the limit
+        raise DataError(f"cannot train: {exc}") from None
     seconds = time.perf_counter() - started
     learner.save_state(state, bundle_path)
 
@@ -262,11 +258,10 @@ def cmd_select(cfg: RunConfig) -> int:
 
 def _selector_factories(cfg: RunConfig, kinds) -> dict:
     seed = cfg.get("hyper", "seed")
-    lcfg = _learner_config(cfg)
 
     def factory(kind: str):
         if kind == "metalearner":
-            return lambda: baselines.make_selector(kind, seed=seed, config=lcfg)
+            return lambda: baselines.make_selector(kind, seed=seed, config=cfg.learner)
         return lambda: baselines.make_selector(kind, seed=seed)
 
     unknown = [k for k in kinds if k not in baselines.ALL_KINDS]
@@ -284,14 +279,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     folds = cfg.get("eval", "folds")
 
     if cfg.get("eval", "synthetic"):
-        from . import synth     # networkx, which no other command needs
-        try:
-            corpus = synth.generate_synthetic_corpus(
-                n_graphs=cfg.get("eval", "n_graphs"), families=cfg.get("eval", "families"),
-                n_models=cfg.get("eval", "n_models"), noise=cfg.get("eval", "noise"),
-                seed=seed)
-        except ValueError as exc:    # a corpus shape the [eval] ranges let through
-            raise ConfigError(f"synthetic corpus: {exc}") from None
+        corpus = synth.generate_synthetic_corpus(cfg.corpus_shape, seed=seed)
         started = time.perf_counter()
         feats = corpus.meta_features()
         log.info("event=corpus_features graphs=%d seconds=%.2f",

@@ -3,8 +3,9 @@
 Every key lives in a fixed schema; unknown sections or keys are rejected so
 typos fail loudly instead of silently running defaults. Command-line
 overrides use ``section.key=value`` and pass through the same validation.
-The [hyper] section is ``LearnerConfig``: its fields give the keys, types,
-defaults and ranges. The config hash stamped into output artifacts is the
+The [hyper] keys are ``LearnerConfig``'s fields and the [eval] corpus keys
+``CorpusShape``'s, with their types, defaults and ranges; ``load_config``
+builds each once. The config hash stamped into output artifacts is the
 SHA-256 of the sorted key=value rendering of [hyper] and [eval].
 """
 
@@ -17,6 +18,7 @@ from dataclasses import dataclass, fields
 from .baselines import ALL_KINDS, BASELINE_KINDS
 from .harness import DEFAULT_PERTURBATION_RATES, DEFAULT_SPARSITIES
 from .learner import LearnerConfig
+from .synth import CorpusShape
 
 
 class ConfigError(ValueError):
@@ -69,16 +71,16 @@ SCHEMA: dict[tuple[str, str], tuple] = {
                                      lambda v: all(x >= 0 for x in v)),
     ("eval", "run_sweeps"): (_bool, "true", None),
     ("eval", "synthetic"): (_bool, "true", None),
-    ("eval", "n_graphs"): (int, 60, lambda v: v >= 3),
-    ("eval", "families"): (int, 3, lambda v: 1 <= v <= 3),
-    ("eval", "n_models"): (int, 8, lambda v: v >= 2),
-    ("eval", "noise"): (float, 0.05, lambda v: 0 <= v <= 0.2),
+    # the synthetic corpus shape, which checks its own ranges
+    **{("eval", f.name): (type(f.default), f.default, None) for f in fields(CorpusShape)},
 }
 
 
 @dataclass
 class RunConfig:
     values: dict[tuple[str, str], object]
+    learner: LearnerConfig
+    corpus_shape: CorpusShape
 
     def get(self, section: str, key: str):
         return self.values[(section, key)]
@@ -122,8 +124,11 @@ def load_config(path: str | None = None, overrides: list[str] | None = None) -> 
         target, raw = item.split("=", 1)
         section, key = target.split(".", 1)
         values[(section, key)] = _parse_value(section, key, raw)
+
+    def build(cls, section: str):
+        return cls(**{f.name: values[(section, f.name)] for f in fields(cls)})
+
     try:
-        LearnerConfig(**{k: v for (s, k), v in values.items() if s == "hyper"})
+        return RunConfig(values, build(LearnerConfig, "hyper"), build(CorpusShape, "eval"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return RunConfig(values)

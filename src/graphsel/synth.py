@@ -10,9 +10,8 @@ family from structure alone, so planted recovery is a meaningful test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from .features import meta_graph_features
@@ -24,53 +23,58 @@ DOMINANT_LEVEL = 0.8
 BACKGROUND_LEVEL = 0.4
 
 
+@dataclass(frozen=True)
+class CorpusShape:
+    """The planted corpus's shape; each field is an [eval] config key."""
+    n_graphs: int = 60
+    families: int = 3
+    n_models: int = 8
+    noise: float = 0.05
+
+    def __post_init__(self):
+        fams = len(FAMILY_NAMES)
+        rules = {"families": (1 <= self.families <= fams, f"must lie in [1, {fams}]"),
+                 "n_graphs": (self.n_graphs >= max(3, self.families),
+                              "need at least one graph per family and 3 graphs"),
+                 "n_models": (self.n_models >= max(2, self.families),
+                              "need at least one model per family and 2 models"),
+                 "noise": (0 <= self.noise <= 0.2, "must lie in [0, 0.2]")}
+        for name, (ok, rule) in rules.items():
+            if not ok:
+                raise ValueError(f"value out of range for [eval] {name}: {getattr(self, name)!r}, "
+                                 f"{rule}")
+
+
 @dataclass
 class SyntheticCorpus:
     graphs: list[Graph]
     family_labels: np.ndarray
     perf: PerformanceMatrix
     seed: int
-    _features: np.ndarray | None = field(default=None, repr=False)
 
     def meta_features(self) -> np.ndarray:
-        """Feature matrix, extracted once and cached."""
-        if self._features is None:
-            self._features = np.stack(
-                [meta_graph_features(g) for g in self.graphs])
-        return self._features
-
-
-def _nx_to_graph(g: nx.Graph) -> Graph:
-    mapping = {node: i for i, node in enumerate(sorted(g.nodes()))}
-    edges = [(mapping[u], mapping[v]) for u, v in g.edges()]
-    return from_edges(len(mapping), edges)
+        """Feature matrix, one row per graph."""
+        return np.stack([meta_graph_features(g) for g in self.graphs])
 
 
 def _make_graph(family: int, size: int, seed: int) -> Graph:
+    import networkx as nx    # here, so importing graphsel.cli (via config) loads no networkx
+
     if family == 0:
         g = nx.gnp_random_graph(size, min(1.0, 6.0 / size), seed=seed)
     elif family == 1:
         g = nx.barabasi_albert_graph(size, 3, seed=seed)
     else:
         g = nx.watts_strogatz_graph(size, 6, 0.1, seed=seed)
-    return _nx_to_graph(g)
+    mapping = {node: i for i, node in enumerate(sorted(g.nodes()))}
+    return from_edges(len(mapping), [(mapping[u], mapping[v]) for u, v in g.edges()])
 
 
-def generate_synthetic_corpus(n_graphs: int = 60, families: int = 3,
-                              n_models: int = 8, noise: float = 0.05,
-                              seed: int = 0, min_size: int = 30,
-                              max_size: int = 200) -> SyntheticCorpus:
-    if not 1 <= families <= len(FAMILY_NAMES):
-        raise ValueError(f"families must lie in [1, {len(FAMILY_NAMES)}]")
-    if n_graphs < families:
-        raise ValueError("need at least one graph per family")
-    if n_models < families:
-        raise ValueError("need at least one model per family")
-    if not 0 <= noise <= 0.2:
-        raise ValueError("noise must lie in [0, 0.2]")
-
+def generate_synthetic_corpus(shape: CorpusShape = CorpusShape(), seed: int = 0,
+                              min_size: int = 30, max_size: int = 200) -> SyntheticCorpus:
+    n_graphs, n_models, noise = shape.n_graphs, shape.n_models, shape.noise
     rng = np.random.default_rng(seed)
-    labels = np.array([i % families for i in range(n_graphs)])
+    labels = np.array([i % shape.families for i in range(n_graphs)])
     graphs = []
     for i in range(n_graphs):
         size = int(rng.integers(min_size, max_size + 1))

@@ -45,7 +45,7 @@ from graphsel.metrics import auc, label_top1, mrr, ndcg_at_1
 from graphsel.perf import PerformanceMatrix, factorize, mask_random, perturb, to_csv
 from graphsel.ranking import ScoreSheet, rank_descending
 from graphsel.summaries import SUMMARY_NAMES, summarize
-from graphsel.synth import generate_synthetic_corpus
+from graphsel.synth import CorpusShape, generate_synthetic_corpus
 
 from oracles import (
     auc_brute,
@@ -68,8 +68,8 @@ _planted: dict = {}
 def planted_corpus():
     """60 graphs, 3 families, 8 models, noise 0.05; features cached."""
     if not _planted:
-        corpus = generate_synthetic_corpus(n_graphs=60, families=3, n_models=8,
-                                           noise=0.05, seed=7)
+        corpus = generate_synthetic_corpus(
+            CorpusShape(n_graphs=60, families=3, n_models=8, noise=0.05), seed=7)
         _planted["truth"] = corpus.perf
         _planted["features"] = corpus.meta_features()
     return _planted["features"], _planted["truth"]
@@ -310,8 +310,9 @@ def test_selection_survives_extreme_sparsity():
 # an unperturbed run, and a 0.5 cell perturbed at rate 0.2 lands in
 # [0.45, 0.55] for every seed
 def test_perturbation_sweep_identity_and_bounds():
-    corpus = generate_synthetic_corpus(n_graphs=12, families=3, n_models=4,
-                                       noise=0.05, seed=19, min_size=12, max_size=25)
+    corpus = generate_synthetic_corpus(
+        CorpusShape(n_graphs=12, families=3, n_models=4, noise=0.05),
+        seed=19, min_size=12, max_size=25)
     feats = corpus.meta_features()
     truth = corpus.perf
     factories = {"gb_avgperf": lambda: make_selector("gb_avgperf", seed=0),
@@ -340,8 +341,9 @@ def test_perturbation_sweep_identity_and_bounds():
 # criterion: ranking models for one unseen 100,000-edge graph takes under 5
 # seconds in-process, with feature and prediction time reported separately
 def test_single_graph_selection_latency(tmp_path, caplog):
-    corpus = generate_synthetic_corpus(n_graphs=6, families=3, n_models=3,
-                                       noise=0.05, seed=31, min_size=15, max_size=40)
+    corpus = generate_synthetic_corpus(
+        CorpusShape(n_graphs=6, families=3, n_models=3, noise=0.05),
+        seed=31, min_size=15, max_size=40)
     state = train(corpus.meta_features(), corpus.perf,
                   LearnerConfig(k=8, top_k=5, max_epochs=0, ridge_lambda=1e-3))
     bundle = tmp_path / "latency.bundle"
@@ -408,8 +410,9 @@ def test_metrics_match_oracles_and_perfect_selector():
 # criterion: rerunning every command with the same config and seed produces
 # byte-identical primary artifacts (the timings file is exempt by design)
 def test_reruns_are_byte_identical(tmp_path):
-    corpus = generate_synthetic_corpus(n_graphs=25, families=3, n_models=3,
-                                       noise=0.05, seed=21, min_size=20, max_size=45)
+    corpus = generate_synthetic_corpus(
+        CorpusShape(n_graphs=25, families=3, n_models=3, noise=0.05),
+        seed=21, min_size=20, max_size=45)
     graph_dir = tmp_path / "graphs"
     graph_dir.mkdir()
     for gid, g in zip(corpus.perf.graph_ids, corpus.graphs):
@@ -471,8 +474,9 @@ SCORE_RTOL_ACROSS_THREADS = 1e-10
 THREAD_COUNT_RUN = """
 import json
 from graphsel.learner import LearnerConfig, select_model, train
-from graphsel.synth import generate_synthetic_corpus
-corpus = generate_synthetic_corpus(n_graphs=60, families=3, n_models=8, noise=0.05, seed=5)
+from graphsel.synth import CorpusShape, generate_synthetic_corpus
+corpus = generate_synthetic_corpus(
+    CorpusShape(n_graphs=60, families=3, n_models=8, noise=0.05), seed=5)
 feats = corpus.meta_features()
 state = train(feats, corpus.perf, LearnerConfig(max_epochs=20))
 print(json.dumps({"epochs": len(state.training_log),

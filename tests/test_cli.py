@@ -19,7 +19,7 @@ from graphsel.gmnet import REL_INDEX
 from graphsel.graphs import serialize
 from graphsel.learner import LearnerConfig
 from graphsel.perf import from_csv, to_csv
-from graphsel.synth import generate_synthetic_corpus
+from graphsel.synth import CorpusShape, generate_synthetic_corpus
 from oracles import read_bundle, write_bundle
 
 TRAIN_SETS = [
@@ -34,8 +34,9 @@ TRAIN_SETS = [
 def ws(tmp_path_factory):
     """Corpus on disk plus one features run and one training run."""
     root = tmp_path_factory.mktemp("cli")
-    corpus = generate_synthetic_corpus(n_graphs=25, families=3, n_models=3,
-                                       noise=0.05, seed=21, min_size=20, max_size=45)
+    corpus = generate_synthetic_corpus(
+        CorpusShape(n_graphs=25, families=3, n_models=3, noise=0.05),
+        seed=21, min_size=20, max_size=45)
     graph_dir = root / "graphs"
     graph_dir.mkdir()
     for gid, g in zip(corpus.perf.graph_ids, corpus.graphs):
@@ -237,6 +238,30 @@ def test_train_id_mismatch_is_a_data_error(ws, tmp_path):
         "train", "--features-csv", str(ws["features_csv"]),
         "--performance-csv", str(bad_csv), "--output-dir", str(tmp_path)])
     assert rc == 3
+
+
+@pytest.mark.parametrize("case, limit", [
+    ("one_model", "at least 2 models"),
+    ("four_graphs", "at least 5 graphs"),
+    ("no_observed_cell", "fully unobserved"),
+])
+def test_data_that_training_refuses_is_a_data_error(ws, tmp_path, caplog, case, limit):
+    feats = ws["features_csv"].read_text().splitlines(True)
+    perf = ws["perf_csv"].read_text().splitlines(True)
+    if case == "one_model":
+        perf = [",".join(line.rstrip("\n").split(",")[:2]) + "\n" for line in perf]
+    elif case == "four_graphs":
+        feats, perf = feats[:-(ws["n_graphs"] - 4)], perf[:1 + 4]
+    else:
+        perf = perf[:1] + [line.split(",")[0] + "," * len(ws["model_ids"]) + "\n"
+                           for line in perf[1:]]
+    (tmp_path / "features.csv").write_text("".join(feats))
+    (tmp_path / "perf.csv").write_text("".join(perf))
+    rc = main(TRAIN_SETS + [
+        "train", "--features-csv", str(tmp_path / "features.csv"),
+        "--performance-csv", str(tmp_path / "perf.csv"), "--output-dir", str(tmp_path)])
+    assert rc == 3
+    assert "event=data_error" in caplog.text and limit in caplog.text
 
 
 def test_duplicate_ids_are_a_data_error(ws, tmp_path):
@@ -571,14 +596,18 @@ def test_evaluate_synthetic_with_sweeps(tmp_path):
     assert len(sweep) == 3 + 1 * 2 * 2 * 3               # selectors x settings x folds x metrics
 
 
-def test_a_corpus_shape_the_generator_refuses_exits_2(tmp_path, caplog):
-    # n_models=2 passes the [eval] range but gives one of three families no model
+def test_a_corpus_shape_the_generator_refuses_exits_2(ws, tmp_path, caplog):
+    # n_models=2 gives one of three families no model, so CorpusShape refuses it
     rc = main(["--set", "eval.n_models=2", "--set", "eval.run_sweeps=false",
                "--set", "eval.selectors=random",
                "evaluate", "--output-dir", str(tmp_path)])
     assert rc == 2
     assert "event=config_error" in caplog.text
     assert "need at least one model per family" in caplog.text
+    # refused when the config loads, so a command that builds no corpus refuses it too
+    assert main(["--set", "eval.n_models=2", "features", "--graph-dir", str(ws["graph_dir"]),
+                 "--output-dir", str(tmp_path / "feat")]) == 2
+    assert not (tmp_path / "feat").exists()
 
 
 def test_more_folds_than_graphs_exits_2(tmp_path, caplog):

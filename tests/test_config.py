@@ -7,6 +7,7 @@ import pytest
 
 from graphsel.cli import main
 from graphsel.config import SCHEMA, ConfigError, load_config
+from graphsel.synth import CorpusShape
 
 
 def test_defaults():
@@ -73,6 +74,25 @@ def test_unknown_keys_rejected():
 def test_validators_reject_out_of_range(bad):
     with pytest.raises(ConfigError):
         load_config(overrides=[bad])
+
+
+@pytest.mark.parametrize("shape", [
+    {"n_graphs": 2}, {"n_graphs": 3}, {"families": 0}, {"families": 4},
+    {"n_models": 2, "families": 3}, {"n_models": 3, "families": 3},
+    {"noise": -0.1}, {"noise": 0.2}, {"noise": 0.3},
+], ids=lambda shape: ",".join(f"{k}={v}" for k, v in shape.items()))
+def test_the_library_and_the_config_refuse_the_same_corpus_shapes(shape):
+    try:
+        CorpusShape(**shape)
+        library_refuses = False
+    except ValueError:
+        library_refuses = True
+    try:
+        load_config(overrides=[f"eval.{key}={value}" for key, value in shape.items()])
+        config_refuses = False
+    except ConfigError:
+        config_refuses = True
+    assert config_refuses == library_refuses
 
 
 def test_unparseable_values_rejected():

@@ -1,6 +1,8 @@
 """Cross-validation harness: folding, scoring, failure isolation, sweeps."""
 
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -251,3 +253,12 @@ def test_summary_json_is_strict_and_merges_extras():
     assert payload["selectors"]["bad"]["errors"]
     assert payload["best_gap"]["oracle"]["count"] == truth.shape[0]
     assert "NaN" not in text
+
+
+def test_readme_library_use_block_runs_as_written(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(block, {})
+    printed = capsys.readouterr().out
+    assert {"mrr", "auc", "ndcg_at_1"} <= set(ast.literal_eval(printed))

@@ -34,7 +34,7 @@ from graphsel.learner import (
 from graphsel.metrics import label_top1, mrr
 from graphsel.perf import PerformanceMatrix
 from graphsel.ranking import ScoreSheet
-from graphsel.synth import generate_synthetic_corpus
+from graphsel.synth import CorpusShape, generate_synthetic_corpus
 from oracles import (finite_difference_grads, gradient_check, init_params_literal,
                      make_tiny_problem, max_relative_error, read_bundle, relation_keys_per_node,
                      weighted_segment_sum_chain, write_bundle)
@@ -236,8 +236,8 @@ def test_fused_aggregation_keeps_the_bits_of_a_planted_train(monkeypatch):
     scores `select_model` gives with it have the same bytes whether each
     layer aggregates with the fused op or with the gather -> weight ->
     segment_sum chain it replaced."""
-    corpus = generate_synthetic_corpus(n_graphs=60, families=3, n_models=8,
-                                       noise=0.05, seed=5)
+    corpus = generate_synthetic_corpus(
+        CorpusShape(n_graphs=60, families=3, n_models=8, noise=0.05), seed=5)
     feats = corpus.meta_features()
     config = LearnerConfig(max_epochs=10)
     fused = train(feats, corpus.perf, config)
@@ -279,8 +279,8 @@ def test_folded_keys_train_like_the_per_node_keys(monkeypatch):
     """A default train on the seed-5 planted corpus (10 epochs) runs the
     same epochs and ranks 5 graphs the same with folded or per-node keys;
     losses and scores agree far below any ranking gap."""
-    corpus = generate_synthetic_corpus(n_graphs=60, families=3, n_models=8,
-                                       noise=0.05, seed=5)
+    corpus = generate_synthetic_corpus(
+        CorpusShape(n_graphs=60, families=3, n_models=8, noise=0.05), seed=5)
     feats = corpus.meta_features()
     config = LearnerConfig(max_epochs=10)
     runs = []
