@@ -193,10 +193,6 @@ class Tensor:
     def const(value) -> "Tensor":
         return Tensor(value, requires_grad=False)
 
-    @staticmethod
-    def param(value) -> "Tensor":
-        return Tensor(np.array(value, dtype=np.float64), requires_grad=True)
-
     @property
     def shape(self):
         return self.value.shape

@@ -113,16 +113,17 @@ def eccentricity(graph: Graph, a: sp.csr_matrix | None = None) -> np.ndarray:
     """
     if a is None:
         a = adjacency_matrix(graph)
-    _, labels = csgraph.connected_components(a, directed=False)
+    n_comp, labels = csgraph.connected_components(a, directed=False)
     order = np.argsort(labels, kind="stable")
-    a = a[order][:, order]
     deg = graph.degrees()[order]
+    if n_comp > 1:          # one component: the order is the identity, a the block
+        a = a[order][:, order]
     bounds = np.concatenate([[0], np.cumsum(np.bincount(labels))])
     ecc = np.zeros(graph.node_count)
     for start, stop in zip(bounds[:-1], bounds[1:]):
         if stop - start < 2:
             continue
-        block = a[start:stop, start:stop]
+        block = a[start:stop, start:stop] if n_comp > 1 else a
         if stop - start > ECC_EXACT_NODE_LIMIT:
             values = _swept_lower_bounds(block, deg[start:stop])
         else:
@@ -245,10 +246,11 @@ def pagerank(graph: Graph, a: sp.csr_matrix | None = None) -> np.ndarray:
     inv_deg = np.where(dangling, 0.0, 1.0 / np.maximum(deg, 1.0))
     x = np.full(n, 1.0 / n)
     teleport = (1.0 - PAGERANK_DAMPING) / n
-    a_t = a.T                # scipy builds a new transposed matrix per `.T`
     for _ in range(PAGERANK_MAX_ITER):
         spread = x * inv_deg
-        new = PAGERANK_DAMPING * (a_t @ spread)
+        # A is symmetric with sorted rows, so A·x sums each entry in the
+        # order Aᵀ·x does, bit for bit
+        new = PAGERANK_DAMPING * (a @ spread)
         # with no dangling node their share is exactly +0.0, so the shift
         # is the teleport term alone, bit for bit
         if any_dangling:

@@ -36,26 +36,27 @@ def global_stats(graph: Graph, two_hop=None) -> np.ndarray:
 
     Wedge density is the fraction of ordered distinct node pairs at distance
     <= 2 through at least one common neighbor, i.e. the off-diagonal fill of
-    the sparse A·A (``two_hop``, built here when omitted). Assortativity is
+    the sparse A·A (``two_hop``, built here when omitted): its diagonal is
+    the degrees, stored where nonzero. Assortativity is
     the Pearson correlation of endpoint degrees over both orientations of
     each edge; 0 when undefined.
     """
     n = graph.node_count
     e = graph.edge_count
+    deg = graph.degrees()
     density = 2.0 * e / (n * (n - 1)) if n > 1 else 0.0
 
     if n > 1 and e > 0:
         if two_hop is None:
             two_hop = two_hop_matrix(graph)
-        off_diag = two_hop.nnz - int(np.count_nonzero(two_hop.diagonal()))
+        off_diag = two_hop.nnz - int(np.count_nonzero(deg))
         wedge_density = off_diag / (n * (n - 1))
     else:
         wedge_density = 0.0
 
     if e > 0:
-        deg = graph.degrees().astype(np.float64)
-        du = deg[graph.edge_array[:, 0]]
-        dv = deg[graph.edge_array[:, 1]]
+        du = deg[graph.edge_array[:, 0]].astype(np.float64)
+        dv = deg[graph.edge_array[:, 1]].astype(np.float64)
         x = np.concatenate([du, dv])
         y = np.concatenate([dv, du])
         sx = x.std()

@@ -58,9 +58,6 @@ class Graph:
     def neighbors(self, u: int) -> np.ndarray:
         return self.indices[self.indptr[u]:self.indptr[u + 1]]
 
-    def edge_set(self) -> set[tuple[int, int]]:
-        return {(int(u), int(v)) for u, v in self.edge_array}
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
@@ -124,6 +121,71 @@ def load_edge_list(text: str) -> Graph:
     is otherwise ignored. Self-loops are dropped but their endpoint still
     becomes a node. Ids are remapped to 0..n-1 by first appearance.
 
+    A plain text (``_plain_ids``) is read by numpy in one call; any other
+    goes through ``_read_ids``, which defines the grammar and every error.
+    """
+    ids = _plain_ids(text)
+    if ids is None:
+        ids = _read_ids(text)
+
+    # node i is the i-th distinct id by first appearance
+    order = np.argsort(ids)
+    runs = np.flatnonzero(_run_starts(ids[order]))
+    by_appearance = np.argsort(np.minimum.reduceat(order, runs))
+    new_id = np.empty(runs.size, dtype=np.int64)
+    new_id[by_appearance] = np.arange(runs.size)
+    edges = np.empty_like(ids)
+    edges[order] = np.repeat(new_id, np.diff(np.append(runs, ids.size)))
+    graph = from_edges(runs.size, edges.reshape(-1, 2),
+                       original_ids=ids[order[runs[by_appearance]]])
+    if graph.self_loops_dropped or graph.duplicates_dropped:
+        log.warning("edge list cleanup: dropped %d self-loops, %d duplicate edges",
+                    graph.self_loops_dropped, graph.duplicates_dropped)
+    return graph
+
+
+PLAIN_ID_DIGITS = 18    # np.fromstring clamps a longer id to 2**63 - 1, so it goes to _read_ids
+# byte class: 0 other, 1 digit, 2 space or tab, 3 LF or CR
+_BYTE_CLASS = np.zeros(256, dtype=np.uint8)
+_BYTE_CLASS[ord("0"):ord("9") + 1] = 1
+_BYTE_CLASS[[ord(" "), ord("\t")]] = 2
+_BYTE_CLASS[[ord("\n"), ord("\r")]] = 3
+
+
+def _plain_ids(text: str) -> np.ndarray | None:
+    """The endpoint ids of a plain text in order, or None for any other text.
+
+    A plain text is ASCII, its lines end in LF or CR, and each line is blank
+    or two runs of 1 to PLAIN_ID_DIGITS digits apart by spaces or tabs, with
+    spaces or tabs around them; at least one line is not blank. Such a text
+    is one ``_read_ids`` accepts, with the same ids. The shape is checked on
+    the bytes, and then one ``np.fromstring`` reads the ids.
+    """
+    if not text.isascii():
+        return None
+    raw = text.encode("ascii")
+    cls = _BYTE_CLASS.take(np.frombuffer(raw, np.uint8))
+    if not cls.all():
+        return None
+    digit = np.concatenate([[False], cls == 1, [False]])
+    bounds = np.flatnonzero(digit[1:] != digit[:-1])    # run start, run end, start, ...
+    # two runs per line are four bounds
+    if bounds.size == 0 or bounds.size % 4 or np.any(np.diff(bounds)[::2] > PLAIN_ID_DIGITS):
+        return None
+    # the line breaks and run starts in text order, and where the run starts
+    # fall in it: a line's two runs have no break between them, and the next
+    # line's first run follows a break
+    event = cls == 3
+    event[bounds[::2]] = True
+    at = np.flatnonzero(cls.take(np.flatnonzero(event)) == 1)
+    if np.any(at[1::2] != at[::2] + 1) or np.any(at[2::2] == at[1:-1:2] + 1):
+        return None
+    return np.fromstring(raw, dtype=np.int64, sep=" ")
+
+
+def _read_ids(text: str) -> np.ndarray:
+    """The endpoint ids of any text, in order, by the full grammar.
+
     The text is parsed in one pass over all lines, which only detects a
     fault. On one, the content lines are read in order and the first that
     `_line_error` refuses is reported, with the error a line-by-line reading
@@ -154,21 +216,7 @@ def load_edge_list(text: str) -> Graph:
         raise
     if not content:
         raise ValueError("empty graph: no edges or nodes in input")
-
-    # node i is the i-th distinct id by first appearance
-    order = np.argsort(ids)
-    runs = np.flatnonzero(_run_starts(ids[order]))
-    by_appearance = np.argsort(np.minimum.reduceat(order, runs))
-    new_id = np.empty(runs.size, dtype=np.int64)
-    new_id[by_appearance] = np.arange(runs.size)
-    edges = np.empty_like(ids)
-    edges[order] = np.repeat(new_id, np.diff(np.append(runs, ids.size)))
-    graph = from_edges(runs.size, edges.reshape(-1, 2),
-                       original_ids=ids[order[runs[by_appearance]]])
-    if graph.self_loops_dropped or graph.duplicates_dropped:
-        log.warning("edge list cleanup: dropped %d self-loops, %d duplicate edges",
-                    graph.self_loops_dropped, graph.duplicates_dropped)
-    return graph
+    return ids
 
 
 def _run_starts(sorted_values: np.ndarray) -> np.ndarray:
@@ -201,15 +249,3 @@ def _line_error(tokens: list[str]) -> str | None:
             return f"non-numeric weight {tokens[2]!r}"
     return None
 
-
-def serialize(graph: Graph) -> str:
-    """Render a Graph back to edge-list text, round-trip safe.
-
-    A self-loop line "i i" is emitted for every node first: loops are dropped
-    on load but register the node, which pins first-appearance order to
-    0..n-1 and preserves isolated nodes.
-    """
-    lines = ["# graphsel edge list"]
-    lines.extend(f"{i} {i}" for i in range(graph.node_count))
-    lines.extend(f"{u} {v}" for u, v in graph.edge_array)
-    return "\n".join(lines) + "\n"

@@ -6,15 +6,18 @@ peeling for core numbers, a line-by-line edge-list parser, direct formulas
 for the summary statistics and the ranking metrics. The autodiff
 scatters, the attention aggregation chain, the per-node relation keys, the
 one-distribution summary, the literal NMF update loop, the one-copy
-network extension with its disjoint union and the one-array-at-a-time
-parameter draws are the package's former versions, kept to pin their
+network extension with its disjoint union, the one-array-at-a-time
+parameter draws, PageRank's product by Aᵀ and the wedge fill read off the
+A·A diagonal are the package's former versions, kept to pin their
 replacements: the keys within a rounding tolerance, the rest bit for bit.
 Slow is fine; these run on small inputs.
 The bundle record reader and writer follow the format's definition, for
 tests that tamper with one record. The gradient-check helpers are the
 exception: they build a tiny problem from the package's own network and
 parameter draws and compare its backward pass with central finite
-differences of its own loss.
+differences of its own loss. ``param`` and ``serialize`` are small
+test-only constructors: a Tensor that records gradients, and edge-list
+text that pins node order.
 """
 
 import json
@@ -24,7 +27,8 @@ import numpy as np
 from scipy import special, stats
 
 from graphsel.autodiff import Tensor, concat, einsum
-from graphsel.extractors import adjacency_matrix, extract_structural, two_hop_matrix
+from graphsel.extractors import (PAGERANK_DAMPING, PAGERANK_MAX_ITER, PAGERANK_TOL,
+                                 adjacency_matrix, extract_structural, two_hop_matrix)
 from graphsel.features import global_stats, signed_log1p
 from graphsel.gmnet import REL_INDEX, RELATIONS, GMNetwork, build_train_network, cosine_topk
 from graphsel.graphs import EdgeListError, from_edges
@@ -36,6 +40,11 @@ from graphsel.summaries import (GROUP_ATOL, GROUP_RTOL, HIST_BINS, IQR_ALPHAS, S
 
 
 # --- parameters --------------------------------------------------------------
+
+def param(value):
+    """A float64 copy of ``value`` as a Tensor that records gradients."""
+    return Tensor(np.array(value, dtype=np.float64), requires_grad=True)
+
 
 def init_params_literal(rng, meta_dim, k, layers, heads, n_models, v_init=None):
     """The parameter draws written out one array at a time, in the order the
@@ -146,7 +155,8 @@ def write_bundle(path, header, *records):
 
 def load_edge_list_brute(text):
     """One line at a time: skip blanks and '#' lines, check each line's token
-    count, endpoints and weight in that order, remap ids by first appearance."""
+    count, endpoints (integer, non-negative, at most 2**63 - 1) and weight in
+    that order, remap ids by first appearance."""
     id_map: dict[int, int] = {}
     edges: list[tuple[int, int]] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -163,6 +173,8 @@ def load_edge_list_brute(text):
             raise EdgeListError(line_no, f"non-integer endpoint in {tokens[:2]}") from None
         if u < 0 or v < 0:
             raise EdgeListError(line_no, f"negative node id in {tokens[:2]}")
+        if max(u, v) > 2**63 - 1:
+            raise EdgeListError(line_no, f"node id above {2**63 - 1} in {tokens[:2]}")
         if len(tokens) == 3:
             try:
                 float(tokens[2])
@@ -175,6 +187,19 @@ def load_edge_list_brute(text):
     if not id_map:
         raise ValueError("empty graph: no edges or nodes in input")
     return from_edges(len(id_map), edges, original_ids=list(id_map))
+
+
+def serialize(graph):
+    """Render a Graph back to edge-list text, round-trip safe.
+
+    A self-loop line "i i" is emitted for every node first: loops are dropped
+    on load but register the node, which pins first-appearance order to
+    0..n-1 and preserves isolated nodes.
+    """
+    lines = ["# graphsel edge list"]
+    lines.extend(f"{i} {i}" for i in range(graph.node_count))
+    lines.extend(f"{u} {v}" for u, v in graph.edge_array)
+    return "\n".join(lines) + "\n"
 
 
 # --- autodiff scatters ------------------------------------------------------
@@ -369,6 +394,39 @@ def pagerank_brute(graph, damping=0.85, tol=1e-12, max_iter=10000):
             return new
         x = new
     return x
+
+
+def pagerank_transposed(graph):
+    """``extractors.pagerank`` as it was: each step multiplies by Aᵀ."""
+    n = graph.node_count
+    if n == 1:
+        return np.ones(1)
+    a = adjacency_matrix(graph)
+    deg = graph.degrees().astype(np.float64)
+    dangling = deg == 0
+    inv_deg = np.where(dangling, 0.0, 1.0 / np.maximum(deg, 1.0))
+    x = np.full(n, 1.0 / n)
+    teleport = (1.0 - PAGERANK_DAMPING) / n
+    a_t = a.T
+    for _ in range(PAGERANK_MAX_ITER):
+        new = PAGERANK_DAMPING * (a_t @ (x * inv_deg))
+        if dangling.any():
+            new += PAGERANK_DAMPING * x[dangling].sum() / n + teleport
+        else:
+            new += teleport
+        if np.abs(new - x).sum() < PAGERANK_TOL:
+            return new
+        x = new
+    return x
+
+
+def wedge_density_from_diagonal(graph, two_hop):
+    """``global_stats``' wedge density as it was: the stored entries of A·A
+    less its nonzero diagonal, over the ordered node pairs."""
+    n = graph.node_count
+    if n < 2 or graph.edge_count == 0:
+        return 0.0
+    return (two_hop.nnz - int(np.count_nonzero(two_hop.diagonal()))) / (n * (n - 1))
 
 
 def kcore_brute(graph):

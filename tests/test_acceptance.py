@@ -32,7 +32,7 @@ from graphsel.extractors import (
     wedges_per_node,
 )
 from graphsel.features import FEATURE_DIM, meta_graph_features
-from graphsel.graphs import from_edges, serialize
+from graphsel.graphs import from_edges
 from graphsel.harness import cross_validate, perturbation_sweep
 from graphsel.learner import (
     LearnerConfig,
@@ -56,6 +56,7 @@ from oracles import (
     mrr_brute,
     ndcg1_brute,
     pagerank_brute,
+    serialize,
     summary_brute,
     triangles_edge_brute,
     triangles_node_brute,

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from graphsel.autodiff import (Edges, Segments, Tensor, concat, einsum, segment_softmax,
                                weighted_segment_sum)
-from oracles import scatter_rows_bincount, segment_max_argsort, weighted_segment_sum_chain
+from oracles import param, scatter_rows_bincount, segment_max_argsort, weighted_segment_sum_chain
 
 
 def fd_grad(loss_fn, x, step=1e-6):
@@ -30,7 +30,7 @@ def check_op(build, *shapes, seed=0, positive=False, tol=1e-6):
     rng = np.random.default_rng(seed)
     arrays = [rng.uniform(0.5, 1.5, size=s) if positive else rng.normal(size=s)
               for s in shapes]
-    tensors = [Tensor.param(a) for a in arrays]
+    tensors = [param(a) for a in arrays]
     out = build(*tensors)
     coeff = np.random.default_rng(seed + 1).normal(size=out.value.shape)
 
@@ -147,7 +147,7 @@ def test_scatters_match_ufunc_at_bit_for_bit(data):
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     # the output gradient of this sum is `rows` itself
-    table = Tensor.param(rng.normal(size=(n_seg,) + tail))
+    table = param(rng.normal(size=(n_seg,) + tail))
     (table.gather(segments) * Tensor.const(rows)).sum().backward()
     assert table.grad.tobytes() == want.tobytes()
 
@@ -196,7 +196,7 @@ def test_weighted_segment_sum_matches_the_chain_bit_for_bit(data):
         spread(nodes, heads, dk)
 
     def run(op, edges):
-        m, w = Tensor.param(msgs), Tensor.param(weights)
+        m, w = param(msgs), param(weights)
         out = op(m, w, edges)
         (out * Tensor.const(out_grad)).sum().backward()
         return [np.ascontiguousarray(a) for a in (out.value, m.grad, w.grad)]
@@ -276,7 +276,7 @@ def test_segment_softmax_values_and_grads():
 
 
 def test_diamond_reuse_accumulates():
-    x = Tensor.param(np.array([0.7, -0.3]))
+    x = param(np.array([0.7, -0.3]))
     y = x * x + x.exp()
     loss = y.sum()
     loss.backward()
@@ -285,7 +285,7 @@ def test_diamond_reuse_accumulates():
 
 
 def test_reused_tensor_through_two_paths():
-    a = Tensor.param(np.array([[1.0, 2.0], [3.0, 4.0]]))
+    a = param(np.array([[1.0, 2.0], [3.0, 4.0]]))
     b = a @ a.transpose()            # a appears twice
     loss = b.sum()
     loss.backward()
@@ -297,14 +297,14 @@ def test_reused_tensor_through_two_paths():
 
 
 def test_backward_requires_scalar():
-    t = Tensor.param(np.zeros((2, 2)))
+    t = param(np.zeros((2, 2)))
     with pytest.raises(ValueError):
         (t * 2.0).backward()
 
 
 def test_constants_are_not_differentiated():
     c = Tensor.const(np.ones(3))
-    p = Tensor.param(np.ones(3))
+    p = param(np.ones(3))
     out = (c * p).sum()
     out.backward()
     assert c.grad is None
@@ -315,7 +315,7 @@ def test_constants_are_not_differentiated():
 
 
 def test_ops_over_constants_record_no_tape():
-    c, p = Tensor.const(np.ones((2, 2))), Tensor.param(np.ones((2, 2)))
+    c, p = Tensor.const(np.ones((2, 2))), param(np.ones((2, 2)))
     assert (c * p).parents == (p,)
     assert (p - c).parents == (p,)
     idx = np.array([0, 1, 1])

@@ -16,11 +16,10 @@ from graphsel import cli, learner
 from graphsel.cli import DataError, main, read_features_csv
 from graphsel.features import FEATURE_DIM, SCHEMA_VERSION
 from graphsel.gmnet import REL_INDEX
-from graphsel.graphs import serialize
 from graphsel.learner import LearnerConfig
 from graphsel.perf import from_csv, to_csv
 from graphsel.synth import CorpusShape, generate_synthetic_corpus
-from oracles import read_bundle, write_bundle
+from oracles import read_bundle, serialize, write_bundle
 
 TRAIN_SETS = [
     "--set", "hyper.k=4", "--set", "hyper.top_k=3", "--set", "hyper.layers=1",

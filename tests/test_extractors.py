@@ -12,8 +12,10 @@ from scipy.sparse import csgraph
 from graphsel import extractors
 from graphsel.graphs import from_edges
 
+from graphsel.features import global_stats
 from oracles import (degrees_brute, eccentricity_brute, kcore_brute, pagerank_brute,
-                     triangles_edge_brute, triangles_node_brute, wedges_brute)
+                     pagerank_transposed, triangles_edge_brute, triangles_node_brute,
+                     wedge_density_from_diagonal, wedges_brute)
 
 
 def random_graph(rng, n, p):
@@ -90,6 +92,36 @@ def test_eccentricity_of_a_component_ignores_the_others():
     paired = extractors.eccentricity(from_edges(1102, list(g.edges()) + [(1100, 1101)]))
     assert np.array_equal(alone[giant], paired[giant])
     assert list(paired[1100:]) == [1, 1]
+
+
+def test_eccentricity_of_one_component_is_its_block_alone():
+    # one component skips the sort by component; a disjoint edge forces it,
+    # and the giant's values stay the same on both sides of the exact limit
+    for g in (nx.connected_watts_strogatz_graph(1500, 6, 0.1, seed=5),
+              nx.connected_watts_strogatz_graph(300, 4, 0.2, seed=6)):
+        n = g.number_of_nodes()
+        alone = extractors.eccentricity(from_edges(n, list(g.edges())))
+        paired = extractors.eccentricity(from_edges(n + 2, list(g.edges()) + [(n, n + 1)]))
+        assert alone.tobytes() == paired[:n].tobytes()
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(st.integers(1, 60), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_pagerank_and_wedge_density_keep_the_bits_of_their_former_forms(n, p, seed):
+    g = random_graph(np.random.default_rng(seed), n, p)
+    assert extractors.pagerank(g).tobytes() == pagerank_transposed(g).tobytes()
+    two_hop = extractors.two_hop_matrix(g)
+    assert global_stats(g, two_hop)[1] == wedge_density_from_diagonal(g, two_hop)
+
+
+@pytest.mark.parametrize("graph", [
+    nx.barabasi_albert_graph(3000, 3, seed=1),
+    nx.powerlaw_cluster_graph(3000, 3, 0.3, seed=2),
+    nx.gnm_random_graph(2000, 6000, seed=3),
+], ids=["BA(3000, 3)", "PLC(3000, 3, 0.3)", "G(2000, 6000)"])
+def test_pagerank_by_a_equals_pagerank_by_a_transposed_on_larger_graphs(graph):
+    g = nx_graph(graph)
+    assert extractors.pagerank(g).tobytes() == pagerank_transposed(g).tobytes()
 
 
 def connected_gnp(rng, n, p):

@@ -3,21 +3,27 @@
 import itertools
 import pickle
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphsel.graphs import EdgeListError, Graph, from_edges, load_edge_list, serialize
+from graphsel.graphs import (PLAIN_ID_DIGITS, EdgeListError, Graph, _plain_ids, from_edges,
+                             load_edge_list)
 
-from oracles import load_edge_list_brute
+from oracles import load_edge_list_brute, serialize
+
+
+def edge_set(g):
+    return {(int(u), int(v)) for u, v in g.edge_array}
 
 
 def test_load_remaps_ids_by_first_appearance():
     g = load_edge_list("10 7\n7 3\n3 10\n")
     assert g.node_count == 3
     assert list(g.original_ids) == [10, 7, 3]
-    assert g.edge_set() == {(0, 1), (1, 2), (0, 2)}
+    assert edge_set(g) == {(0, 1), (1, 2), (0, 2)}
     assert g.edge_count == 3
 
 
@@ -25,12 +31,12 @@ def test_comments_blanks_and_weights_are_accepted():
     text = "# header\n\n0 1 0.5\n   \n1 2 3\n# trailing\n"
     g = load_edge_list(text)
     assert g.node_count == 3
-    assert g.edge_set() == {(0, 1), (1, 2)}
+    assert edge_set(g) == {(0, 1), (1, 2)}
 
 
 def test_directed_duplicates_collapse():
     g = load_edge_list("0 1\n1 0\n0 1\n1 2\n")
-    assert g.edge_set() == {(0, 1), (1, 2)}
+    assert edge_set(g) == {(0, 1), (1, 2)}
     assert g.duplicates_dropped == 2
     assert g.self_loops_dropped == 0
 
@@ -38,7 +44,7 @@ def test_directed_duplicates_collapse():
 def test_self_loop_registers_node_but_drops_edge():
     g = load_edge_list("0 0\n1 2\n")
     assert g.node_count == 3
-    assert g.edge_set() == {(1, 2)}
+    assert edge_set(g) == {(1, 2)}
     assert g.self_loops_dropped == 1
     assert g.degrees()[0] == 0
 
@@ -121,7 +127,7 @@ def test_csr_matches_edge_set_on_random_graphs():
         undirected = {(min(id_map[int(u)], id_map[int(v)]),
                        max(id_map[int(u)], id_map[int(v)]))
                       for u, v in pairs if u != v}
-        assert g.edge_set() == undirected
+        assert edge_set(g) == undirected
 
         nbr = {u: set() for u in range(n)}
         for u, v in undirected:
@@ -173,10 +179,10 @@ def test_edge_list_round_trip_keeps_every_node(g):
 
 def test_from_edges_cleans_and_validates():
     g = from_edges(4, [(0, 1), (1, 0), (2, 2), (1, 3)])
-    assert g.edge_set() == {(0, 1), (1, 3)}
+    assert edge_set(g) == {(0, 1), (1, 3)}
     assert g.self_loops_dropped == 1
     g = from_edges(4, [(0, 1), (1, 0), (2, 2), (1, 3), (1, 3)])
-    assert g.edge_set() == {(0, 1), (1, 3)}
+    assert edge_set(g) == {(0, 1), (1, 3)}
     assert g.self_loops_dropped == 1
     assert g.duplicates_dropped == 2
     with pytest.raises(ValueError):
@@ -241,9 +247,7 @@ def _outcome(parse, text):
         return exc
 
 
-@settings(derandomize=True, deadline=None, max_examples=400)
-@given(edge_list_texts())
-def test_load_edge_list_matches_the_line_by_line_reader(text):
+def assert_reads_like_the_line_by_line_reader(text):
     got, want = _outcome(load_edge_list, text), _outcome(load_edge_list_brute, text)
     if isinstance(want, Exception):
         assert type(got) is type(want)
@@ -256,6 +260,89 @@ def test_load_edge_list_matches_the_line_by_line_reader(text):
     for name in ("edge_array", "indptr", "indices", "original_ids"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), name
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(edge_list_texts())
+def test_load_edge_list_matches_the_line_by_line_reader(text):
+    assert_reads_like_the_line_by_line_reader(text)
+
+
+# an id of 1 to 18 digits, zero-padded to its drawn width
+PLAIN_IDS = st.integers(1, PLAIN_ID_DIGITS).flatmap(
+    lambda width: st.integers(0, 10**width - 1).map(lambda v: str(v).zfill(width)))
+
+
+@st.composite
+def plain_texts(draw):
+    """Texts of `u v` lines for the plain path: up to a few thousand lines,
+    ids of 1-18 digits with leading zeros, space and tab separators and
+    padding, LF, CRLF and CR breaks, blank lines, and repeated and self-loop
+    edges. Hypothesis draws the pieces; a seeded generator lays out the lines."""
+    ids = draw(st.lists(PLAIN_IDS, min_size=1, max_size=30))
+    separators = draw(st.lists(st.sampled_from([" ", "\t", "  ", " \t "]), min_size=1, max_size=3))
+    pads = draw(st.lists(st.sampled_from(["", " ", "\t"]), min_size=1, max_size=3))
+    breaks = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=1, max_size=3))
+    blank_share = draw(st.sampled_from([0.0, 0.1, 0.5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_lines = draw(st.sampled_from([1, 2, 10, 300, 3000]))
+    parts = []
+    for _ in range(n_lines):
+        if rng.random() < blank_share:
+            parts.append(pads[rng.integers(len(pads))] + breaks[rng.integers(len(breaks))])
+        u, v = rng.integers(len(ids), size=2)
+        pad_in, pad_out = rng.integers(len(pads), size=2)
+        parts.append(pads[pad_in] + ids[u] + separators[rng.integers(len(separators))] + ids[v]
+                     + pads[pad_out] + breaks[rng.integers(len(breaks))])
+    if draw(st.booleans()):
+        parts[-1] = parts[-1].rstrip("\r\n")     # no break after the last line
+    return "".join(parts)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(plain_texts())
+def test_plain_texts_take_the_plain_path_and_read_like_the_line_by_line_reader(text):
+    assert _plain_ids(text) is not None
+    assert_reads_like_the_line_by_line_reader(text)
+
+
+@pytest.mark.parametrize("text,plain", [
+    ("123456789012345678 1\n", True),
+    ("999999999999999999 000000000000000000\n", True),
+    ("1234567890123456789 1\n", False),
+    ("9223372036854775807 1\n", False),
+    ("1 9223372036854775808\n", False),
+    ("12345678901234567890 1\n", False),
+    ("99999999999999999999 1\n", False),
+    ("+7 1\n", False),
+    ("1_0 1\n", False),
+    ("\u0661 1\n", False),
+    ("0 1\x0b1 2\n", False),
+    ("0 1\x0c1 2\n", False),
+    ("0 1\n# comment\n1 2\n", False),
+    ("0 1 0.5\n", False),
+    ("0 1\n7\n", False),
+    ("0 1\n1 2 3\n", False),
+    ("0 1\n1 2 3 4\n", False),
+    ("0 1 2 3\n", False),
+    (" \t\n\r\n ", False),
+    ("", False),
+])
+def test_boundary_texts_leave_the_plain_path_only_off_its_shape(text, plain):
+    assert (_plain_ids(text) is not None) is plain
+    assert_reads_like_the_line_by_line_reader(text)
+
+
+def test_a_bench_shaped_text_is_read_by_the_plain_path_alone(monkeypatch):
+    g = nx.gnm_random_graph(300, 900, seed=3)
+    text = "".join("%d %d\n" % p for p in g.edges())
+    want = load_edge_list_brute(text)
+
+    def refuse(text):
+        raise AssertionError("the full-grammar reader ran")
+    monkeypatch.setattr("graphsel.graphs._read_ids", refuse)
+    got = load_edge_list(text)
+    assert got == want and np.array_equal(got.original_ids, want.original_ids)
 
 
 BAD_LINES = {"1 2 3 4": "expected 2 or 3 tokens", "2 x": "non-integer endpoint",

@@ -36,8 +36,8 @@ from graphsel.perf import PerformanceMatrix
 from graphsel.ranking import ScoreSheet
 from graphsel.synth import CorpusShape, generate_synthetic_corpus
 from oracles import (finite_difference_grads, gradient_check, init_params_literal,
-                     make_tiny_problem, max_relative_error, read_bundle, relation_keys_per_node,
-                     weighted_segment_sum_chain, write_bundle)
+                     make_tiny_problem, max_relative_error, param, read_bundle,
+                     relation_keys_per_node, weighted_segment_sum_chain, write_bundle)
 
 
 # --- independent forward oracle ---------------------------------------------
@@ -185,7 +185,7 @@ def test_forward_over_constant_parameters_records_no_tape():
     assert zg.parents == () and zm.parents == ()
     assert not zg.requires_grad and not zm.requires_grad
 
-    zg, zm = embed_network({name: Tensor.param(a) for name, a in params.items()}, net, plans)
+    zg, zm = embed_network({name: param(a) for name, a in params.items()}, net, plans)
     assert zg.parents and zm.parents
 
 
@@ -265,7 +265,7 @@ def test_folded_keys_match_the_per_node_oracle():
         weights = rng.normal(size=((m + ng) * len(RELATIONS), heads, dk))
         runs = []
         for keys_of in (learner.relation_keys, relation_keys_per_node):
-            zm, zg, k_m, k_g, att = (Tensor.param(a) for a in operands)
+            zm, zg, k_m, k_g, att = (param(a) for a in operands)
             keyed = keys_of(zm, zg, k_m, k_g, att)
             (keyed * Tensor.const(weights)).sum().backward()
             runs.append((keyed.value, [t.grad for t in (zm, zg, k_m, k_g, att)]))
@@ -454,7 +454,7 @@ def test_empty_rows_contribute_exactly_zero():
 def test_sparse_loss_gradient_flows_only_to_observed_rows():
     pv = np.array([[0.3, 0.9], [0.5, 0.1]])
     obs = np.array([[True, True], [False, False]])
-    scores = Tensor.param(np.array([[1.0, -1.0], [0.5, 2.0]]))
+    scores = param(np.array([[1.0, -1.0], [0.5, 2.0]]))
     sparse_top1_loss(scores, pv, obs).backward()
     assert np.any(scores.grad[0] != 0.0)
     assert np.all(scores.grad[1] == 0.0)
