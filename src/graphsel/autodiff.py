@@ -17,7 +17,10 @@ passes it. Attention aggregation is one fused op, ``weighted_segment_sum``,
 over an ``Edges`` plan that keeps two planned head-blocked CSR matrices,
 one per direction: the forward sum and the messages' gradient are each one
 sparse product, with the bits of the gather, weight and segment-sum chain
-it replaces.
+it replaces. The attention logits are another, ``edge_scores``: its
+gradients are products with the same kind of matrices, and its forward
+pass gathers the edges' rows in chunks under EDGE_CHUNK_BYTES, so no op
+holds a per-edge (E, H, dk) copy.
 """
 
 from __future__ import annotations
@@ -109,25 +112,27 @@ def _segments(index, size: int) -> Segments:
 
 
 class Edges:
-    """A fixed edge list ``src -> dst`` over ``src.size`` nodes, planned for
-    ``weighted_segment_sum``.
+    """A fixed edge list ``src -> dst``, planned for ``weighted_segment_sum``
+    and ``edge_scores``. The two ends may index different row counts: ``src``
+    rows of one array (n_s = ``src.size``) and ``dst`` rows of another
+    (n_d = ``dst.size``).
 
-    Each direction of that sum is one block-diagonal CSR matrix over
-    (heads · nodes) rows, one block per head, built on first use for a
-    head count and kept. The forward matrix holds edge e of head h at
-    (h·n + dst[e], h·n + src[e]) in the stable order of ``dst``; the
-    transposed one, which only a backward pass builds, holds it at
-    (h·n + src[e], h·n + dst[e]) in the stable order of ``src``. Each also
-    keeps the index e·heads + h of every stored entry into the flattened
-    (E, heads) weights, which a pass writes into the matrix's data just
-    before its product.
+    Each direction of a product over the edges is one block-diagonal CSR
+    matrix, one block per head, built on first use for a head count and
+    kept. The forward matrix, (heads · n_d) × (heads · n_s), holds edge e of
+    head h at (h·n_d + dst[e], h·n_s + src[e]) in the stable order of
+    ``dst``; the transposed one, which only a backward pass builds, holds it
+    at (h·n_s + src[e], h·n_d + dst[e]) in the stable order of ``src``. Each
+    also keeps the index e·heads + h of every stored entry into the
+    flattened (E, heads) weights, which a pass writes into the matrix's data
+    just before its product.
     """
 
     __slots__ = ("src", "dst", "_blocks")
 
     def __init__(self, src: Segments, dst: Segments):
-        if src.size != dst.size or src.index.size != dst.index.size:
-            raise ValueError("edge endpoints disagree on the node or edge count")
+        if src.index.size != dst.index.size:
+            raise ValueError("edge endpoints disagree on the edge count")
         self.src, self.dst = src, dst
         self._blocks = {}
 
@@ -144,13 +149,45 @@ def _head_blocks(rows: Segments, cols: Segments, heads: int):
     """A CSR matrix whose head-h block holds edge e at (rows[e], cols[e]), in
     the stable order of ``rows``, and each entry's index e·heads + h."""
     order, indptr = rows._sorted()
-    n, e = rows.size, order.size
+    e = order.size
     shift = np.arange(heads)[:, None]
     flat = (order * heads + shift).ravel()
-    matrix = sparse.csr_array((np.zeros(flat.size), (cols.index[order] + shift * n).ravel(),
+    at = (cols.index[order] + shift * cols.size).ravel()
+    matrix = sparse.csr_array((np.zeros(flat.size), at,
                                np.append((indptr[:-1] + shift * e).ravel(), heads * e)),
-                              shape=(heads * n, heads * n))
+                              shape=(heads * rows.size, heads * cols.size))
     return matrix, flat
+
+
+def _head_product(edges: Edges, weights: np.ndarray, transposed: bool,
+                  rows: np.ndarray) -> np.ndarray:
+    """One direction of the planned head-blocked matrix of ``edges``, holding
+    the (E, H) ``weights``, times ``rows`` (one (H, dk) row per column node)
+    seen head-major as (H · nodes, dk): one (H, dk) row per row node, which
+    adds its weighted rows in its stable edge order from 0."""
+    heads, dk = rows.shape[1:]
+    matrix, flat = edges.blocks(heads, transposed)
+    # `flat` is in range by construction, and "clip" writes `out` unbuffered
+    np.take(weights.ravel(), flat, out=matrix.data, mode="clip")
+    head_major = rows.transpose(1, 0, 2).reshape(-1, dk)
+    return (matrix @ head_major).reshape(heads, -1, dk).transpose(1, 0, 2)
+
+
+EDGE_CHUNK_BYTES = 1 << 20      # cap on one gathered (edges, H, dk) chunk
+
+
+def _edge_reduce(reduce, a: np.ndarray, a_rows: np.ndarray, b: np.ndarray,
+                 b_rows: np.ndarray) -> np.ndarray:
+    """``reduce(a[a_rows], b[b_rows])``, an (E, H) array, computed over chunks
+    of the edges whose gathered rows of ``a`` stay under EDGE_CHUNK_BYTES. A
+    reduction that treats each edge's rows on their own gives the bits of
+    the one whole gather, without its (E, H, dk) copies."""
+    step = max(1, EDGE_CHUNK_BYTES // (a.itemsize * int(np.prod(a.shape[1:]))))
+    out = np.empty((a_rows.size, a.shape[1]))
+    for lo in range(0, a_rows.size, step):
+        at = slice(lo, lo + step)
+        out[at] = reduce(np.take(a, a_rows[at], axis=0), np.take(b, b_rows[at], axis=0))
+    return out
 
 
 def _as_tensor(x) -> Tensor:
@@ -345,6 +382,24 @@ def segment_softmax(logits: Tensor, segments, num_segments: int) -> Tensor:
     return e / e.segment_sum(plan, num_segments).gather(plan)
 
 
+def edge_scores(keys: Tensor, queries: Tensor, edges: Edges) -> Tensor:
+    """``out[e, h] = keys[src[e], h] · queries[dst[e], h]`` over dk, for
+    ``keys`` of shape (``edges.src.size``, H, dk) and ``queries``
+    (``edges.dst.size``, H, dk).
+
+    The forward pass runs ``np.einsum("ehi,ehi->eh")`` on edge chunks of the
+    gathered rows (``_edge_reduce``). Each operand's gradient is one product
+    of a planned head-blocked matrix of ``edges``, holding the output
+    gradient, with the other operand. Every result has the bits of
+    ``einsum("ehi,ehi->eh", keys.gather(src), queries.gather(dst))`` and of
+    its backward pass, without the (E, H, dk) temporaries.
+    """
+    return _op(_edge_reduce(lambda k, q: np.einsum("ehi,ehi->eh", k, q), keys.value,
+                            edges.src.index, queries.value, edges.dst.index),
+               (keys, lambda g: _head_product(edges, g, True, queries.value)),
+               (queries, lambda g: _head_product(edges, g, False, keys.value)))
+
+
 def weighted_segment_sum(msgs: Tensor, weights: Tensor, edges: Edges) -> Tensor:
     """``out[d, h] = Σ weights[e, h] · msgs[src[e], h]`` over the in-edges e
     of each node d, for ``msgs`` of shape (n, H, dk) and ``weights`` (E, H).
@@ -352,20 +407,12 @@ def weighted_segment_sum(msgs: Tensor, weights: Tensor, edges: Edges) -> Tensor:
     The forward pass and the messages' gradient are one product each with
     the planned head-blocked matrices of ``edges`` over the head-major
     (H·n, dk) rows; the weights' gradient is ``(g[dst] · msgs[src])``
-    summed over dk. Each bucket adds its weighted rows in edge order from 0,
-    so every result has the bits of
+    summed over dk, on edge chunks (``_edge_reduce``). Each bucket adds its
+    weighted rows in edge order from 0, so every result has the bits of
     ``(msgs.gather(src) * weights.reshape(-1, H, 1)).segment_sum(dst, n)``
     and of its backward pass, without the (E, H, dk) temporaries.
     """
-    n, heads, dk = msgs.shape
-
-    def product(transposed, rows):
-        matrix, flat = edges.blocks(heads, transposed)
-        # `flat` is in range by construction, and "clip" writes `out` unbuffered
-        np.take(weights.value.ravel(), flat, out=matrix.data, mode="clip")
-        head_major = rows.transpose(1, 0, 2).reshape(heads * n, dk)
-        return (matrix @ head_major).reshape(heads, n, dk).transpose(1, 0, 2)
-
-    return _op(product(False, msgs.value),
-               (msgs, lambda g: product(True, g)),
-               (weights, lambda g: (edges.dst.take(g) * edges.src.take(msgs.value)).sum(axis=2)))
+    return _op(_head_product(edges, weights.value, False, msgs.value),
+               (msgs, lambda g: _head_product(edges, weights.value, True, g)),
+               (weights, lambda g: _edge_reduce(lambda a, b: (a * b).sum(axis=2), g,
+                                                edges.dst.index, msgs.value, edges.src.index)))

@@ -129,43 +129,46 @@ def cmd_features(cfg: RunConfig) -> int:
 
 
 def read_features_csv(path: Path) -> tuple[list[str], np.ndarray]:
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        # str, not repr: a decode error's repr carries the whole text
+        raise DataError(f"cannot read features csv {path}: {exc}") from None
     ids, rows, seen = [], [], set()
     schema_seen = None
-    with open(path) as fh:
-        header = None
-        for line in fh:
-            line = line.rstrip("\n")
-            if line.startswith("# schema_version="):
-                stamp = line.split("=", 1)[1]
-                try:
-                    schema_seen = int(stamp)
-                except ValueError:
-                    raise DataError(f"bad schema_version stamp {stamp!r} in {path}") from None
-                continue
-            if line.startswith("#") or not line.strip():
-                continue
-            if header is None:
-                # a trailing "" lets a missing or an extra column be named too
-                header, want = line.split(",") + [""], ["graph_id"] + feature_names() + [""]
-                if header != want:
-                    col = next(i for i, (a, b) in enumerate(zip(header, want)) if a != b)
-                    raise DataError(f"unexpected features header in {path}: column {col + 1} "
-                                    f"is {header[col]!r}, expected {want[col]!r}")
-                continue
-            cells = line.split(",")
-            if len(cells) != FEATURE_DIM + 1:
-                raise DataError(f"bad feature row for {cells[0]!r} in {path}")
-            if cells[0] in seen:
-                raise DataError(f"duplicate graph id {cells[0]!r} in {path}")
+    header = None
+    for line in text.split("\n"):
+        if line.startswith("# schema_version="):
+            stamp = line.split("=", 1)[1]
             try:
-                row = [float(c) for c in cells[1:]]
+                schema_seen = int(stamp)
             except ValueError:
-                raise DataError(f"non-numeric feature value for {cells[0]!r} in {path}") from None
-            if not np.isfinite(row).all():
-                raise DataError(f"non-finite feature value for {cells[0]!r} in {path}")
-            seen.add(cells[0])
-            ids.append(cells[0])
-            rows.append(row)
+                raise DataError(f"bad schema_version stamp {stamp!r} in {path}") from None
+            continue
+        if line.startswith("#") or not line.strip():
+            continue
+        if header is None:
+            # a trailing "" lets a missing or an extra column be named too
+            header, want = line.split(",") + [""], ["graph_id"] + feature_names() + [""]
+            if header != want:
+                col = next(i for i, (a, b) in enumerate(zip(header, want)) if a != b)
+                raise DataError(f"unexpected features header in {path}: column {col + 1} "
+                                f"is {header[col]!r}, expected {want[col]!r}")
+            continue
+        cells = line.split(",")
+        if len(cells) != FEATURE_DIM + 1:
+            raise DataError(f"bad feature row for {cells[0]!r} in {path}")
+        if cells[0] in seen:
+            raise DataError(f"duplicate graph id {cells[0]!r} in {path}")
+        try:
+            row = [float(c) for c in cells[1:]]
+        except ValueError:
+            raise DataError(f"non-numeric feature value for {cells[0]!r} in {path}") from None
+        if not np.isfinite(row).all():
+            raise DataError(f"non-finite feature value for {cells[0]!r} in {path}")
+        seen.add(cells[0])
+        ids.append(cells[0])
+        rows.append(row)
     if schema_seen is not None and schema_seen != SCHEMA_VERSION:
         raise DataError(f"features schema {schema_seen} != current {SCHEMA_VERSION}")
     if not ids:

@@ -3,12 +3,15 @@
 Each extractor maps a Graph to one real-valued distribution: either one value
 per node (degree, wedges, triangles, eccentricity, PageRank, core number) or
 one per edge (triangles per edge). Counts are exact; PageRank is solved by
-power iteration. Eccentricity works one connected component at a time: it
-is exact on components of up to ECC_EXACT_NODE_LIMIT nodes and a capped
-lower/upper-bound elimination on larger ones (see ``eccentricity``). The
-exact path is a bit-parallel BFS, 64 sources per uint64 word, when one BFS
-from the highest-degree node v gives 2·e_v + 1 <= 64 (every source then
-finishes within 2·e_v levels), and one all-sources BFS call otherwise.
+power iteration. Triangles per edge are common-neighbour counts read off
+A·A, which ``two_hop_counts`` builds one block of rows at a time under a
+cap, so memory does not grow with Σ d². Eccentricity works one connected
+component at a time: it is exact on components of up to
+ECC_EXACT_NODE_LIMIT nodes and a capped lower/upper-bound elimination on
+larger ones (see ``eccentricity``). The exact path is a bit-parallel BFS,
+64 sources per uint64 word, when one BFS from the highest-degree node v
+gives 2·e_v + 1 <= 64 (every source then finishes within 2·e_v levels),
+and one all-sources BFS call otherwise.
 """
 
 from __future__ import annotations
@@ -40,12 +43,63 @@ def adjacency_matrix(graph: Graph) -> sp.csr_matrix:
     return sp.csr_matrix((data, graph.indices, graph.indptr), shape=(n, n))
 
 
-def two_hop_matrix(graph: Graph, a: sp.csr_matrix | None = None) -> sp.csr_matrix:
-    """A·A: entry (u, v) is the number of common neighbors of u and v, and
-    the diagonal holds the degrees. Zero entries are not stored."""
+TWO_HOP_BLOCK_TERMS = 1 << 18   # cap on the product terms of one row block of A·A
+
+
+def two_hop_counts(graph: Graph, a: sp.csr_matrix | None = None) -> tuple[np.ndarray, int]:
+    """The common-neighbour count |N(u) & N(v)| of each edge, in edge_array
+    order, and the off-diagonal fill of A·A: the number of ordered pairs of
+    distinct nodes with a common neighbour.
+
+    A·A is built one block of rows at a time, ``a[lo:hi] @ a``, the row-by-row
+    form of a sparse product (Gustavson 1978), and each block is dropped once
+    read. Row u of the product takes Σ_{w∈N(u)} deg(w) terms, which bound what
+    scipy allocates for it. A block is the longest run of rows whose bounds
+    sum to at most TWO_HOP_BLOCK_TERMS, or a single row whose own bound is
+    larger, so memory follows the cap and not Σ d²; the time is still Σ d².
+    A graph whose whole bound fits under the cap takes one unsliced ``a @ a``.
+
+    The fill is the stored entries of every block less the nonzero diagonal
+    (the degrees). A sparse lookup scans its row, so each edge's count is
+    read from the endpoint u with the smaller 1 + Σ_{w∈N(u)} (deg(w) - 1),
+    a bound on the entries stored in row u that is exact at both ends of a
+    star's edge.
+    """
     if a is None:
         a = adjacency_matrix(graph)
-    return a @ a
+    deg = graph.degrees()
+    bound = np.asarray(a @ deg, dtype=np.int64)
+    reach = 1 + bound - deg
+    u, v = graph.edge_array[:, 0], graph.edge_array[:, 1]
+    swap = reach[u] > reach[v]
+    rows, cols = np.where(swap, v, u), np.where(swap, u, v)
+    counts = np.zeros(rows.size)
+    fill = -int(np.count_nonzero(deg))
+    for product, lo, at in _two_hop_blocks(a, bound, rows):
+        fill += product.nnz
+        r, c = rows[at], cols[at]
+        if r.size:          # an empty fancy index returns a sparse matrix
+            counts[at] = np.asarray(product[r - lo, c], dtype=np.float64).ravel()
+    return counts, fill
+
+
+def _two_hop_blocks(a: sp.csr_matrix, bound: np.ndarray, rows: np.ndarray):
+    """Each row block of A·A as (its product rows, its first row, the edges
+    whose ``rows`` entry falls in it), the blocks in row order."""
+    n = bound.size
+    ends = np.cumsum(bound)
+    cuts = [0]
+    while cuts[-1] < n:
+        lo = cuts[-1]
+        limit = (ends[lo - 1] if lo else 0) + TWO_HOP_BLOCK_TERMS
+        cuts.append(max(lo + 1, int(np.searchsorted(ends, limit, side="right"))))
+    if len(cuts) == 2:
+        yield a @ a, 0, slice(None)
+        return
+    order = np.argsort(rows, kind="stable")
+    firsts = np.searchsorted(rows[order], cuts)
+    for lo, hi, first, last in zip(cuts[:-1], cuts[1:], firsts[:-1], firsts[1:]):
+        yield a[lo:hi] @ a, lo, order[first:last]
 
 
 def degree(graph: Graph) -> np.ndarray:
@@ -57,24 +111,13 @@ def wedges_per_node(graph: Graph) -> np.ndarray:
     return np.maximum(d * (d - 1.0) / 2.0, 0.0)
 
 
-def triangles_per_edge(graph: Graph, two_hop: sp.csr_matrix | None = None) -> np.ndarray:
+def triangles_per_edge(graph: Graph, a: sp.csr_matrix | None = None) -> np.ndarray:
     """Common-neighbor count |N(u) & N(v)| for each edge, in edge_array order."""
-    if graph.edge_count == 0:
-        return np.zeros(0, dtype=np.float64)
-    if two_hop is None:
-        two_hop = two_hop_matrix(graph)
-    u = graph.edge_array[:, 0]
-    v = graph.edge_array[:, 1]
-    # A·A is symmetric and a sparse lookup scans its row, so read each entry
-    # from the endpoint whose stored row is shorter
-    row_len = np.diff(two_hop.indptr)
-    swap = row_len[u] > row_len[v]
-    rows, cols = np.where(swap, v, u), np.where(swap, u, v)
-    return np.asarray(two_hop[rows, cols], dtype=np.float64).ravel()
+    return two_hop_counts(graph, a)[0]
 
 
-def triangles_per_node(graph: Graph, two_hop: sp.csr_matrix | None = None) -> np.ndarray:
-    return _edge_counts_to_nodes(graph, triangles_per_edge(graph, two_hop))
+def triangles_per_node(graph: Graph, a: sp.csr_matrix | None = None) -> np.ndarray:
+    return _edge_counts_to_nodes(graph, triangles_per_edge(graph, a))
 
 
 def _edge_counts_to_nodes(graph: Graph, per_edge: np.ndarray) -> np.ndarray:
@@ -304,15 +347,14 @@ def kcore(graph: Graph) -> np.ndarray:
     return core
 
 
-def extract_structural(graph: Graph, a: sp.csr_matrix,
-                       two_hop: sp.csr_matrix) -> list[np.ndarray]:
+def extract_structural(graph: Graph, a: sp.csr_matrix, tpe: np.ndarray) -> list[np.ndarray]:
     """All seven distributions in EXTRACTOR_IDS order, from the graph's
-    adjacency ``a`` and its square ``two_hop``.
+    adjacency ``a`` and its per-edge common-neighbour counts ``tpe`` (the
+    first result of ``two_hop_counts``).
 
     An edgeless graph has no per-edge distribution; a single-entry zero
     vector stands in so downstream summaries stay fixed-size.
     """
-    tpe = triangles_per_edge(graph, two_hop)
     dists = [
         degree(graph),
         wedges_per_node(graph),

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .extractors import EXTRACTOR_IDS, adjacency_matrix, extract_structural, two_hop_matrix
+from .extractors import EXTRACTOR_IDS, adjacency_matrix, extract_structural, two_hop_counts
 from .graphs import Graph
 from .summaries import SUMMARY_NAMES, summarize
 
@@ -31,15 +31,15 @@ def feature_names() -> list[str]:
     return base + [f"log_{name}" for name in base]
 
 
-def global_stats(graph: Graph, two_hop=None) -> np.ndarray:
+def global_stats(graph: Graph, fill: int | None = None) -> np.ndarray:
     """[edge density, two-hop (wedge) density, degree assortativity].
 
     Wedge density is the fraction of ordered distinct node pairs at distance
     <= 2 through at least one common neighbor, i.e. the off-diagonal fill of
-    the sparse A·A (``two_hop``, built here when omitted): its diagonal is
-    the degrees, stored where nonzero. Assortativity is
-    the Pearson correlation of endpoint degrees over both orientations of
-    each edge; 0 when undefined.
+    A·A over n(n - 1). ``fill`` is that count, the second result of
+    ``extractors.two_hop_counts``, which runs here when it is omitted.
+    Assortativity is the Pearson correlation of endpoint degrees over both
+    orientations of each edge; 0 when undefined.
     """
     n = graph.node_count
     e = graph.edge_count
@@ -47,10 +47,9 @@ def global_stats(graph: Graph, two_hop=None) -> np.ndarray:
     density = 2.0 * e / (n * (n - 1)) if n > 1 else 0.0
 
     if n > 1 and e > 0:
-        if two_hop is None:
-            two_hop = two_hop_matrix(graph)
-        off_diag = two_hop.nnz - int(np.count_nonzero(deg))
-        wedge_density = off_diag / (n * (n - 1))
+        if fill is None:
+            fill = two_hop_counts(graph)[1]
+        wedge_density = fill / (n * (n - 1))
     else:
         wedge_density = 0.0
 
@@ -83,12 +82,12 @@ def meta_graph_features(graph: Graph) -> np.ndarray:
     stack; the per-edge one on its own. Each summary has the bits it would
     have alone."""
     a = adjacency_matrix(graph)
-    two_hop = two_hop_matrix(graph, a)
-    dists = extract_structural(graph, a, two_hop)
+    tpe, fill = two_hop_counts(graph, a)
+    dists = extract_structural(graph, a, tpe)
     per_edge = summarize(dists.pop(PER_EDGE))
     per_node = summarize(np.stack(dists))
     parts = [*per_node[:PER_EDGE], per_edge, *per_node[PER_EDGE:],
-             global_stats(graph, two_hop)]
+             global_stats(graph, fill)]
     base = np.concatenate(parts)
     vec = np.concatenate([base, signed_log1p(base)])
     if vec.shape[0] != FEATURE_DIM:

@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .autodiff import (Edges, Segments, Tensor, concat, einsum, segment_softmax,
+from .autodiff import (Edges, Segments, Tensor, concat, edge_scores, einsum, segment_softmax,
                        weighted_segment_sum)
 from .features import SCHEMA_VERSION
 from .gmnet import GMNetwork, RELATIONS, build_train_network, extend_with_test
@@ -130,8 +130,9 @@ def init_params(rng: np.random.Generator, meta_dim: int, k: int, layers: int,
 @dataclass(frozen=True)
 class _LayerPlan:
     """One layer's edge table, each index planned over the rows it reads."""
-    keyed: Segments          # src * R + rel, into every node's keys under each of the R relations
-    dst: Segments            # into the node queries; the softmax buckets
+    scored: Edges            # src * R + rel -> dst: every node's keys under each of the R
+                             # relations against the node queries, for the attention logits
+    dst: Segments            # the softmax buckets
     edges: Edges             # src -> dst, for the attention-weighted message sums
     rel: Segments            # into the relation priors
     models: Segments         # the model nodes, into the aggregates
@@ -156,8 +157,8 @@ def _layer_plan(net: GMNetwork, graph_rows: np.ndarray | None = None) -> _LayerP
         src, dst, rel = src[keep], dst[keep], rel[keep]
     dst_plan = Segments(dst, n_total)
     return _LayerPlan(
-        Segments(src * len(RELATIONS) + rel, n_total * len(RELATIONS)), dst_plan,
-        Edges(Segments(src, n_total), dst_plan), Segments(rel, len(RELATIONS)),
+        Edges(Segments(src * len(RELATIONS) + rel, n_total * len(RELATIONS)), dst_plan),
+        dst_plan, Edges(Segments(src, n_total), dst_plan), Segments(rel, len(RELATIONS)),
         Segments(np.arange(m), n_total), Segments(m + out_rows, n_total),
         None if graph_rows is None else Segments(out_rows, ng))
 
@@ -240,8 +241,7 @@ def embed_network(pt: dict[str, Tensor], net: GMNetwork,
         keyed = relation_keys(zm, zg, pt[f"l{layer}.K.m"], pt[f"l{layer}.K.g"],
                               pt[f"l{layer}.att"])
         mu = pt[f"l{layer}.mu"].gather(plan.rel).reshape(-1, 1)
-        logits = einsum("ehi,ehi->eh", keyed.gather(plan.keyed), queries.gather(plan.dst)) \
-            * mu * (1.0 / np.sqrt(dk))
+        logits = edge_scores(keyed, queries, plan.scored) * mu * (1.0 / np.sqrt(dk))
         att = segment_softmax(logits, plan.dst, n_total)
         agg = weighted_segment_sum(msgs, att, plan.edges).reshape(n_total, k)
         kept = zg if plan.kept is None else zg.gather(plan.kept)

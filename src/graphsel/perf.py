@@ -9,7 +9,6 @@ from meta-features to latent graph factors.
 
 from __future__ import annotations
 
-import io
 import logging
 from collections import Counter
 from dataclasses import dataclass, field
@@ -65,21 +64,6 @@ class PerformanceMatrix:
         idx = np.asarray(idx)
         return PerformanceMatrix(self.values[idx], self.observed[idx],
                                  [self.graph_ids[i] for i in idx], list(self.model_ids))
-
-
-def to_csv(p: PerformanceMatrix) -> str:
-    """Header row of model ids; one row per graph; empty cell = unobserved.
-
-    Floats use repr precision so a round-trip is lossless.
-    """
-    buf = io.StringIO()
-    buf.write("graph_id," + ",".join(p.model_ids) + "\n")
-    for i, gid in enumerate(p.graph_ids):
-        cells = [gid]
-        for j in range(len(p.model_ids)):
-            cells.append(repr(float(p.values[i, j])) if p.observed[i, j] else "")
-        buf.write(",".join(cells) + "\n")
-    return buf.getvalue()
 
 
 def from_csv(text: str) -> PerformanceMatrix:

@@ -4,22 +4,24 @@ Everything here is written from the definitions, not from the package code:
 dense matrix powers for triangle counts, BFS loops for eccentricity, naive
 peeling for core numbers, a line-by-line edge-list parser, direct formulas
 for the summary statistics and the ranking metrics. The autodiff
-scatters, the attention aggregation chain, the per-node relation keys, the
-one-distribution summary, the literal NMF update loop, the one-copy
-network extension with its disjoint union, the one-array-at-a-time
-parameter draws, PageRank's product by Aᵀ and the wedge fill read off the
-A·A diagonal are the package's former versions, kept to pin their
+scatters, the attention aggregation and edge-score chains, the per-node
+relation keys, the one-distribution summary, the literal NMF update loop,
+the one-copy network extension with its disjoint union, the
+one-array-at-a-time parameter draws, PageRank's product by Aᵀ, the whole
+A·A with the triangles and the wedge fill read off it, and the wedge fill
+less the A·A diagonal are the package's former versions, kept to pin their
 replacements: the keys within a rounding tolerance, the rest bit for bit.
 Slow is fine; these run on small inputs.
 The bundle record reader and writer follow the format's definition, for
 tests that tamper with one record. The gradient-check helpers are the
 exception: they build a tiny problem from the package's own network and
 parameter draws and compare its backward pass with central finite
-differences of its own loss. ``param`` and ``serialize`` are small
-test-only constructors: a Tensor that records gradients, and edge-list
-text that pins node order.
+differences of its own loss. ``param``, ``serialize`` and ``to_csv`` are
+small test-only constructors: a Tensor that records gradients, edge-list
+text that pins node order, and performance-matrix CSV text.
 """
 
+import io
 import json
 import math
 
@@ -28,7 +30,7 @@ from scipy import special, stats
 
 from graphsel.autodiff import Tensor, concat, einsum
 from graphsel.extractors import (PAGERANK_DAMPING, PAGERANK_MAX_ITER, PAGERANK_TOL,
-                                 adjacency_matrix, extract_structural, two_hop_matrix)
+                                 adjacency_matrix, extract_structural)
 from graphsel.features import global_stats, signed_log1p
 from graphsel.gmnet import REL_INDEX, RELATIONS, GMNetwork, build_train_network, cosine_topk
 from graphsel.graphs import EdgeListError, from_edges
@@ -202,6 +204,22 @@ def serialize(graph):
     return "\n".join(lines) + "\n"
 
 
+def to_csv(p):
+    """Render a PerformanceMatrix as the CSV ``perf.from_csv`` reads: a header
+    row of model ids, one row per graph, an empty cell where unobserved.
+
+    Floats use repr precision so a round-trip is lossless.
+    """
+    buf = io.StringIO()
+    buf.write("graph_id," + ",".join(p.model_ids) + "\n")
+    for i, gid in enumerate(p.graph_ids):
+        cells = [gid]
+        for j in range(len(p.model_ids)):
+            cells.append(repr(float(p.values[i, j])) if p.observed[i, j] else "")
+        buf.write(",".join(cells) + "\n")
+    return buf.getvalue()
+
+
 # --- autodiff scatters ------------------------------------------------------
 
 def scatter_rows_bincount(values, index, num_rows):
@@ -245,6 +263,15 @@ def weighted_segment_sum_chain(msgs, weights, edges):
     heads = msgs.shape[1]
     return (msgs.gather(edges.src) * weights.reshape(-1, heads, 1)).segment_sum(
         edges.dst, edges.dst.size)
+
+
+def edge_scores_chain(keys, queries, edges):
+    """The chain that ``autodiff.edge_scores`` fuses: gather each edge's
+    source keys and target queries as (E, H, dk) arrays and reduce them over
+    dk with one einsum, whose backward pass scales each gathered row by the
+    output gradient and scatter-adds it. Same signature as the op, so a test
+    can put it in the op's place."""
+    return einsum("ehi,ehi->eh", keys.gather(edges.src), queries.gather(edges.dst))
 
 
 def relation_keys_per_node(zm, zg, k_m, k_g, att):
@@ -351,6 +378,24 @@ def triangles_edge_brute(graph):
     nbr = neighbor_sets(graph)
     return np.array([len(nbr[int(u)] & nbr[int(v)]) for u, v in graph.edge_array],
                     dtype=float)
+
+
+def two_hop_matrix(graph, a=None):
+    """The whole A·A in one product, as ``extractors`` formed it before its
+    row blocks: entry (u, v) is the number of common neighbours of u and v,
+    the diagonal holds the degrees, and zero entries are not stored."""
+    if a is None:
+        a = adjacency_matrix(graph)
+    return a @ a
+
+
+def two_hop_counts_full(graph):
+    """``extractors.two_hop_counts`` read off the whole A·A: each edge's entry,
+    and the stored entries less the stored diagonal."""
+    two_hop = two_hop_matrix(graph)
+    u, v = graph.edge_array[:, 0], graph.edge_array[:, 1]
+    counts = np.asarray(two_hop[u, v], dtype=np.float64).ravel() if u.size else np.zeros(0)
+    return counts, two_hop.nnz - int(np.count_nonzero(two_hop.diagonal()))
 
 
 def eccentricity_brute(graph):
@@ -744,11 +789,12 @@ def summarize_one(values):
 
 def meta_graph_features_one(graph):
     """``features.meta_graph_features`` composed from ``summarize_one``:
-    every distribution summarised on its own, in EXTRACTOR_IDS order."""
+    every distribution summarised on its own, in EXTRACTOR_IDS order, with
+    the triangles and the wedge fill read off the whole A·A."""
     a = adjacency_matrix(graph)
-    two_hop = two_hop_matrix(graph, a)
-    parts = [summarize_one(values) for values in extract_structural(graph, a, two_hop)]
-    parts.append(global_stats(graph, two_hop))
+    tpe, fill = two_hop_counts_full(graph)
+    parts = [summarize_one(values) for values in extract_structural(graph, a, tpe)]
+    parts.append(global_stats(graph, fill))
     base = np.concatenate(parts)
     return np.concatenate([base, signed_log1p(base)])
 

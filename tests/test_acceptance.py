@@ -42,7 +42,7 @@ from graphsel.learner import (
     train,
 )
 from graphsel.metrics import auc, label_top1, mrr, ndcg_at_1
-from graphsel.perf import PerformanceMatrix, factorize, mask_random, perturb, to_csv
+from graphsel.perf import PerformanceMatrix, factorize, mask_random, perturb
 from graphsel.ranking import ScoreSheet, rank_descending
 from graphsel.summaries import SUMMARY_NAMES, summarize
 from graphsel.synth import CorpusShape, generate_synthetic_corpus
@@ -58,6 +58,7 @@ from oracles import (
     pagerank_brute,
     serialize,
     summary_brute,
+    to_csv,
     triangles_edge_brute,
     triangles_node_brute,
     wedges_brute,
@@ -521,3 +522,28 @@ def test_importing_the_package_and_cli_leaves_networkx_unloaded():
         env=child_env(), capture_output=True, text=True, timeout=60)
     assert child.returncode == 0, child.stderr
     assert child.stdout.strip() == "False"
+
+
+# VmHWM, not ru_maxrss: Linux keeps the larger of the two across an exec, so
+# a child's ru_maxrss starts at the peak of the process that started it
+STAR_FEATURES_RUN = """
+import numpy as np
+from graphsel.features import meta_graph_features
+from graphsel.graphs import from_edges
+leaves = 8000
+meta_graph_features(from_edges(leaves + 1, np.stack(
+    [np.zeros(leaves, dtype=np.int64), np.arange(1, leaves + 1)], axis=1)))
+with open("/proc/self/status") as fh:
+    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+"""
+
+
+# criterion: feature memory follows the edge count, not the largest degree;
+# the whole A·A of this 7,999-edge star holds 64M entries
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux VmHWM")
+def test_features_of_an_8000_leaf_star_stay_under_200_mb():
+    child = subprocess.run([sys.executable, "-c", STAR_FEATURES_RUN],
+                           env=child_env(), capture_output=True, text=True, timeout=300)
+    assert child.returncode == 0, child.stderr
+    peak_mb = int(child.stdout.splitlines()[-1]) / 1024      # VmHWM is in kB
+    assert peak_mb < 200, f"peak RSS {peak_mb:.0f} MB"

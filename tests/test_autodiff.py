@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphsel.autodiff import (Edges, Segments, Tensor, concat, einsum, segment_softmax,
-                               weighted_segment_sum)
-from oracles import param, scatter_rows_bincount, segment_max_argsort, weighted_segment_sum_chain
+from graphsel import autodiff
+from graphsel.autodiff import (Edges, Segments, Tensor, concat, edge_scores, einsum,
+                               segment_softmax, weighted_segment_sum)
+from oracles import (edge_scores_chain, param, scatter_rows_bincount, segment_max_argsort,
+                     weighted_segment_sum_chain)
 
 
 def fd_grad(loss_fn, x, step=1e-6):
@@ -178,14 +180,16 @@ def test_weighted_segment_sum_matches_the_chain_bit_for_bit(data):
     """The fused op's output, message gradient and weight gradient equal the
     gather -> weight -> segment_sum chain to the last bit, on drawn edge
     lists (none, repeated, self-loops) over nodes of which the last is always
-    an empty bucket, for dk 1, 2 and 8; one kept plan serves twice, before
-    and after its matrices exist."""
+    an empty bucket, for dk 1, 2 and 8, with the weight gradient's gathers in
+    chunks of 1 to 3 edges or whole; one kept plan serves twice, before and
+    after its matrices exist."""
     n = data.draw(st.integers(1, 6))
     count = data.draw(st.integers(0, 16))
     src, dst = (np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=count,
                                             max_size=count)), dtype=np.int64)
                 for _ in range(2))
     heads, dk = data.draw(st.integers(1, 4)), data.draw(st.sampled_from([1, 2, 8]))
+    chunk = data.draw(st.sampled_from([1, 2, 3, None]))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
     nodes = n + 1
 
@@ -205,10 +209,72 @@ def test_weighted_segment_sum_matches_the_chain_bit_for_bit(data):
         return Edges(Segments(src, nodes), Segments(dst, nodes))
     want = run(weighted_segment_sum_chain, plan())
     kept = plan()
-    for _ in range(2):
-        got = run(weighted_segment_sum, kept)
-        assert [(a.shape, a.tobytes()) for a in got] == [(a.shape, a.tobytes()) for a in want]
-        assert not got[0][-1].any()          # the empty bucket
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk is not None:
+            mp.setattr(autodiff, "EDGE_CHUNK_BYTES", chunk * heads * dk * 8)
+        for _ in range(2):
+            got = run(weighted_segment_sum, kept)
+            assert [(a.shape, a.tobytes()) for a in got] == [(a.shape, a.tobytes())
+                                                             for a in want]
+            assert not got[0][-1].any()          # the empty bucket
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(st.data())
+def test_edge_scores_match_the_chain_bit_for_bit(data):
+    """The fused op's scores and both gradients equal the gather -> einsum ->
+    scatter chain to the last bit, on drawn edge lists (none, repeated)
+    from n_s key rows to n_d query rows, of which the last of each is never
+    read, for dk 1, 2 and 8, with the gathers in chunks of 1 to 3 edges or
+    whole; one kept plan serves twice, before and after its matrices exist."""
+    n_s, n_d = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 6))
+    count = data.draw(st.integers(0, 24))
+    src, dst = (np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=count,
+                                            max_size=count)), dtype=np.int64)
+                for n in (n_s, n_d))
+    heads, dk = data.draw(st.integers(1, 4)), data.draw(st.sampled_from([1, 2, 8]))
+    chunk = data.draw(st.sampled_from([1, 2, 3, None]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+
+    def spread(*shape):
+        # magnitudes over many decades, so the summation order shows in the bits
+        return rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+    keys, queries, out_grad = spread(n_s + 1, heads, dk), spread(n_d + 1, heads, dk), \
+        spread(count, heads)
+
+    def run(op, edges):
+        k, q = param(keys), param(queries)
+        out = op(k, q, edges)
+        (out * Tensor.const(out_grad)).sum().backward()
+        return [np.ascontiguousarray(a) for a in (out.value, k.grad, q.grad)]
+
+    def plan():
+        return Edges(Segments(src, n_s + 1), Segments(dst, n_d + 1))
+    want = run(edge_scores_chain, plan())
+    kept = plan()
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk is not None:
+            mp.setattr(autodiff, "EDGE_CHUNK_BYTES", chunk * heads * dk * 8)
+        for _ in range(2):
+            got = run(edge_scores, kept)
+            assert [(a.shape, a.tobytes()) for a in got] == [(a.shape, a.tobytes())
+                                                             for a in want]
+            assert not got[1][-1].any() and not got[2][-1].any()     # the unread rows
+
+
+def test_edge_scores_of_a_network_sized_table_keep_the_bits_of_one_gather(monkeypatch):
+    """26,280 edges, the size of a `select_mixed` network, scored in one
+    chunk and in chunks of 1,000 edges: the same bits as the whole chain."""
+    rng = np.random.default_rng(11)
+    n, relations, heads, dk, count = 391, 5, 4, 8, 26_280
+    edges = Edges(Segments(rng.integers(0, n * relations, count), n * relations),
+                  Segments(rng.integers(0, n, count), n))
+    keys = Tensor.const(rng.normal(size=(n * relations, heads, dk)))
+    queries = Tensor.const(rng.normal(size=(n, heads, dk)))
+    want = edge_scores_chain(keys, queries, edges).value.tobytes()
+    for chunk_bytes in (1 << 30, 1000 * heads * dk * 8):
+        monkeypatch.setattr(autodiff, "EDGE_CHUNK_BYTES", chunk_bytes)
+        assert edge_scores(keys, queries, edges).value.tobytes() == want
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
@@ -245,9 +311,11 @@ def test_segment_plan_rejects_a_mismatched_index():
             Segments(bad, 3)
     with pytest.raises(ValueError, match="1-D"):
         Segments(np.zeros((2, 2), dtype=np.int64), 3)
-    for other in (Segments(np.array([0, 1, 1]), 4), Segments(np.array([0, 1]), 3)):
+    for other in (Segments(np.array([0, 1]), 3), Segments(np.array([0, 1, 1, 0]), 4)):
         with pytest.raises(ValueError, match="disagree"):
             Edges(plan, other)
+    # the ends may index different row counts, as keys and queries do
+    Edges(plan, Segments(np.array([0, 1, 1]), 4))
 
 
 def test_segment_softmax_values_and_grads():

@@ -17,9 +17,9 @@ from graphsel.cli import DataError, main, read_features_csv
 from graphsel.features import FEATURE_DIM, SCHEMA_VERSION
 from graphsel.gmnet import REL_INDEX
 from graphsel.learner import LearnerConfig
-from graphsel.perf import from_csv, to_csv
+from graphsel.perf import from_csv
 from graphsel.synth import CorpusShape, generate_synthetic_corpus
-from oracles import read_bundle, serialize, write_bundle
+from oracles import read_bundle, serialize, to_csv, write_bundle
 
 TRAIN_SETS = [
     "--set", "hyper.k=4", "--set", "hyper.top_k=3", "--set", "hyper.layers=1",
@@ -325,6 +325,29 @@ def test_train_schema_guard(ws, tmp_path):
             "train", "--features-csv", str(stale),
             "--performance-csv", str(ws["perf_csv"]), "--output-dir", str(tmp_path)])
         assert rc == 3
+
+
+def test_an_unreadable_features_csv_is_a_data_error(ws, tmp_path, caplog):
+    """A missing file, a directory and a non-UTF-8 byte each exit 3 from
+    `train` and from `evaluate` over files, naming the file; the log line
+    does not carry the file's text."""
+    text = ws["features_csv"].read_text()
+    binary = tmp_path / "binary.csv"
+    binary.write_bytes(text[:4000].encode() + b"\xff" + text[4000:].encode())
+    for bad in (tmp_path / "missing.csv", tmp_path, binary):
+        with pytest.raises(DataError, match=f"cannot read features csv {bad}"):
+            read_features_csv(bad)
+        caplog.clear()
+        assert main(TRAIN_SETS + [
+            "train", "--features-csv", str(bad), "--performance-csv", str(ws["perf_csv"]),
+            "--output-dir", str(tmp_path / "out")]) == 3
+        assert main(["--set", "eval.synthetic=false", "--set", "eval.run_sweeps=false",
+                     "--set", f"paths.features_csv={bad}",
+                     "--set", f"paths.performance_csv={ws['perf_csv']}",
+                     "evaluate", "--output-dir", str(tmp_path / "out")]) == 3
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 2 and all("event=data_error" in e for e in errors)
+        assert all(len(e) < 500 for e in errors)
 
 
 def test_select_ranks_models(ws, tmp_path, capsys):

@@ -15,7 +15,8 @@ from graphsel.graphs import from_edges
 from graphsel.features import global_stats
 from oracles import (degrees_brute, eccentricity_brute, kcore_brute, pagerank_brute,
                      pagerank_transposed, triangles_edge_brute, triangles_node_brute,
-                     wedge_density_from_diagonal, wedges_brute)
+                     two_hop_counts_full, two_hop_matrix, wedge_density_from_diagonal,
+                     wedges_brute)
 
 
 def random_graph(rng, n, p):
@@ -110,8 +111,54 @@ def test_eccentricity_of_one_component_is_its_block_alone():
 def test_pagerank_and_wedge_density_keep_the_bits_of_their_former_forms(n, p, seed):
     g = random_graph(np.random.default_rng(seed), n, p)
     assert extractors.pagerank(g).tobytes() == pagerank_transposed(g).tobytes()
-    two_hop = extractors.two_hop_matrix(g)
-    assert global_stats(g, two_hop)[1] == wedge_density_from_diagonal(g, two_hop)
+    assert global_stats(g)[1] == wedge_density_from_diagonal(g, two_hop_matrix(g))
+
+
+@st.composite
+def hub_graphs(draw):
+    """A random graph of up to 40 nodes, up to 3 hubs joined to half or all
+    of the others (one hub on an empty background is a star), and up to 5
+    isolated nodes after them; an empty background and no hub give no edge."""
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    iu, ju = np.triu_indices(n, k=1)
+    keep = rng.random(iu.size) < draw(st.sampled_from([0.0, 0.05, 0.2, 0.6]))
+    edges = list(zip(iu[keep], ju[keep]))
+    for hub in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        share = draw(st.sampled_from([0.5, 1.0]))
+        edges += [(hub, w) for w in range(n) if w != hub and rng.random() < share]
+    return from_edges(n + draw(st.integers(0, 5)), edges)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(hub_graphs(), st.sampled_from([1, 2, 5, 30, 200, extractors.TWO_HOP_BLOCK_TERMS]))
+def test_two_hop_blocks_read_like_the_whole_product(g, cap):
+    """Per-edge counts and the fill from row blocks of A·A equal those read off
+    the whole product, whether the cap makes one block, many, or a block per
+    row (every row's bound is above a cap of 1 or 2)."""
+    want_counts, want_fill = two_hop_counts_full(g)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(extractors, "TWO_HOP_BLOCK_TERMS", cap)
+        counts, fill = extractors.two_hop_counts(g)
+        assert global_stats(g)[1] == global_stats(g, want_fill)[1]
+    assert counts.tobytes() == want_counts.tobytes()
+    assert fill == want_fill
+    assert counts.tobytes() == triangles_edge_brute(g).tobytes()
+
+
+@pytest.mark.parametrize("graph", [
+    nx.star_graph(2000),
+    nx.barabasi_albert_graph(2000, 4, seed=3),
+    nx.disjoint_union(nx.star_graph(500), nx.powerlaw_cluster_graph(1000, 3, 0.3, seed=4)),
+], ids=["star 2001", "BA(2000, 4)", "star 501 + PLC(1000, 3, 0.3)"])
+def test_two_hop_blocks_on_larger_hub_graphs(graph, monkeypatch):
+    """Hundreds of row blocks, the star's centre a block of its own, read like
+    the whole product."""
+    g = nx_graph(graph)
+    want = two_hop_counts_full(g)
+    monkeypatch.setattr(extractors, "TWO_HOP_BLOCK_TERMS", 1000)
+    counts, fill = extractors.two_hop_counts(g)
+    assert counts.tobytes() == want[0].tobytes() and fill == want[1]
 
 
 @pytest.mark.parametrize("graph", [
@@ -327,7 +374,7 @@ def test_kcore_matches_naive_peeling_on_random_graphs(n, p, seed):
 
 def extract_shared(g):
     a = extractors.adjacency_matrix(g)
-    return extractors.extract_structural(g, a, extractors.two_hop_matrix(g, a))
+    return extractors.extract_structural(g, a, extractors.two_hop_counts(g, a)[0])
 
 
 def test_extract_structural_schema():
@@ -353,7 +400,7 @@ def test_extraction_is_deterministic():
     for da, db in zip(a, b):
         assert np.array_equal(da, db)
 
-    # the shared adjacency and A·A give bitwise the values each extractor
+    # the shared adjacency and per-edge counts give bitwise the values each extractor
     # computes on its own
     for trial in range(20):
         g = random_graph(rng, int(rng.integers(2, 40)), float(rng.uniform(0.02, 0.5)))

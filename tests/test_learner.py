@@ -35,9 +35,10 @@ from graphsel.metrics import label_top1, mrr
 from graphsel.perf import PerformanceMatrix
 from graphsel.ranking import ScoreSheet
 from graphsel.synth import CorpusShape, generate_synthetic_corpus
-from oracles import (finite_difference_grads, gradient_check, init_params_literal,
-                     make_tiny_problem, max_relative_error, param, read_bundle,
-                     relation_keys_per_node, weighted_segment_sum_chain, write_bundle)
+from oracles import (edge_scores_chain, finite_difference_grads, gradient_check,
+                     init_params_literal, make_tiny_problem, max_relative_error, param,
+                     read_bundle, relation_keys_per_node, weighted_segment_sum_chain,
+                     write_bundle)
 
 
 # --- independent forward oracle ---------------------------------------------
@@ -231,27 +232,39 @@ def test_train_and_select_plan_each_network_once(monkeypatch):
     assert built == [False, True]
 
 
-def test_fused_aggregation_keeps_the_bits_of_a_planted_train(monkeypatch):
+def assert_a_planted_train_keeps_its_bits(monkeypatch, name, chain):
     """A default train on the seed-5 planted corpus (10 epochs) and the
-    scores `select_model` gives with it have the same bytes whether each
-    layer aggregates with the fused op or with the gather -> weight ->
-    segment_sum chain it replaced."""
+    scores `select_model` gives with it have the same bytes whether
+    `learner.<name>` is the fused op or the `chain` of ops it replaced."""
     corpus = generate_synthetic_corpus(
         CorpusShape(n_graphs=60, families=3, n_models=8, noise=0.05), seed=5)
     feats = corpus.meta_features()
     config = LearnerConfig(max_epochs=10)
     fused = train(feats, corpus.perf, config)
     fused_scores = [select_model(fused, f).scores for f in feats[:5]]
-    monkeypatch.setattr(learner, "weighted_segment_sum", weighted_segment_sum_chain)
-    chain = train(feats, corpus.perf, config)
+    monkeypatch.setattr(learner, name, chain)
+    unfused = train(feats, corpus.perf, config)
 
     assert len(fused.training_log) == 10
-    assert repr(fused.training_log) == repr(chain.training_log)
-    assert fused.params.keys() == chain.params.keys()
-    assert all(fused.params[name].tobytes() == chain.params[name].tobytes()
-               for name in fused.params)
+    assert repr(fused.training_log) == repr(unfused.training_log)
+    assert fused.params.keys() == unfused.params.keys()
+    assert all(fused.params[key].tobytes() == unfused.params[key].tobytes()
+               for key in fused.params)
     for f, scores in zip(feats[:5], fused_scores):
         assert select_model(fused, f).scores.tobytes() == scores.tobytes()
+
+
+def test_fused_aggregation_keeps_the_bits_of_a_planted_train(monkeypatch):
+    """Each layer aggregates with the fused op or with the gather -> weight
+    -> segment_sum chain."""
+    assert_a_planted_train_keeps_its_bits(monkeypatch, "weighted_segment_sum",
+                                          weighted_segment_sum_chain)
+
+
+def test_fused_edge_scores_keep_the_bits_of_a_planted_train(monkeypatch):
+    """Each layer scores its edges with the fused op or with the gather ->
+    einsum chain."""
+    assert_a_planted_train_keeps_its_bits(monkeypatch, "edge_scores", edge_scores_chain)
 
 
 def test_folded_keys_match_the_per_node_oracle():

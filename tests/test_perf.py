@@ -8,9 +8,9 @@ from hypothesis.extra import numpy as hnp
 
 from graphsel.perf import (PerformanceMatrix, _loocv_ridge_lambda, factorize,
                            fit_factor_estimator, from_csv, mask_random, perturb,
-                           standardize, to_csv)
+                           standardize)
 
-from oracles import factorize_literal
+from oracles import factorize_literal, to_csv
 
 
 def make_matrix(rng, n, m, frac_observed=0.7):
