@@ -57,7 +57,6 @@ def two_hop_counts(graph: Graph, a: sp.csr_matrix | None = None) -> tuple[np.nda
     scipy allocates for it. A block is the longest run of rows whose bounds
     sum to at most TWO_HOP_BLOCK_TERMS, or a single row whose own bound is
     larger, so memory follows the cap and not Σ d²; the time is still Σ d².
-    A graph whose whole bound fits under the cap takes one unsliced ``a @ a``.
 
     The fill is the stored entries of every block less the nonzero diagonal
     (the degrees). A sparse lookup scans its row, so each edge's count is
@@ -93,9 +92,6 @@ def _two_hop_blocks(a: sp.csr_matrix, bound: np.ndarray, rows: np.ndarray):
         lo = cuts[-1]
         limit = (ends[lo - 1] if lo else 0) + TWO_HOP_BLOCK_TERMS
         cuts.append(max(lo + 1, int(np.searchsorted(ends, limit, side="right"))))
-    if len(cuts) == 2:
-        yield a @ a, 0, slice(None)
-        return
     order = np.argsort(rows, kind="stable")
     firsts = np.searchsorted(rows[order], cuts)
     for lo, hi, first, last in zip(cuts[:-1], cuts[1:], firsts[:-1], firsts[1:]):
@@ -111,13 +107,13 @@ def wedges_per_node(graph: Graph) -> np.ndarray:
     return np.maximum(d * (d - 1.0) / 2.0, 0.0)
 
 
-def triangles_per_edge(graph: Graph, a: sp.csr_matrix | None = None) -> np.ndarray:
+def triangles_per_edge(graph: Graph) -> np.ndarray:
     """Common-neighbor count |N(u) & N(v)| for each edge, in edge_array order."""
-    return two_hop_counts(graph, a)[0]
+    return two_hop_counts(graph)[0]
 
 
-def triangles_per_node(graph: Graph, a: sp.csr_matrix | None = None) -> np.ndarray:
-    return _edge_counts_to_nodes(graph, triangles_per_edge(graph, a))
+def triangles_per_node(graph: Graph) -> np.ndarray:
+    return _edge_counts_to_nodes(graph, triangles_per_edge(graph))
 
 
 def _edge_counts_to_nodes(graph: Graph, per_edge: np.ndarray) -> np.ndarray:
