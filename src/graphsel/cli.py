@@ -15,6 +15,7 @@ Each file's seconds in ``feature_timings.csv`` are timed inside its worker.
 from __future__ import annotations
 
 import argparse
+import collections
 import functools
 import logging
 import multiprocessing
@@ -60,15 +61,32 @@ def _extract_one(path: Path):
 
 def _extract_task(path: Path):
     """One file's result in a form that crosses a process boundary:
-    ``(values, node_count, edge_count, seconds)``, or the error's repr, since
-    an exception object need not unpickle. It looks ``_extract_one`` up at
-    call time, so a rebound ``cli._extract_one`` (a closure, which cannot be
-    pickled) still runs while this function is what the pool is sent."""
+    ``(values, node_count, edge_count, seconds)``, or the error's type and
+    message, since an exception object need not unpickle. It looks
+    ``_extract_one`` up at call time, so a rebound ``cli._extract_one`` (a
+    closure, which cannot be pickled) still runs while this function is what
+    the pool is sent."""
     try:
         values, graph, seconds = _extract_one(path)
     except Exception as exc:  # noqa: BLE001 - collected per file
-        return repr(exc)
+        # str, not repr: a decode error's repr carries the whole text
+        return f"{type(exc).__name__}: {exc}"
     return values, graph.node_count, graph.edge_count, seconds
+
+
+def _id_fault(stem: str, files_with_stem: int) -> str | None:
+    """Why a file's stem cannot be its graph id in features.csv, or None."""
+    if "," in stem:
+        why = "a comma would split its row"
+    elif stem.startswith("#"):
+        why = "a leading '#' would read as a comment"
+    elif "\n" in stem or "\r" in stem:
+        why = "a line break would split its row"
+    elif files_with_stem > 1:
+        why = f"{files_with_stem} files would share it"
+    else:
+        return None
+    return f"graph id {stem!r} cannot be a features.csv row: {why}"
 
 
 def _usable_cores() -> int:
@@ -87,20 +105,26 @@ def cmd_features(cfg: RunConfig) -> int:
         raise DataError(f"no graph files in {graph_dir}")
     out_dir = Path(cfg.get("paths", "output_dir"))
     out_dir.mkdir(parents=True, exist_ok=True)
+    # a graph id is its file's stem: a file whose stem cannot be a
+    # features.csv row fails before extraction
+    stems = collections.Counter(p.stem for p in files)
+    results = {p: fault for p in files if (fault := _id_fault(p.stem, stems[p.stem]))}
+    todo = [p for p in files if p not in results]
 
     # Extraction is Python-bound and holds the GIL, so only processes run it
     # in parallel. fork, not spawn: a spawned worker re-imports numpy and
     # scipy first. The executor forks every worker before it starts its own
     # manager thread, and this command starts no other thread.
-    workers = min(cfg.get("features", "workers"), len(files), _usable_cores())
-    if workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
-        results = [_extract_task(path) for path in files]
+    workers = min(cfg.get("features", "workers"), len(todo), _usable_cores())
+    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
+        results.update((path, _extract_task(path)) for path in todo)
     else:
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            results = list(pool.map(_extract_task, files))
+            results.update(zip(todo, pool.map(_extract_task, todo)))
 
     rows, timings, failures = [], [], []
-    for path, res in zip(files, results):
+    for path in files:
+        res = results[path]
         if isinstance(res, str):
             failures.append(path.name)
             log.error("event=feature_fail graph=%s error=%s", path.stem, res)

@@ -113,6 +113,9 @@ def load_config(path: str | None = None, overrides: list[str] | None = None) -> 
             items = {section: cp.items(section) for section in cp.sections()}
         except configparser.Error as exc:
             raise ConfigError(f"cannot parse config file {path!r}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            # str, not repr: a decode error's repr carries the file's bytes
+            raise ConfigError(f"cannot decode config file {path!r}: {exc}") from None
         if not read:
             raise ConfigError(f"cannot read config file {path!r}")
         for section, pairs in items.items():

@@ -8,7 +8,6 @@ ignored, self-loops are dropped (but still register their endpoint as a node).
 
 from __future__ import annotations
 
-import itertools
 import logging
 from dataclasses import dataclass
 
@@ -122,7 +121,8 @@ def load_edge_list(text: str) -> Graph:
     becomes a node. Ids are remapped to 0..n-1 by first appearance.
 
     A plain text (``_plain_ids``) is read by numpy in one call; any other
-    goes through ``_read_ids``, which defines the grammar and every error.
+    is read line by line by ``_read_ids``, through the one rule ``_edge``
+    that defines the grammar and names every error.
     """
     ids = _plain_ids(text)
     if ids is None:
@@ -186,37 +186,22 @@ def _plain_ids(text: str) -> np.ndarray | None:
 def _read_ids(text: str) -> np.ndarray:
     """The endpoint ids of any text, in order, by the full grammar.
 
-    The text is parsed in one pass over all lines, which only detects a
-    fault. On one, the content lines are read in order and the first that
-    `_line_error` refuses is reported, with the error a line-by-line reading
-    gives it: a wrong token count, then a non-integer endpoint, then a
-    negative one, then one above 2**63 - 1, then a non-numeric weight.
+    The lines are read one by one, numbered from 1. A line with no tokens,
+    or whose first token starts with '#', is skipped; every other line goes
+    through `_edge`, and the first it refuses raises `EdgeListError`.
     """
-    lines = [raw.strip() for raw in text.splitlines()]
-    keep = [line[:1] not in ("", "#") for line in lines]
-    content = list(itertools.compress(lines, keep))
-    counts = np.fromiter(map(len, map(str.split, content)), np.int64, len(content))
-    tokens = " ".join(content).split()
-    try:
-        if np.any((counts < 2) | (counts > 3)):
-            raise ValueError("token count")
-        if np.all(counts == 2):
-            ends = tokens
-        else:
-            starts = np.cumsum(counts) - counts
-            ends = _take(tokens, (starts[:, None] + (0, 1)).ravel())
-            list(map(float, _take(tokens, starts[counts == 3] + 2)))     # checked, not kept
-        ids = np.fromiter(map(int, ends), np.int64, len(ends))          # OverflowError past int64
-        if np.any(ids < 0):
-            raise ValueError("negative id")
-    except (ValueError, OverflowError):
-        for line_no, line in zip(np.flatnonzero(keep).tolist(), content):
-            if error := _line_error(line.split()):
-                raise EdgeListError(line_no + 1, error) from None
-        raise
-    if not content:
+    ids = []
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        tokens = line.split()
+        if not tokens or tokens[0][0] == "#":
+            continue
+        edge = _edge(tokens)
+        if isinstance(edge, str):
+            raise EdgeListError(line_no, edge)
+        ids += edge
+    if not ids:
         raise ValueError("empty graph: no edges or nodes in input")
-    return ids
+    return np.array(ids, dtype=np.int64)
 
 
 def _run_starts(sorted_values: np.ndarray) -> np.ndarray:
@@ -226,12 +211,10 @@ def _run_starts(sorted_values: np.ndarray) -> np.ndarray:
     return first
 
 
-def _take(tokens: list[str], at: np.ndarray) -> list[str]:
-    return list(map(tokens.__getitem__, at.tolist()))
-
-
-def _line_error(tokens: list[str]) -> str | None:
-    """Why a content line's tokens are not an edge, or None."""
+def _edge(tokens: list[str]) -> tuple[int, int] | str:
+    """A content line's two endpoints, or why its tokens are not an edge:
+    a wrong token count, then a non-integer endpoint, then a negative one,
+    then one above 2**63 - 1, then a non-numeric weight."""
     if len(tokens) not in (2, 3):
         return f"expected 2 or 3 tokens, got {len(tokens)}"
     try:
@@ -247,5 +230,5 @@ def _line_error(tokens: list[str]) -> str | None:
             float(tokens[2])
         except ValueError:
             return f"non-numeric weight {tokens[2]!r}"
-    return None
+    return u, v
 

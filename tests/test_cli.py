@@ -11,6 +11,8 @@ from dataclasses import replace
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphsel import cli, learner
 from graphsel.cli import DataError, main, read_features_csv
@@ -118,6 +120,48 @@ def test_features_partial_failure_keeps_good_rows(tmp_path):
     assert [r.split(",")[0] for r in rows] == ["ok_a", "ok_b"]
 
 
+def test_a_file_that_is_not_utf8_fails_alone_in_a_short_line(tmp_path, caplog):
+    gdir = tmp_path / "graphs"
+    gdir.mkdir()
+    (gdir / "ok").write_text("0 1\n1 2\n")
+    (gdir / "latin").write_bytes(b"0 1\n" * 2000 + b"1 2 caf\xe9\n")
+    out = tmp_path / "out"
+    assert main(["features", "--graph-dir", str(gdir), "--output-dir", str(out)]) == 3
+    ids, _ = read_features_csv(out / "features.csv")
+    assert ids == ["ok"]
+    line = next(ln for ln in caplog.text.splitlines() if "event=feature_fail" in ln)
+    assert "graph=latin error=UnicodeDecodeError: 'utf-8' codec can't decode byte 0xe9" in line
+    assert len(line) < 300
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_stem_features_csv_cannot_hold_fails_its_file(tmp_path, caplog, pool_cores, workers):
+    """Graph ids are file stems: a comma, a leading '#', a line break or a
+    stem two files share would break the row, so those files fail alone."""
+    gdir = tmp_path / "graphs"
+    gdir.mkdir()
+    bad = {"a,b": "a comma", "#c": "a leading '#'", "d\ne": "a line break",
+           "f\rg": "a line break", "h.txt": "2 files", "h.csv": "2 files"}
+    for name in ["ok_a", "ok_b", *bad]:
+        (gdir / name).write_text("0 1\n1 2\n")
+    out = tmp_path / "out"
+    assert _features(gdir, out, workers) == 3
+    ids, _ = read_features_csv(out / "features.csv")
+    assert ids == ["ok_a", "ok_b"]
+    for name, why in bad.items():
+        stem = name.split(".")[0]
+        assert f"error=graph id {stem!r} cannot be a features.csv row: {why}" in caplog.text
+    failed = caplog.text.split("feature extraction failed for: ", 1)[1]
+    assert all(name in failed for name in bad)
+
+    # with every file refused no extraction runs, in a pool or not
+    for name in ["ok_a", "ok_b"]:
+        (gdir / name).unlink()
+    assert _features(gdir, tmp_path / "none", workers) == 3
+    with pytest.raises(DataError, match="no feature rows"):
+        read_features_csv(tmp_path / "none" / "features.csv")
+
+
 def _features(graph_dir, out, workers: int) -> int:
     return main(["--set", f"features.workers={workers}", "features",
                  "--graph-dir", str(graph_dir), "--output-dir", str(out)])
@@ -170,7 +214,7 @@ def test_features_partial_failure_in_workers(tmp_path, caplog, pool_cores):
     rows = [ln for ln in (out / "features.csv").read_text().strip().split("\n")
             if not ln.startswith("#")][1:]
     assert [r.split(",")[0] for r in rows] == ["ok_a", "ok_b", "ok_c"]
-    assert "event=feature_fail graph=broken error=EdgeListError(\"line 2: " in caplog.text
+    assert "event=feature_fail graph=broken error=EdgeListError: line 2: " in caplog.text
     assert "feature extraction failed for: broken" in caplog.text
 
 
@@ -568,6 +612,56 @@ def test_select_names_the_line_of_a_node_id_beyond_int64(ws, tmp_path, caplog):
                  "--output-dir", str(tmp_path)]) == 3
     assert "event=data_error" in caplog.text
     assert "line 2: node id above 9223372036854775807" in caplog.text
+
+
+# edge-list pieces: ids small, at and past int64, signed and of many
+# digits; weights good and bad; NUL, BOM and non-ASCII characters
+SELECT_IDS = ["0", "1", "2", "3", "4", "+5", "-0", "007", "1_0", "\u0661",
+              "123456789012345678", "9223372036854775807"]
+SELECT_WEIGHTS = ["0.5", "nan", "1e999", "-3"]
+SELECT_BAD = ["-2", "9223372036854775808", "1" * 40, "1" * 5000, "1.5", "abc",
+              "\x00", "\ufeff", "#"]
+SELECT_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\u2028"]
+
+
+@st.composite
+def edge_list_bytes(draw):
+    """Edge-list file bytes: edges, weighted edges, blanks and comments, and
+    in half the files lines of 0-4 tokens drawn from every piece; a BOM in
+    front or not, and raw bytes that are not UTF-8 spliced in or not."""
+    kinds = ["edge"] * 4 + ["weighted", "blank", "comment"]
+    if draw(st.booleans()):
+        kinds.append("any")
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(kinds))
+        ids = [draw(st.sampled_from(SELECT_IDS)) for _ in range(2)]
+        lines.append({
+            "edge": ids,
+            "weighted": ids + [draw(st.sampled_from(SELECT_WEIGHTS))],
+            "blank": [],
+            "comment": ["#", *ids],
+            "any": draw(st.lists(st.sampled_from(SELECT_IDS + SELECT_WEIGHTS + SELECT_BAD),
+                                 max_size=4)),
+        }[kind])
+    breaks = [draw(st.sampled_from(SELECT_BREAKS)) for _ in lines]
+    data = "".join(" ".join(tokens) + brk for tokens, brk in zip(lines, breaks)).encode()
+    if draw(st.integers(0, 3)) == 0:
+        data = b"\xef\xbb\xbf" + data
+    if draw(st.integers(0, 3)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xe9", b"\xc3"])) + data[at:]
+    return data
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(data=edge_list_bytes())
+def test_select_on_any_edge_list_bytes_ranks_or_is_a_data_error(ws, data):
+    graph = ws["root"] / "select_any" / "graph"
+    graph.parent.mkdir(exist_ok=True)
+    graph.write_bytes(data)
+    assert main(["select", "--bundle", str(ws["bundle"]), "--graph-file", str(graph),
+                 "--output-dir", str(graph.parent)]) in (0, 3)
 
 
 def test_evaluate_from_files(ws, tmp_path):

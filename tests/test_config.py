@@ -150,6 +150,17 @@ def test_unparseable_file_is_a_config_error(tmp_path, text):
     assert main(["--config", str(ini), "features"]) == 2
 
 
+def test_a_config_file_that_is_not_utf8_is_a_config_error(tmp_path, caplog):
+    ini = tmp_path / "latin.ini"
+    ini.write_bytes(b"[hyper]\nk = 16\n# caf\xe9 " + b"x" * 4000 + b"\n")
+    with pytest.raises(ConfigError, match="cannot decode config file .*latin.ini"):
+        load_config(str(ini))
+    assert main(["--config", str(ini), "features"]) == 2
+    # the log line names the file and the byte, not the file's text
+    line = next(ln for ln in caplog.text.splitlines() if "event=config_error" in ln)
+    assert "latin.ini" in line and "0xe9" in line and len(line) < 500
+
+
 def test_missing_file_rejected(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(str(tmp_path / "nope.ini"))
