@@ -4,7 +4,8 @@ Just enough ops for an attention message-passing network and a listwise
 loss: broadcast arithmetic, matmul, two-operand einsum, exp/log, reductions,
 row gather with scatter-add backward, segment sums and attention-weighted
 segment sums. Values are float64 throughout; the backward pass walks a
-topologically sorted tape of closures.
+topologically sorted tape of closures and drops each interior gradient once
+it is spent.
 
 Every row index an op reads is a ``Segments`` plan: gathers are one
 ``np.take``, scatter-adds one product with a CSR matrix of ones, and
@@ -122,10 +123,11 @@ class Edges:
     kept. The forward matrix, (heads · n_d) × (heads · n_s), holds edge e of
     head h at (h·n_d + dst[e], h·n_s + src[e]) in the stable order of
     ``dst``; the transposed one, which only a backward pass builds, holds it
-    at (h·n_s + src[e], h·n_d + dst[e]) in the stable order of ``src``. Each
-    also keeps the index e·heads + h of every stored entry into the
-    flattened (E, heads) weights, which a pass writes into the matrix's data
-    just before its product.
+    at (h·n_s + src[e], h·n_d + dst[e]) in the stable order of ``src``. A
+    pass writes the (E, heads) weights into the matrix's data, head by head
+    in that order, just before its product; the order is the one the rows'
+    plan keeps, so a matrix adds no per-entry index of its own beyond its
+    CSR structure.
     """
 
     __slots__ = ("src", "dst", "_blocks")
@@ -137,26 +139,33 @@ class Edges:
         self._blocks = {}
 
     def blocks(self, heads: int, transposed: bool):
-        """The (matrix, weight index) pair of one direction for ``heads``."""
+        """The matrix of one direction for ``heads``, and the stable edge
+        order of its rows, in which its data lists each head's edges."""
         key = heads, transposed
+        rows, cols = (self.src, self.dst) if transposed else (self.dst, self.src)
         if key not in self._blocks:
-            rows, cols = (self.src, self.dst) if transposed else (self.dst, self.src)
             self._blocks[key] = _head_blocks(rows, cols, heads)
-        return self._blocks[key]
+        return self._blocks[key], rows._sorted()[0]
 
 
-def _head_blocks(rows: Segments, cols: Segments, heads: int):
+def _head_blocks(rows: Segments, cols: Segments, heads: int) -> sparse.csr_array:
     """A CSR matrix whose head-h block holds edge e at (rows[e], cols[e]), in
-    the stable order of ``rows``, and each entry's index e·heads + h."""
+    the stable order of ``rows``.
+
+    Its indices are int32 when the entry count and both sides fit, and int64
+    otherwise; scipy keeps either as given. Each is written in its dtype as
+    it is computed, with no int64 copy of the (heads, E) block."""
     order, indptr = rows._sorted()
     e = order.size
+    fits = heads * max(e, rows.size, cols.size) <= np.iinfo(np.int32).max
+    dtype = np.int32 if fits else np.int64
     shift = np.arange(heads)[:, None]
-    flat = (order * heads + shift).ravel()
-    at = (cols.index[order] + shift * cols.size).ravel()
-    matrix = sparse.csr_array((np.zeros(flat.size), at,
-                               np.append((indptr[:-1] + shift * e).ravel(), heads * e)),
-                              shape=(heads * rows.size, heads * cols.size))
-    return matrix, flat
+    at = np.add(cols.index[order], shift * cols.size, dtype=dtype)
+    starts = np.empty(heads * rows.size + 1, dtype=dtype)
+    np.add(indptr[:-1], shift * e, out=starts[:-1].reshape(heads, rows.size))
+    starts[-1] = heads * e
+    return sparse.csr_array((np.zeros(at.size), at.ravel(), starts),
+                            shape=(heads * rows.size, heads * cols.size))
 
 
 def _head_product(edges: Edges, weights: np.ndarray, transposed: bool,
@@ -166,9 +175,8 @@ def _head_product(edges: Edges, weights: np.ndarray, transposed: bool,
     seen head-major as (H · nodes, dk): one (H, dk) row per row node, which
     adds its weighted rows in its stable edge order from 0."""
     heads, dk = rows.shape[1:]
-    matrix, flat = edges.blocks(heads, transposed)
-    # `flat` is in range by construction, and "clip" writes `out` unbuffered
-    np.take(weights.ravel(), flat, out=matrix.data, mode="clip")
+    matrix, order = edges.blocks(heads, transposed)
+    matrix.data.reshape(heads, -1)[:] = np.take(weights, order, axis=0).T
     head_major = rows.transpose(1, 0, 2).reshape(-1, dk)
     return (matrix @ head_major).reshape(heads, -1, dk).transpose(1, 0, 2)
 
@@ -342,6 +350,9 @@ class Tensor:
         for node in reversed(topo):
             if node.backward_fn is not None and node.grad is not None:
                 node.backward_fn(node.grad)
+                # every consumer ran before this node: its gradient is spent;
+                # a leaf (a parameter) has no backward_fn and keeps its own
+                node.grad = None
 
     def item(self) -> float:
         return float(self.value)
@@ -375,10 +386,16 @@ def segment_softmax(logits: Tensor, segments, num_segments: int) -> Tensor:
     """Softmax over groups of rows of ``logits`` (shape (E,) or (E, H); each
     column is normalized on its own), numerically shifted by the per-segment
     max (a constant, so gradients stay exact). ``segments`` is an integer
-    index or a ``Segments`` plan."""
+    index or a ``Segments`` plan.
+
+    Untaped, no (E, H) array outlives its last read here: the logits and
+    their shifted copy go once they are exponentiated, so the quotient
+    holds three at a time. A taped pass keeps what its backward reads."""
     plan = _segments(segments, num_segments)
     shifted = logits - Tensor.const(plan.take(plan.max(logits.value)))
+    del logits
     e = shifted.exp()
+    del shifted
     return e / e.segment_sum(plan, num_segments).gather(plan)
 
 

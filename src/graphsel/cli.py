@@ -127,7 +127,8 @@ def cmd_features(cfg: RunConfig) -> int:
         res = results[path]
         if isinstance(res, str):
             failures.append(path.name)
-            log.error("event=feature_fail graph=%s error=%s", path.stem, res)
+            # a refused stem may hold a line break or a comma: quote it
+            log.error("event=feature_fail graph=%r error=%s", path.stem, res)
             continue
         values, nodes, edges, seconds = res
         rows.append((path.stem, values))
@@ -148,7 +149,7 @@ def cmd_features(cfg: RunConfig) -> int:
     log.info("event=features_written path=%s graphs=%d failures=%d",
              features_path, len(rows), len(failures))
     if failures:
-        raise DataError(f"feature extraction failed for: {', '.join(failures)}")
+        raise DataError(f"feature extraction failed for: {failures!r}")
     return 0
 
 

@@ -18,8 +18,11 @@ reciprocal in-edges from its chosen neighbors, so their out-degree may
 reach top_k + 1. Extending with a batch of test graphs gives one extended
 copy per test graph, side by side with no edge between them, so that one
 pass embeds them all; the build-before-extension order then holds within
-each copy. `GMNetwork.validate` runs only where a network comes in from
-outside: when `learner.load_state` reads it from a bundle.
+each copy. An extension holds its base network's feature rows once and its
+c test rows beside them; `GMNetwork.stacked_graph_features` lays them out
+copy after copy, one row per graph node. `GMNetwork.validate` runs only
+where a network comes in from outside: when `learner.load_state` reads it
+from a bundle.
 """
 
 from __future__ import annotations
@@ -49,11 +52,27 @@ class GMNetwork:
     src: np.ndarray
     dst: np.ndarray
     rel: np.ndarray              # index into RELATIONS
-    graph_features: np.ndarray   # (n_graphs, meta_dim + factor_dim): [m; phi(m)]
+    graph_features: np.ndarray   # (n_graphs, meta_dim + factor_dim): [m; phi(m)], or for an
+                                 # extension its base network's rows, which every copy shares
     model_features: np.ndarray   # (n_models, factor_dim): V rows at build time
     meta_dim: int
     top_k: int
     extension_nodes: int = 0
+    test_features: np.ndarray | None = None   # an extension's (c, meta_dim + factor_dim)
+                                              # test rows, one per copy
+
+    def stacked_graph_features(self) -> np.ndarray:
+        """Every graph node's feature row, (n_graphs, meta_dim + factor_dim):
+        `graph_features` itself, or for an extension each copy's base rows
+        and then its test row, copy after copy, in a new array."""
+        if self.test_features is None:
+            return self.graph_features
+        (c, width), n = self.test_features.shape, len(self.graph_features)
+        # filled by assignment: np.concatenate of a broadcast block is ~20x slower
+        rows = np.empty((c, n + 1, width))
+        rows[:, :n] = self.graph_features
+        rows[:, n] = self.test_features
+        return rows.reshape(self.n_graphs, width)
 
     def validate(self):
         if self.rel.size == 0:
@@ -139,13 +158,16 @@ def extend_with_test(net: GMNetwork, m_test: np.ndarray, u_hat_test: np.ndarray)
     copy's models first, then every copy's graphs, each copy's test node
     last, both in copy order. Within each relation the edges run copy after
     copy, and a copy's build edges, in their order, precede its new ones.
+    The extension shares `net`'s graph rows as the base block of every copy
+    and holds the c test rows beside it, not c stacked copies.
     """
     m_test = np.atleast_2d(np.asarray(m_test, dtype=np.float64))
     u_hat_test = np.atleast_2d(np.asarray(u_hat_test, dtype=np.float64))
     c = m_test.shape[0]
+    base = net.stacked_graph_features()
     if m_test.shape[1] != net.meta_dim:
         raise ValueError("test meta-feature dimension mismatch")
-    if u_hat_test.shape != (c, net.graph_features.shape[1] - net.meta_dim):
+    if u_hat_test.shape != (c, base.shape[1] - net.meta_dim):
         raise ValueError("test factors need one row per test graph, of the network's width")
     m, n = net.n_models, net.n_graphs
     first_model = (np.arange(c) * m)[:, None]
@@ -157,8 +179,7 @@ def extend_with_test(net: GMNetwork, m_test: np.ndarray, u_hat_test: np.ndarray)
     # (c, edges) blocks, one row per copy, in the order a copy lists them
     src, dst = [net.src + shift[:, net.src]], [net.dst + shift[:, net.dst]]
     rel = [np.broadcast_to(net.rel, src[0].shape)]
-    meta = net.graph_features[:, :net.meta_dim]
-    u_hat = net.graph_features[:, net.meta_dim:]
+    meta, u_hat = base[:, :net.meta_dim], base[:, net.meta_dim:]
     for out_rel, back_rel, nbrs in (
             ("M-g2g", "M-g2g", cosine_topk(m_test, meta, net.top_k) + first_graph),
             ("P-g2g", "P-g2g", cosine_topk(u_hat_test, u_hat, net.top_k) + first_graph),
@@ -173,10 +194,6 @@ def extend_with_test(net: GMNetwork, m_test: np.ndarray, u_hat_test: np.ndarray)
     # relations and keeps that order within each
     order = np.argsort(rel, kind="stable")
 
-    graph_features = np.concatenate(
-        [np.broadcast_to(net.graph_features, (c, *net.graph_features.shape)),
-         np.concatenate([m_test, u_hat_test], axis=1)[:, None, :]], axis=1)
-    return GMNetwork(c * (n + 1), c * m, src[order], dst[order], rel[order],
-                     graph_features.reshape(c * (n + 1), -1),
+    return GMNetwork(c * (n + 1), c * m, src[order], dst[order], rel[order], base,
                      np.tile(net.model_features, (c, 1)), net.meta_dim, net.top_k,
-                     c * (net.extension_nodes + 1))
+                     c * (net.extension_nodes + 1), np.concatenate([m_test, u_hat_test], axis=1))

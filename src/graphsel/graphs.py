@@ -211,24 +211,36 @@ def _run_starts(sorted_values: np.ndarray) -> np.ndarray:
     return first
 
 
+QUOTED_TOKEN_CHARS = 40     # a message quotes at most this much of one token
+
+
+def _quoted(*tokens: str) -> str:
+    """The tokens' reprs joined by ", "; a token longer than
+    QUOTED_TOKEN_CHARS shows the repr of its first QUOTED_TOKEN_CHARS
+    characters and how long the whole was."""
+    return ", ".join(repr(t) if len(t) <= QUOTED_TOKEN_CHARS
+                     else f"{t[:QUOTED_TOKEN_CHARS]!r}... (cut, {len(t)} chars)" for t in tokens)
+
+
 def _edge(tokens: list[str]) -> tuple[int, int] | str:
     """A content line's two endpoints, or why its tokens are not an edge:
     a wrong token count, then a non-integer endpoint, then a negative one,
-    then one above 2**63 - 1, then a non-numeric weight."""
+    then one above 2**63 - 1, then a non-numeric weight. A message quotes
+    each token through `_quoted`, so a long token reaches no log whole."""
     if len(tokens) not in (2, 3):
         return f"expected 2 or 3 tokens, got {len(tokens)}"
     try:
         u, v = int(tokens[0]), int(tokens[1])
     except ValueError:
-        return f"non-integer endpoint in {tokens[:2]}"
+        return f"non-integer endpoint in [{_quoted(*tokens[:2])}]"
     if u < 0 or v < 0:
-        return f"negative node id in {tokens[:2]}"
+        return f"negative node id in [{_quoted(*tokens[:2])}]"
     if u > ID_MAX or v > ID_MAX:
-        return f"node id above {ID_MAX} in {tokens[:2]}"
+        return f"node id above {ID_MAX} in [{_quoted(*tokens[:2])}]"
     if len(tokens) == 3:
         try:
             float(tokens[2])
         except ValueError:
-            return f"non-numeric weight {tokens[2]!r}"
+            return f"non-numeric weight {_quoted(tokens[2])}"
     return u, v
 

@@ -222,7 +222,8 @@ def embed_network(pt: dict[str, Tensor], net: GMNetwork,
     ng, m = net.n_graphs, net.n_models
     n_total = ng + m
 
-    zg = Tensor.const(net.graph_features) @ pt["W"].transpose()
+    # the stacked rows of an extension live for this one product only
+    zg = Tensor.const(net.stacked_graph_features()) @ pt["W"].transpose()
     zm = pt["V"]
     if m != zm.shape[0]:
         if m % zm.shape[0]:
@@ -241,8 +242,9 @@ def embed_network(pt: dict[str, Tensor], net: GMNetwork,
         keyed = relation_keys(zm, zg, pt[f"l{layer}.K.m"], pt[f"l{layer}.K.g"],
                               pt[f"l{layer}.att"])
         mu = pt[f"l{layer}.mu"].gather(plan.rel).reshape(-1, 1)
-        logits = edge_scores(keyed, queries, plan.scored) * mu * (1.0 / np.sqrt(dk))
-        att = segment_softmax(logits, plan.dst, n_total)
+        # the logits go in unnamed, so an untaped pass drops them inside the softmax
+        att = segment_softmax(edge_scores(keyed, queries, plan.scored) * mu * (1.0 / np.sqrt(dk)),
+                              plan.dst, n_total)
         agg = weighted_segment_sum(msgs, att, plan.edges).reshape(n_total, k)
         kept = zg if plan.kept is None else zg.gather(plan.kept)
         zg = kept * pt[f"l{layer}.alpha.g"] + agg.gather(plan.graphs) @ pt[f"l{layer}.O.g"]

@@ -26,7 +26,7 @@ import json
 import math
 
 import numpy as np
-from scipy import special, stats
+from scipy import sparse, special, stats
 
 from graphsel.autodiff import Tensor, concat, einsum
 from graphsel.extractors import (PAGERANK_DAMPING, PAGERANK_MAX_ITER, PAGERANK_TOL,
@@ -155,6 +155,15 @@ def write_bundle(path, header, *records):
 
 # --- edge-list parsing -------------------------------------------------------
 
+def shown(tokens, limit=40):
+    """A list of tokens as a message quotes it: the list's repr, with each
+    token of more than `limit` characters cut to its first `limit` and
+    marked with its length."""
+    parts = [repr(t) if len(t) <= limit else repr(t[:limit]) + f"... (cut, {len(t)} chars)"
+             for t in tokens]
+    return "[" + ", ".join(parts) + "]"
+
+
 def load_edge_list_brute(text):
     """One line at a time: skip blanks and '#' lines, check each line's token
     count, endpoints (integer, non-negative, at most 2**63 - 1) and weight in
@@ -172,16 +181,16 @@ def load_edge_list_brute(text):
             u = int(tokens[0])
             v = int(tokens[1])
         except ValueError:
-            raise EdgeListError(line_no, f"non-integer endpoint in {tokens[:2]}") from None
+            raise EdgeListError(line_no, f"non-integer endpoint in {shown(tokens[:2])}") from None
         if u < 0 or v < 0:
-            raise EdgeListError(line_no, f"negative node id in {tokens[:2]}")
+            raise EdgeListError(line_no, f"negative node id in {shown(tokens[:2])}")
         if max(u, v) > 2**63 - 1:
-            raise EdgeListError(line_no, f"node id above {2**63 - 1} in {tokens[:2]}")
+            raise EdgeListError(line_no, f"node id above {2**63 - 1} in {shown(tokens[:2])}")
         if len(tokens) == 3:
             try:
                 float(tokens[2])
             except ValueError:
-                raise EdgeListError(line_no, f"non-numeric weight {tokens[2]!r}") from None
+                raise EdgeListError(line_no, f"non-numeric weight {shown(tokens[2:])[1:-1]}") from None
         for node in (u, v):
             if node not in id_map:
                 id_map[node] = len(id_map)
@@ -255,6 +264,25 @@ def segment_max_argsort(values, segments, num_segments):
     return out
 
 
+def head_blocks_int64(rows, cols, n_rows, n_cols, heads):
+    """The head-blocked CSR matrix of ``autodiff._head_blocks`` built with
+    int64 indices, and each stored entry's index e·heads + h into the
+    flattened (E, heads) weights: head h's block holds edge e at
+    (rows[e], cols[e]), its entries in the stable order of ``rows``."""
+    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+    order = np.argsort(rows, kind="stable")
+    counts = np.bincount(rows, minlength=n_rows)
+    flat, at, indptr = [], [], [np.zeros(1, dtype=np.int64)]
+    for h in range(heads):
+        flat.append(order * heads + h)
+        at.append(cols[order] + h * n_cols)
+        indptr.append(h * rows.size + np.cumsum(counts))
+    matrix = sparse.csr_array((np.zeros(heads * rows.size), np.concatenate(at),
+                               np.concatenate(indptr)),
+                              shape=(heads * n_rows, heads * n_cols))
+    return matrix, np.concatenate(flat)
+
+
 def weighted_segment_sum_chain(msgs, weights, edges):
     """The three-op chain that ``autodiff.weighted_segment_sum`` fuses:
     gather each edge's source messages (E, H, dk), scale them by the
@@ -290,13 +318,14 @@ def relation_keys_per_node(zm, zg, k_m, k_g, att):
 def extend_with_test_one(net, m_test, u_hat_test):
     """One test graph node spliced into a copy of the network: top-k
     out-edges per applicable relation and a reciprocal in-edge from each
-    chosen neighbor, appended after each relation's build edges."""
+    chosen neighbor, appended after each relation's build edges. It reads
+    `net`'s stacked graph rows and holds all of its own in `graph_features`."""
     m_test = np.asarray(m_test, dtype=np.float64).ravel()
     u_hat_test = np.asarray(u_hat_test, dtype=np.float64).ravel()
     g0 = net.n_models
     t = g0 + net.n_graphs              # the test node's id
-    meta = net.graph_features[:, :net.meta_dim]
-    u_hat = net.graph_features[:, net.meta_dim:]
+    rows = net.stacked_graph_features()
+    meta, u_hat = rows[:, :net.meta_dim], rows[:, net.meta_dim:]
     k = net.top_k
 
     src, dst, rel = [net.src], [net.dst], [net.rel]
@@ -313,14 +342,15 @@ def extend_with_test_one(net, m_test, u_hat_test):
 
     feat = np.concatenate([m_test, u_hat_test])[None, :]
     return GMNetwork(net.n_graphs + 1, net.n_models, src[order], dst[order], rel[order],
-                     np.concatenate([net.graph_features, feat], axis=0),
+                     np.concatenate([rows, feat], axis=0),
                      net.model_features, net.meta_dim, k, net.extension_nodes + 1)
 
 
 def disjoint_union(nets):
     """One network holding every copy in `nets`, none joined to another:
     every copy's models first, then every copy's graphs, both in copy order;
-    the edge table grouped by relation, each copy's edges in their order."""
+    the edge table grouped by relation, each copy's edges in their order;
+    `graph_features` holds every copy's stacked graph rows."""
     n_models = sum(n.n_models for n in nets)
     model_start = np.cumsum([0] + [n.n_models for n in nets])
     graph_start = np.cumsum([n_models] + [n.n_graphs for n in nets])
@@ -335,7 +365,7 @@ def disjoint_union(nets):
     first = nets[0]
     return GMNetwork(sum(n.n_graphs for n in nets), n_models,
                      np.concatenate(src)[order], np.concatenate(dst)[order], rel[order],
-                     np.concatenate([n.graph_features for n in nets]),
+                     np.concatenate([n.stacked_graph_features() for n in nets]),
                      np.concatenate([n.model_features for n in nets]),
                      first.meta_dim, first.top_k, sum(n.extension_nodes for n in nets))
 

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from graphsel import autodiff
 from graphsel.autodiff import (Edges, Segments, Tensor, concat, edge_scores, einsum,
                                segment_softmax, weighted_segment_sum)
-from oracles import (edge_scores_chain, param, scatter_rows_bincount, segment_max_argsort,
-                     weighted_segment_sum_chain)
+from oracles import (edge_scores_chain, head_blocks_int64, param, scatter_rows_bincount,
+                     segment_max_argsort, weighted_segment_sum_chain)
 
 
 def fd_grad(loss_fn, x, step=1e-6):
@@ -260,6 +260,37 @@ def test_edge_scores_match_the_chain_bit_for_bit(data):
             assert [(a.shape, a.tobytes()) for a in got] == [(a.shape, a.tobytes())
                                                              for a in want]
             assert not got[1][-1].any() and not got[2][-1].any()     # the unread rows
+
+
+def test_head_blocks_hold_int32_indices_and_the_products_of_an_int64_build():
+    """Each direction's matrix keeps int32 indices, with the structure of an
+    int64 build of the same plan, and its products give that build's bytes;
+    past the int32 range the indices are int64."""
+    rng = np.random.default_rng(3)
+    n_s, n_d, count, heads, dk = 9, 7, 60, 3, 2
+    src, dst = rng.integers(0, n_s, count), rng.integers(0, n_d - 1, count)
+    edges = Edges(Segments(src, n_s), Segments(dst, n_d))
+    weights = rng.normal(size=(count, heads)) * 10.0 ** rng.integers(-8, 9, size=(count, heads))
+    for transposed, rows, n_rows, cols, n_cols in ((False, dst, n_d, src, n_s),
+                                                   (True, src, n_s, dst, n_d)):
+        x = rng.normal(size=(n_cols, heads, dk)) * 10.0 ** rng.integers(-8, 9, size=(n_cols, 1, 1))
+        got = autodiff._head_product(edges, weights, transposed, x)
+        matrix, _ = edges.blocks(heads, transposed)
+        wide, flat = head_blocks_int64(rows, cols, n_rows, n_cols, heads)
+        assert matrix.indices.dtype == matrix.indptr.dtype == np.int32
+        assert wide.indices.dtype == wide.indptr.dtype == np.int64
+        assert np.array_equal(matrix.indices, wide.indices)
+        assert np.array_equal(matrix.indptr, wide.indptr)
+        wide.data[:] = weights.ravel()[flat]
+        want = (wide @ x.transpose(1, 0, 2).reshape(-1, dk)).reshape(heads, -1, dk)
+        assert got.shape == (n_rows, heads, dk)
+        assert got.tobytes() == want.transpose(1, 0, 2).tobytes()
+
+    # 2 heads over 2**30 columns pass the int32 range; no row holds them all
+    big = autodiff._head_blocks(Segments(dst, n_d), Segments(src, 1 << 30), 2)
+    assert big.indices.dtype == big.indptr.dtype == np.int64
+    wide, _ = head_blocks_int64(dst, src, n_d, 1 << 30, 2)
+    assert np.array_equal(big.indices, wide.indices) and np.array_equal(big.indptr, wide.indptr)
 
 
 def test_edge_scores_of_a_network_sized_table_keep_the_bits_of_one_gather(monkeypatch):

@@ -1,5 +1,6 @@
 """End-to-end CLI runs, in process: exit codes, artifacts, determinism."""
 
+import ast
 import io
 import json
 import logging
@@ -130,7 +131,7 @@ def test_a_file_that_is_not_utf8_fails_alone_in_a_short_line(tmp_path, caplog):
     ids, _ = read_features_csv(out / "features.csv")
     assert ids == ["ok"]
     line = next(ln for ln in caplog.text.splitlines() if "event=feature_fail" in ln)
-    assert "graph=latin error=UnicodeDecodeError: 'utf-8' codec can't decode byte 0xe9" in line
+    assert "graph='latin' error=UnicodeDecodeError: 'utf-8' codec can't decode byte 0xe9" in line
     assert len(line) < 300
 
 
@@ -148,11 +149,16 @@ def test_a_stem_features_csv_cannot_hold_fails_its_file(tmp_path, caplog, pool_c
     assert _features(gdir, out, workers) == 3
     ids, _ = read_features_csv(out / "features.csv")
     assert ids == ["ok_a", "ok_b"]
+    # every record is one line, which quotes the stem and the failed names
+    lines = [r.getMessage() for r in caplog.records]
+    assert not any("\n" in line or "\r" in line for line in lines)
     for name, why in bad.items():
         stem = name.split(".")[0]
-        assert f"error=graph id {stem!r} cannot be a features.csv row: {why}" in caplog.text
-    failed = caplog.text.split("feature extraction failed for: ", 1)[1]
-    assert all(name in failed for name in bad)
+        want = f"event=feature_fail graph={stem!r} error=graph id {stem!r} cannot be a " \
+               f"features.csv row: {why}"
+        assert any(line.startswith(want) for line in lines)
+    failed = next(line for line in lines if "feature extraction failed for: " in line)
+    assert ast.literal_eval(failed.split("feature extraction failed for: ", 1)[1]) == sorted(bad)
 
     # with every file refused no extraction runs, in a pool or not
     for name in ["ok_a", "ok_b"]:
@@ -214,8 +220,8 @@ def test_features_partial_failure_in_workers(tmp_path, caplog, pool_cores):
     rows = [ln for ln in (out / "features.csv").read_text().strip().split("\n")
             if not ln.startswith("#")][1:]
     assert [r.split(",")[0] for r in rows] == ["ok_a", "ok_b", "ok_c"]
-    assert "event=feature_fail graph=broken error=EdgeListError: line 2: " in caplog.text
-    assert "feature extraction failed for: broken" in caplog.text
+    assert "event=feature_fail graph='broken' error=EdgeListError: line 2: " in caplog.text
+    assert "feature extraction failed for: ['broken']" in caplog.text
 
 
 def test_pool_runs_a_rebound_extractor(mixed_dir, tmp_path, monkeypatch, pool_cores):
@@ -612,6 +618,16 @@ def test_select_names_the_line_of_a_node_id_beyond_int64(ws, tmp_path, caplog):
                  "--output-dir", str(tmp_path)]) == 3
     assert "event=data_error" in caplog.text
     assert "line 2: node id above 9223372036854775807" in caplog.text
+
+
+def test_select_quotes_a_long_bad_token_in_a_short_line(ws, tmp_path, caplog):
+    graph = tmp_path / "long_token"
+    graph.write_text("0 1\n" + "x" * 100000 + " 2\n")
+    assert main(["select", "--bundle", str(ws["bundle"]), "--graph-file", str(graph),
+                 "--output-dir", str(tmp_path)]) == 3
+    line = next(ln for ln in caplog.text.splitlines() if "event=data_error" in ln)
+    assert "line 2: non-integer endpoint in ['xxxx" in line and "(cut, 100000 chars)" in line
+    assert len(line) < 300
 
 
 # edge-list pieces: ids small, at and past int64, signed and of many

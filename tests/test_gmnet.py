@@ -154,7 +154,7 @@ def test_extension_adds_one_node_with_reciprocal_edges():
         src, counts = np.unique(relation_edges(ext, rel)[:, 0], return_counts=True)
         assert counts.max() <= net.top_k + 1
 
-    assert np.array_equal(ext.graph_features[-1],
+    assert np.array_equal(ext.stacked_graph_features()[-1],
                           np.concatenate([m_test, u_test]))
 
 
@@ -190,13 +190,22 @@ def test_batched_extension_keeps_copies_apart_and_in_order():
         assert np.array_equal(local[union.src[mine]], c.src)
         assert np.array_equal(local[union.dst[mine]], c.dst)
         assert np.array_equal(union.rel[mine], c.rel)
-        assert np.array_equal(union.graph_features[copy_of[union.n_models:] == i],
-                              c.graph_features)
+        assert np.array_equal(union.stacked_graph_features()[copy_of[union.n_models:] == i],
+                              c.stacked_graph_features())
         assert np.array_equal(union.model_features[copy_of[:union.n_models] == i],
                               c.model_features)
 
     with pytest.raises(ValueError, match="one row per test graph"):
         extend_with_test(net, m_test, u_test[:2])
+
+
+ARRAYS = ("src", "dst", "rel", "graph rows", "model_features")
+
+
+def arrays(net):
+    """A network's arrays by ARRAYS: the edge table, every graph node's
+    feature row and every model node's."""
+    return net.src, net.dst, net.rel, net.stacked_graph_features(), net.model_features
 
 
 def test_batched_extension_equals_the_union_of_one_copy_extensions():
@@ -207,7 +216,8 @@ def test_batched_extension_equals_the_union_of_one_copy_extensions():
     def check(net):
         net.validate()
         assert net.src.ndim == 1 and net.src.shape == net.dst.shape == net.rel.shape
-        assert (len(net.graph_features), len(net.model_features)) == (net.n_graphs, net.n_models)
+        assert (len(net.stacked_graph_features()), len(net.model_features)) == \
+            (net.n_graphs, net.n_models)
 
     rng = np.random.default_rng(7)
     for n, m, top_k in ((6, 4, 2), (5, 3, 5), (4, 6, 9)):
@@ -221,16 +231,41 @@ def test_batched_extension_equals_the_union_of_one_copy_extensions():
             check(got)
             want = disjoint_union([extend_with_test_one(net, a, b)
                                    for a, b in zip(m_test, u_test)])
-            for name in ("src", "dst", "rel", "graph_features", "model_features"):
-                assert np.array_equal(getattr(got, name), getattr(want, name)), (n, c, name)
-                assert getattr(got, name).dtype == getattr(want, name).dtype
+            for name, a, b in zip(ARRAYS, arrays(got), arrays(want)):
+                assert np.array_equal(a, b), (n, c, name)
+                assert a.dtype == b.dtype
             assert (got.n_graphs, got.n_models, got.extension_nodes) == \
                 (want.n_graphs, want.n_models, want.extension_nodes)
         one = extend_with_test(net, m_test[0], u_test[0])      # 1-D: one copy
         check(one)
         want = extend_with_test_one(net, m_test[0], u_test[0])
-        for name in ("src", "dst", "rel", "graph_features", "model_features"):
-            assert np.array_equal(getattr(one, name), getattr(want, name))
+        for a, b in zip(arrays(one), arrays(want)):
+            assert np.array_equal(a, b)
+
+
+def test_an_extension_holds_the_base_features_once():
+    """c copies share the base network's feature block, and the c test rows
+    sit beside it: no array of c·(n+1) rows stays on the extension. An
+    extension of an extension reads its stacked rows as its base."""
+    rng = np.random.default_rng(11)
+    net, *_ = make_net(rng, n=6, m=4, top_k=2)
+    c = 5
+    m_test, u_test = rng.normal(size=(c, 5)), rng.uniform(0.1, 1.0, size=(c, 3))
+    ext = extend_with_test(net, m_test, u_test)
+    width = net.graph_features.shape[1]
+    assert ext.graph_features is net.graph_features
+    assert np.array_equal(ext.test_features, np.concatenate([m_test, u_test], axis=1))
+    held = [a for a in vars(ext).values() if isinstance(a, np.ndarray) and a.dtype.kind == "f"]
+    assert all(a.size < c * (net.n_graphs + 1) * width for a in held)
+    stacked = ext.stacked_graph_features()
+    assert stacked.shape == (ext.n_graphs, width)
+    assert not any(np.shares_memory(stacked, a) for a in held)
+    assert net.stacked_graph_features() is net.graph_features
+
+    again = extend_with_test(ext, m_test[0], u_test[0])
+    assert np.array_equal(again.graph_features, stacked)
+    for a, b in zip(arrays(again), arrays(extend_with_test_one(ext, m_test[0], u_test[0]))):
+        assert np.array_equal(a, b)
 
 
 def test_validate_rejects_malformed_networks():

@@ -77,6 +77,23 @@ def test_node_ids_beyond_int64_name_their_line(text, line_no, message):
     assert message in str(exc.value)
 
 
+@pytest.mark.parametrize("text,message", [
+    ("0 1\n" + "x" * 100000 + " 2\n",
+     "non-integer endpoint in ['" + "x" * 40 + "'... (cut, 100000 chars), '2']"),
+    ("0 1\n1 " + "-" + "9" * 1000 + "\n",
+     "negative node id in ['1', '-" + "9" * 39 + "'... (cut, 1001 chars)]"),
+    ("0 1\n1 2 " + "w" * 41 + "\n", "non-numeric weight '" + "w" * 40 + "'... (cut, 41 chars)"),
+    ("0 1\n1 2 " + "w" * 40 + "\n", "non-numeric weight '" + "w" * 40 + "'"),
+], ids=["endpoint", "negative", "weight", "weight_at_the_limit"])
+def test_a_long_bad_token_is_quoted_cut(text, message):
+    """A message quotes at most 40 characters of a token and says it cut
+    the rest, so a long token cannot carry the file into a log line."""
+    with pytest.raises(EdgeListError) as exc:
+        load_edge_list(text)
+    assert str(exc.value) == "line 2: " + message
+    assert_reads_like_the_line_by_line_reader(text)
+
+
 def test_largest_int64_id_is_a_node():
     g = load_edge_list("9223372036854775807 0\n")
     assert list(g.original_ids) == [2**63 - 1, 0]

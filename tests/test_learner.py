@@ -49,7 +49,7 @@ def forward_oracle(params, net):
     layers = len([name for name in params if name.endswith(".att")])
     ng, m = net.n_graphs, net.n_models
 
-    zg = net.graph_features @ params["W"].T
+    zg = net.stacked_graph_features() @ params["W"].T
     zm = params["V"].copy()
 
     for layer in range(layers):
@@ -177,6 +177,26 @@ def test_union_pass_equals_each_copy_alone():
     with pytest.raises(ValueError, match="whole copies"):
         # 9 model nodes are not whole copies of 5 model rows
         scores_of({**params, "V": np.vstack([params["V"], params["V"][:2]])}, union)
+
+
+def test_backward_frees_interior_gradients_and_keeps_the_parameters():
+    """After the loss's backward pass every interior tensor's gradient is
+    gone, and the parameters hold theirs, with the bytes `_loss_and_grads`
+    returns."""
+    net, params, pv, obs = make_tiny_problem(seed=3, layers=2, heads=2)
+    pt = {name: param(a) for name, a in params.items()}
+    loss = sparse_top1_loss(learner._scores(pt, net, plan_network(net)), pv, obs)
+    loss.backward()
+    tape, stack = {}, [loss]
+    while stack:
+        t = stack.pop()
+        if id(t) not in tape:
+            tape[id(t)] = t
+            stack.extend(t.parents)
+    interior = [t for t in tape.values() if t.parents]
+    assert len(interior) > 50 and all(t.grad is None for t in interior)
+    _, grads = _loss_and_grads(params, net, plan_network(net), pv, obs)
+    assert all(pt[name].grad.tobytes() == grads[name].tobytes() for name in params)
 
 
 def test_forward_over_constant_parameters_records_no_tape():
