@@ -362,8 +362,10 @@ def train(features: np.ndarray, perf: PerformanceMatrix, config: LearnerConfig) 
 
     The factor estimator phi, fit on the raw training rows, owns the only
     feature z-scoring; network, holdout and test nodes all see features
-    through it. A 10% graph holdout provides early stopping. With
-    max_epochs=0 the warm-start parameters are returned untouched.
+    through it. A 10% graph holdout provides early stopping: training runs
+    at least min_epochs epochs and stops once patience epochs have passed
+    since the best one. With max_epochs=0 the warm-start parameters are
+    returned untouched.
     """
     f = np.asarray(features, dtype=np.float64)
     n, m = perf.shape
@@ -437,8 +439,7 @@ def train(features: np.ndarray, perf: PerformanceMatrix, config: LearnerConfig) 
         return -loss, float(np.mean(mrrs))
 
     best_params = None
-    best_score = -np.inf
-    patience_left = config.patience
+    best_score, best_epoch = -np.inf, -1
     training_log: list[dict] = []
     min_delta = 1e-4
 
@@ -451,16 +452,10 @@ def train(features: np.ndarray, perf: PerformanceMatrix, config: LearnerConfig) 
         training_log.append({"epoch": epoch, "loss": loss, "val_mrr": val_mrr,
                              "stop_score": score})
         if score > best_score + min_delta:
-            best_score = score
+            best_score, best_epoch = score, epoch
             best_params = {k_: v_.copy() for k_, v_ in params.items()}
-            patience_left = config.patience
-        elif epoch + 1 >= config.min_epochs:
-            # patience only counts after the warmup: embeddings reorganize
-            # early and the holdout loss swings through a hump that would
-            # otherwise trip the stopper while the best is still ahead
-            patience_left -= 1
-            if patience_left <= 0:
-                break
+        elif epoch + 1 >= config.min_epochs and epoch - best_epoch >= config.patience:
+            break
 
     if best_params is None:          # no epoch gave a finite stop score
         best_params = {k_: v_.copy() for k_, v_ in params.items()}
