@@ -207,13 +207,17 @@ def standardize(f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _loocv_ridge_lambda(u: np.ndarray, s: np.ndarray, uc: np.ndarray) -> float:
     """Leave-one-out optimal ridge penalty, closed form.
 
-    Reads the thin SVD z = U S V^T and evaluates the classical LOO identity
-    r_i / (1 - H_ii) on a log grid, with hat matrix H = U diag(a) U^T and
-    shrinkage a = s^2 / (s^2 + lambda). The penalty steers how hard
-    predictions shrink toward the target mean: clean targets keep it small,
-    noisy or underdetermined fits push it up.
+    Reads the thin SVD z = U S V^T of the centred design and evaluates the
+    PRESS identity r_i / (1 - H_ii) on a log grid (Allen 1974), with hat
+    matrix H = 11^T / n + U diag(a) U^T and shrinkage a = s^2 / (s^2 + lambda):
+    the 1/n is the leverage of the unpenalised intercept, which each refit
+    without row i fits anew. Without it, a design with n <= d fits every
+    held-out row as lambda -> 0 and the grid floor always wins. The penalty
+    steers how hard predictions shrink toward the target mean: clean
+    targets keep it small, noisy or underdetermined fits push it up.
     """
     grid = np.geomspace(1e-6, 1e9, 31)
+    n = uc.shape[0]
     ut_y = u.T @ uc
     u2 = u ** 2
     s2 = s ** 2
@@ -221,7 +225,7 @@ def _loocv_ridge_lambda(u: np.ndarray, s: np.ndarray, uc: np.ndarray) -> float:
     for lam in grid:
         a = s2 / (s2 + lam)
         resid = uc - u @ (a[:, None] * ut_y)
-        denom = np.maximum(1.0 - u2 @ a, 1e-12)
+        denom = np.maximum(1.0 - u2 @ a - 1.0 / n, 1e-12)
         sse = float(np.sum((resid / denom[:, None]) ** 2))
         if sse < best_sse - 1e-12:
             best_sse, best_lam = sse, lam

@@ -292,39 +292,54 @@ def test_ridge_prediction_shapes_and_validation():
         fit_factor_estimator(f, u, 0.0)
 
 
+def _loo_refit(z, uc, lam, i):
+    """Row i's residual under a ridge refit without it, the intercept
+    unpenalised and fit on the kept rows alone, so nothing of row i leaks
+    in through a centring."""
+    keep = np.arange(len(z)) != i
+    z_mean, y_mean = z[keep].mean(axis=0), uc[keep].mean(axis=0)
+    zi, yi = z[keep] - z_mean, uc[keep] - y_mean
+    w = np.linalg.solve(zi.T @ zi + lam * np.eye(z.shape[1]), zi.T @ yi)
+    return uc[i] - y_mean - (z[i] - z_mean) @ w
+
+
 def _brute_loo_sse(z, uc, lam):
-    n, d = z.shape
-    total = 0.0
-    for i in range(n):
-        keep = np.arange(n) != i
-        zi, yi = z[keep], uc[keep]
-        w = np.linalg.solve(zi.T @ zi + lam * np.eye(d), zi.T @ yi)
-        resid = uc[i] - z[i] @ w
-        total += float(resid @ resid)
-    return total
+    return sum(float(r @ r) for r in (_loo_refit(z, uc, lam, i) for i in range(len(z))))
+
+
+def _loocv_case(n, d, noise, seed):
+    """lambda picked by the closed form and by brute-force refits over its grid."""
+    rng = np.random.default_rng(seed)
+    f = rng.normal(size=(n, d))
+    u = f @ rng.normal(size=(d, 2)) + noise * rng.normal(size=(n, 2))
+    z = (f - f.mean(axis=0)) / f.std(axis=0)
+    uc = u - u.mean(axis=0)
+    left, s, _ = np.linalg.svd(z, full_matrices=False)
+    grid = np.geomspace(1e-6, 1e9, 31)
+    sse = np.array([_brute_loo_sse(z, uc, g) for g in grid])
+    lam = _loocv_ridge_lambda(left, s, uc)
+    assert fit_factor_estimator(f, u, None).ridge_lambda == lam
+    return lam, float(grid[int(np.argmin(sse))])
 
 
 @pytest.mark.parametrize("n,d", [(14, 5), (6, 10)])
 def test_loocv_lambda_matches_brute_force_refits(n, d):
     # covers both branches: tall design (n > d) and wide design (n <= d)
-    rng = np.random.default_rng(n * 10 + d)
-    f = rng.normal(size=(n, d))
-    u = f @ rng.normal(size=(d, 2)) + 0.1 * rng.normal(size=(n, 2))
-    z = (f - f.mean(axis=0)) / f.std(axis=0)
-    uc = u - u.mean(axis=0)
+    lam, brute = _loocv_case(n, d, 0.1, n * 10 + d)
+    assert lam == pytest.approx(brute)
 
-    left, s, _ = np.linalg.svd(z, full_matrices=False)
-    lam = _loocv_ridge_lambda(left, s, uc)
-    grid = np.geomspace(1e-6, 1e9, 31)
-    sse = np.array([_brute_loo_sse(z, uc, g) for g in grid])
-    assert lam == pytest.approx(grid[int(np.argmin(sse))])
 
-    est = fit_factor_estimator(f, u, None)
-    assert est.ridge_lambda == lam
+def test_loocv_counts_the_intercept_leverage_on_a_noisy_wide_design():
+    # without the intercept's 1/n in the hat diagonal, every held-out row of
+    # an n <= d design fits as lambda -> 0 and the grid floor 1e-6 wins
+    lam, brute = _loocv_case(20, 40, 1.0, 5)
+    assert brute == pytest.approx(10.0)
+    assert lam == pytest.approx(brute)
 
 
 def test_loocv_identity_agrees_pointwise():
-    # the closed-form LOO residual equals an actual refit without that row
+    # the closed-form LOO residual equals an actual refit without that row;
+    # the hat matrix holds the intercept's 11^T / n
     rng = np.random.default_rng(12)
     z = rng.normal(size=(9, 4))
     z = (z - z.mean(axis=0)) / z.std(axis=0)
@@ -332,13 +347,11 @@ def test_loocv_identity_agrees_pointwise():
     uc -= uc.mean(axis=0)
     lam = 0.5
     evals, q = np.linalg.eigh(z.T @ z)
-    h = z @ q @ np.diag(1.0 / (evals + lam)) @ q.T @ z.T
+    h = np.full((9, 9), 1.0 / 9) + z @ q @ np.diag(1.0 / (evals + lam)) @ q.T @ z.T
     resid = uc - h @ uc
     loo = resid / (1.0 - np.diag(h))[:, None]
     for i in range(9):
-        keep = np.arange(9) != i
-        w = np.linalg.solve(z[keep].T @ z[keep] + lam * np.eye(4), z[keep].T @ uc[keep])
-        assert np.allclose(loo[i], uc[i] - z[i] @ w, atol=1e-9)
+        assert np.allclose(loo[i], _loo_refit(z, uc, lam, i), atol=1e-9)
 
 
 # --- corruption ----------------------------------------------------------------
