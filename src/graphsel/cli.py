@@ -266,7 +266,10 @@ def cmd_select(cfg: RunConfig) -> int:
         raise DataError(f"cannot load graph: {exc}") from None
     m_feat = meta_graph_features(graph)
     t1 = time.perf_counter()
-    sheet = learner.select_model(state, m_feat)
+    try:
+        sheet = learner.select_model(state, m_feat)
+    except ValueError as exc:
+        raise DataError(f"bundle {str(bundle_path)!r} cannot score {graph_path.name!r}: {exc}") from None
     t2 = time.perf_counter()
 
     lines = [_stamp(cfg) + "rank,model_id,score"]
@@ -277,7 +280,7 @@ def cmd_select(cfg: RunConfig) -> int:
     out_dir = Path(cfg.get("paths", "output_dir"))
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "ranking.csv").write_text(text)
-    log.info("event=selected graph=%s best=%s feature_seconds=%.4f predict_seconds=%.4f",
+    log.info("event=selected graph=%r best=%s feature_seconds=%.4f predict_seconds=%.4f",
              graph_path.stem, sheet.best_id(), t1 - t0, t2 - t1)
     return 0
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass, fields
 from .baselines import ALL_KINDS, BASELINE_KINDS
 from .harness import DEFAULT_PERTURBATION_RATES, DEFAULT_SPARSITIES
 from .learner import LearnerConfig
+from .perf import MAX_PERTURBATION_RATE
 from .synth import CorpusShape
 
 
@@ -68,7 +69,7 @@ SCHEMA: dict[tuple[str, str], tuple] = {
     ("eval", "sparsities"): (_float_list, DEFAULT_SPARSITIES,
                              lambda v: all(0 <= x < 1 for x in v)),
     ("eval", "perturbation_rates"): (_float_list, DEFAULT_PERTURBATION_RATES,
-                                     lambda v: all(x >= 0 for x in v)),
+                                     lambda v: all(0 <= x <= MAX_PERTURBATION_RATE for x in v)),
     ("eval", "run_sweeps"): (_bool, "true", None),
     ("eval", "synthetic"): (_bool, "true", None),
     # the synthetic corpus shape, which checks its own ranges

@@ -465,9 +465,13 @@ def train(features: np.ndarray, perf: PerformanceMatrix, config: LearnerConfig) 
 
 def select_model(state: MetaLearnerState, m_feat: np.ndarray) -> ScoreSheet:
     """Online phase: standardize and estimate factors through phi, extend,
-    embed, rank."""
-    scores = _test_scorer(state.network, state.phi.zscore(m_feat),
-                          state.phi.predict(m_feat))(state.params)[0]
+    embed, rank. Raises ValueError when the state's values overflow the
+    scores, as a bundle's finite values still can."""
+    with np.errstate(all="ignore"):      # what overflows is refused just below
+        scores = _test_scorer(state.network, state.phi.zscore(m_feat),
+                              state.phi.predict(m_feat))(state.params)[0]
+    if not np.isfinite(scores).all():
+        raise ValueError("its values overflow the scores")
     return ScoreSheet(list(state.model_ids), scores)
 
 
@@ -556,6 +560,8 @@ def load_state(path: str) -> MetaLearnerState:
         raise ValueError(f"bundle edge record is {edges.dtype} {edges.shape}, not int64 (3, E)")
     arrays = {name: part.reshape(shape) for (name, shape), part
               in zip(layout.items(), np.split(floats, np.cumsum(sizes)[:-1]))}
+    if not (arrays["phi.feature_scale"] > 0).all():
+        raise ValueError("bundle phi.feature_scale holds a value <= 0")
     phi = FactorEstimator(arrays.pop("phi.weights"), arrays.pop("phi.intercept"),
                           arrays.pop("phi.feature_mean"), arrays.pop("phi.feature_scale"),
                           head["ridge_lambda"], head["r2"])

@@ -197,9 +197,15 @@ class FactorEstimator:
 def standardize(f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Column z-scores of a 2-D array: (z, mean, scale). Columns whose spread
     is rounding noise (see SPREAD_RTOL, the summaries' tie tolerance) get
-    scale 1, so they map to ~0 instead of NaN or 1/noise."""
-    mean = f.mean(axis=0)
-    scale = f.std(axis=0)
+    scale 1, so they map to ~0 instead of NaN or 1/noise. Raises ValueError
+    when a column's mean or spread overflows float64."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = f.mean(axis=0)
+        scale = f.std(axis=0)
+    wide = ~(np.isfinite(mean) & np.isfinite(scale))
+    if wide.any():
+        raise ValueError(f"{wide.sum()} feature columns (the first is column {wide.argmax()}) "
+                         f"spread beyond the float64 range")
     scale[scale <= SPREAD_RTOL * np.maximum(1.0, np.abs(f).max(axis=0))] = 1.0
     return (f - mean) / scale, mean, scale
 
@@ -278,11 +284,14 @@ def mask_random(p: PerformanceMatrix, sparsity: float, seed: int) -> Performance
     return PerformanceMatrix(p.values, observed, list(p.graph_ids), list(p.model_ids))
 
 
+MAX_PERTURBATION_RATE = 2.0   # the widest band whose low end, x(1 - r/2), stays >= 0
+
+
 def perturb(p: PerformanceMatrix, rate: float, seed: int) -> PerformanceMatrix:
     """Replace each observed entry x by uniform[x(1 - r/2), x(1 + r/2)],
     clipped to [0, 1]. rate=0 reproduces the input bit-for-bit."""
-    if rate < 0:
-        raise ValueError("rate must be non-negative")
+    if not 0 <= rate <= MAX_PERTURBATION_RATE:
+        raise ValueError(f"rate must lie in [0, {MAX_PERTURBATION_RATE}]")
     values = p.values.copy()
     if rate > 0:
         rng = np.random.default_rng(seed)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from graphsel import cli, learner
 from graphsel.cli import DataError, main, read_features_csv
-from graphsel.features import FEATURE_DIM, SCHEMA_VERSION
+from graphsel.features import FEATURE_DIM, SCHEMA_VERSION, feature_names
 from graphsel.gmnet import REL_INDEX
 from graphsel.learner import LearnerConfig
 from graphsel.perf import from_csv
@@ -539,7 +539,11 @@ def test_select_error_paths(ws, tmp_path, caplog):
             ("inf_graph_features", replace(state, network=replace(
                 net, graph_features=poked(net.graph_features, np.inf))), 3),
             ("nan_feature_scale", replace(state, phi=replace(
-                phi, feature_scale=poked(phi.feature_scale, np.nan))), 3)):
+                phi, feature_scale=poked(phi.feature_scale, np.nan))), 3),
+            ("zero_feature_scale", replace(state, phi=replace(
+                phi, feature_scale=poked(phi.feature_scale, 0.0))), 3),
+            ("negative_feature_scale", replace(state, phi=replace(
+                phi, feature_scale=poked(phi.feature_scale, -1.0))), 3)):
         path = tmp_path / f"{name}.bundle"
         learner.save_state(tampered, str(path))
         assert select(path) == rc, name
@@ -680,6 +684,130 @@ def test_select_on_any_edge_list_bytes_ranks_or_is_a_data_error(ws, data):
                  "--output-dir", str(graph.parent)]) in (0, 3)
 
 
+def test_select_refuses_a_bundle_whose_finite_values_overflow_its_scores(ws, tmp_path, caplog):
+    # every value is finite, so the bundle loads; its scores are not
+    state = learner.load_state(str(ws["bundle"]))
+    params, phi = state.params, state.phi
+    for name, tampered in (
+            ("huge_V", replace(state, params=dict(params, V=np.full_like(params["V"], 1e300)))),
+            ("tiny_feature_scale", replace(state, phi=replace(
+                phi, feature_scale=np.full_like(phi.feature_scale, 1e-300))))):
+        path = tmp_path / f"{name}.bundle"
+        learner.save_state(tampered, str(path))
+        learner.load_state(str(path))
+        caplog.clear()
+        assert main(["select", "--bundle", str(path), "--graph-file", str(ws["graph_dir"] / "g000"),
+                     "--output-dir", str(tmp_path)]) == 3, name
+        assert f"bundle {str(path)!r} cannot score 'g000': its values overflow" in caplog.text
+        assert not (tmp_path / "ranking.csv").exists()
+
+
+def test_a_zero_feature_scale_is_refused_at_load(ws, tmp_path):
+    state = learner.load_state(str(ws["bundle"]))
+    scale = state.phi.feature_scale.copy()
+    scale[-1] = 0.0
+    path = tmp_path / "zero.bundle"
+    learner.save_state(replace(state, phi=replace(state.phi, feature_scale=scale)), str(path))
+    with pytest.raises(ValueError, match="feature_scale holds a value <= 0"):
+        learner.load_state(str(path))
+
+
+def test_select_logs_a_graph_name_with_a_line_break_in_one_line(ws, tmp_path, caplog):
+    caplog.set_level(logging.INFO, logger="graphsel")
+    graph = tmp_path / "a\nb.txt"
+    graph.write_text((ws["graph_dir"] / "g000").read_text())
+    assert main(["select", "--bundle", str(ws["bundle"]), "--graph-file", str(graph),
+                 "--output-dir", str(tmp_path)]) == 0
+    selected = [r.getMessage() for r in caplog.records if "event=selected" in r.getMessage()]
+    assert len(selected) == 1
+    assert "\n" not in selected[0] and "graph='a\\nb' best=" in selected[0]
+
+
+def test_train_refuses_features_whose_spread_overflows(ws, tmp_path, caplog):
+    # finite cells, so the reader takes them, but a spread of 1e300 squares
+    # past float64: a data error, no bundle, and no numeric warning
+    ids = from_csv(ws["perf_csv"].read_text()).graph_ids
+    cells = np.random.default_rng(0).choice([1e300, -1e300, 0.0], size=(len(ids), FEATURE_DIM))
+    features = tmp_path / "features.csv"
+    features.write_text("graph_id," + ",".join(feature_names()) + "\n" + "".join(
+        gid + "," + ",".join(map(repr, row.tolist())) + "\n" for gid, row in zip(ids, cells)))
+    out = tmp_path / "out"
+    assert main(TRAIN_SETS + ["train", "--features-csv", str(features),
+                              "--performance-csv", str(ws["perf_csv"]),
+                              "--output-dir", str(out)]) == 3
+    assert "cannot train: 818 feature columns (the first is column 0) spread beyond" in caplog.text
+    assert not (out / "model.bundle").exists()
+
+
+# performance cells in [0, 1] or empty, and bad ones: outside [0, 1],
+# non-numeric, non-finite; bad feature cells; feature magnitudes up to 1e300
+TRAIN_PERF_CELLS = ["0.5", "0.25", "1", "0", " 0.75", "", "0.125"]
+TRAIN_PERF_BAD = ["-0.1", "1.5", "nan", "inf", "abc"]
+TRAIN_FEATURE_BAD = ["nan", "-inf", "1e999", "abc", ""]
+TRAIN_FAULTS = ["one_model", "few_graphs", "model_id_repeated", "model_id_empty",
+                "graph_id_repeated", "graph_missing", "perf_cell", "feature_cell",
+                "perf_ragged", "feature_ragged", "blank_lines"]
+
+
+@st.composite
+def training_csvs(draw):
+    """(features.csv, performance csv) text for up to 9 graphs and 3 models
+    with up to two faults of TRAIN_FAULTS, so that many examples train. A
+    features row holds one seeded draw at a drawn magnitude."""
+    faults = draw(st.sets(st.sampled_from(TRAIN_FAULTS), max_size=2))
+    n = draw(st.sampled_from([1, 4] if "few_graphs" in faults else [6, 9]))
+    models = [f"m{j}" for j in range(1 if "one_model" in faults else draw(st.sampled_from([2, 3])))]
+    if "model_id_repeated" in faults or "model_id_empty" in faults:
+        models.append("m0" if "model_id_repeated" in faults else "")
+    ids = [f"g{i}" for i in range(n)]
+    if "graph_id_repeated" in faults:
+        ids[-1] = "g0"
+    perf_ids, feat_ids = list(ids), list(ids)
+    if "graph_missing" in faults:
+        draw(st.sampled_from([perf_ids, feat_ids])).pop()
+
+    def lines(kind, header, rows, bad):
+        at = draw(st.integers(0, len(rows) - 1)) if rows else None
+        if f"{kind}_cell" in faults and rows:
+            rows[at][draw(st.integers(1, len(rows[at]) - 1))] = draw(st.sampled_from(bad))
+        if f"{kind}_ragged" in faults and rows:
+            rows[at] = rows[at][:-1] if draw(st.booleans()) else rows[at] + ["0"]
+        out = [header] + [",".join(row) for row in rows]
+        if "blank_lines" in faults:
+            out.insert(draw(st.integers(1, len(out))), "")
+        return out
+
+    perf = lines("perf", ",".join(["graph_id"] + models),
+                 [[gid] + [draw(st.sampled_from(TRAIN_PERF_CELLS)) for _ in models]
+                  for gid in perf_ids], TRAIN_PERF_BAD)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    magnitude = draw(st.sampled_from([1.0, 1e3, 1e150, 1e300]))
+    feats = lines("feature", "graph_id," + ",".join(feature_names()),
+                  [[gid] + [repr(v) for v in (rng.choice([-1.0, 0.0, 0.5, 1.0], FEATURE_DIM)
+                                              * magnitude).tolist()]
+                   for gid in feat_ids], TRAIN_FEATURE_BAD)
+    return "\n".join(feats) + "\n", "\n".join(perf) + "\n"
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(csvs=training_csvs(), auto_lambda=st.booleans())
+def test_train_on_any_csv_text_writes_a_loadable_bundle_or_is_a_data_error(ws, csvs, auto_lambda):
+    root = ws["root"] / "train_any"
+    root.mkdir(exist_ok=True)
+    (root / "features.csv").write_text(csvs[0])
+    (root / "perf.csv").write_text(csvs[1])
+    bundle = root / "out" / "model.bundle"
+    bundle.unlink(missing_ok=True)
+    sets = TRAIN_SETS[:-2] if auto_lambda else TRAIN_SETS
+    rc = main(sets + ["train", "--features-csv", str(root / "features.csv"),
+                      "--performance-csv", str(root / "perf.csv"),
+                      "--output-dir", str(root / "out")])
+    assert rc in (0, 3)
+    assert bundle.exists() == (rc == 0)
+    if rc == 0:
+        learner.load_state(str(bundle))
+
+
 def test_evaluate_from_files(ws, tmp_path):
     rc = main(["--set", "eval.synthetic=false",
                "--set", "eval.selectors=random,gb_avgperf",
@@ -748,6 +876,15 @@ def test_more_folds_than_graphs_exits_2(tmp_path, caplog):
                "evaluate", "--output-dir", str(tmp_path)])
     assert rc == 2
     assert "folds=5 exceeds the 3 graphs" in caplog.text
+
+
+@pytest.mark.parametrize("rate", ["inf", "1e308", "2.5", "nan"])
+def test_a_perturbation_rate_outside_0_to_2_exits_2(tmp_path, caplog, rate):
+    # refused when the config loads, before a corpus is built or a seed derived
+    rc = main(["--set", f"eval.perturbation_rates=0,{rate}", "--set", "eval.selectors=random",
+               "evaluate", "--output-dir", str(tmp_path)])
+    assert rc == 2
+    assert "value out of range for [eval] perturbation_rates" in caplog.text
 
 
 def test_unknown_selector_and_bad_override_exit_2(tmp_path, caplog):

@@ -219,6 +219,16 @@ def test_standardize_treats_tiny_spreads_as_noise():
     assert big_scale[1] > 1e5
 
 
+def test_standardize_refuses_a_spread_beyond_float64():
+    f = np.zeros((4, 3))
+    f[:, 1] = [1e300, -1e300, 0.0, 1e300]          # finite, but squares overflow
+    f[:, 2] = [1e308, 1e308, 0.0, 0.0]             # finite, but the sum overflows
+    with pytest.raises(ValueError, match=r"2 feature columns \(the first is column 1\)"):
+        standardize(f)
+    z, mean, scale = standardize(f[:, :1] + np.full((4, 1), 1e300))
+    assert (z == 0).all() and scale[0] == 1.0
+
+
 @settings(max_examples=200, deadline=None)
 @given(hnp.arrays(np.float64, st.tuples(st.integers(2, 30), st.integers(1, 4)),
                   elements=st.floats(-1e3, 1e3)),
@@ -380,6 +390,15 @@ def test_perturb_zero_rate_is_bit_identical():
     assert np.array_equal(out.observed, p.observed)
     with pytest.raises(ValueError):
         perturb(p, -0.5, seed=0)
+
+
+def test_perturb_refuses_a_rate_outside_0_to_2():
+    p = make_matrix(np.random.default_rng(16), 6, 4, frac_observed=1.0)
+    out = perturb(p, 2.0, seed=0)          # the widest band: [0, 2x], clipped
+    assert ((out.values >= 0) & (out.values <= 1)).all()
+    for rate in (2.5, np.inf, np.nan):
+        with pytest.raises(ValueError, match=r"rate must lie in \[0, 2.0\]"):
+            perturb(p, rate, seed=0)
 
 
 def test_perturb_stays_in_relative_band_and_clips():
