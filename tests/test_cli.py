@@ -702,16 +702,6 @@ def test_select_refuses_a_bundle_whose_finite_values_overflow_its_scores(ws, tmp
         assert not (tmp_path / "ranking.csv").exists()
 
 
-def test_a_zero_feature_scale_is_refused_at_load(ws, tmp_path):
-    state = learner.load_state(str(ws["bundle"]))
-    scale = state.phi.feature_scale.copy()
-    scale[-1] = 0.0
-    path = tmp_path / "zero.bundle"
-    learner.save_state(replace(state, phi=replace(state.phi, feature_scale=scale)), str(path))
-    with pytest.raises(ValueError, match="feature_scale holds a value <= 0"):
-        learner.load_state(str(path))
-
-
 def test_select_logs_a_graph_name_with_a_line_break_in_one_line(ws, tmp_path, caplog):
     caplog.set_level(logging.INFO, logger="graphsel")
     graph = tmp_path / "a\nb.txt"
