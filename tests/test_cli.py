@@ -757,11 +757,12 @@ def training_csvs(draw):
         draw(st.sampled_from([perf_ids, feat_ids])).pop()
 
     def lines(kind, header, rows, bad):
-        at = draw(st.integers(0, len(rows) - 1)) if rows else None
-        if f"{kind}_cell" in faults and rows:
-            rows[at][draw(st.integers(1, len(rows[at]) - 1))] = draw(st.sampled_from(bad))
-        if f"{kind}_ragged" in faults and rows:
-            rows[at] = rows[at][:-1] if draw(st.booleans()) else rows[at] + ["0"]
+        if rows:
+            at = draw(st.integers(0, len(rows) - 1))
+            if f"{kind}_cell" in faults:
+                rows[at][draw(st.integers(1, len(rows[at]) - 1))] = draw(st.sampled_from(bad))
+            if f"{kind}_ragged" in faults:
+                rows[at] = rows[at][:-1] if draw(st.booleans()) else rows[at] + ["0"]
         out = [header] + [",".join(row) for row in rows]
         if "blank_lines" in faults:
             out.insert(draw(st.integers(1, len(out))), "")

@@ -70,7 +70,6 @@ def test_unknown_keys_rejected():
     "hyper.lr=-1", "hyper.lr=0", "eval.folds=1",
     "eval.noise=0.5", "eval.sparsities=0,1.0", "hyper.heads=0",
     "eval.families=4", "hyper.nmf_mean_prior=1.5", "hyper.patience=0",
-    "eval.perturbation_rates=inf", "eval.perturbation_rates=0,2.5",
 ])
 def test_validators_reject_out_of_range(bad):
     with pytest.raises(ConfigError):
