@@ -6,10 +6,16 @@ primary artifacts are byte-stable across reruns with the same config and
 seed. Wall-clock timings go to the log and to a separate timings CSV, which
 is the one deliberately non-deterministic output.
 
-``features`` extracts the files in forked worker processes, at most
+``features`` cuts the files into one batch per worker, of about equal total
+file size, and extracts the batches in forked worker processes, at most
 ``features.workers`` of them, clamped to the number of files and of usable
 cores; a width of 1 (or a platform without ``fork``) extracts in-process.
-Each file's seconds in ``feature_timings.csv`` are timed inside its worker.
+A worker parses each file on its own, so a bad file fails alone, extracts
+the parsed graphs as disjoint unions (``features.meta_graph_features_many``)
+and retries a union that raises one graph at a time. It returns each file's
+``features.csv`` row as text. ``feature_timings.csv`` gives each file its
+parse seconds and its union's size and extraction seconds, timed inside the
+worker.
 """
 
 from __future__ import annotations
@@ -29,7 +35,8 @@ import numpy as np
 
 from . import baselines, harness, learner, synth
 from .config import SCHEMA, ConfigError, RunConfig, load_config
-from .features import FEATURE_DIM, SCHEMA_VERSION, feature_names, meta_graph_features
+from .features import (FEATURE_DIM, SCHEMA_VERSION, feature_names, meta_graph_features,
+                       meta_graph_features_many, union_cuts)
 from .graphs import load_edge_list
 from .perf import PerformanceMatrix, from_csv
 
@@ -53,25 +60,70 @@ def _require_path(cfg: RunConfig, section: str, key: str) -> Path:
 
 # --- features ---------------------------------------------------------------
 
-def _extract_one(path: Path):
+def _extract_one(paths: list[Path]) -> list:
+    """One batch of files, in path order. Each file is parsed on its own;
+    the parsed graphs are extracted in the unions of ``union_cuts``, and a
+    union that raises is retried one graph at a time. Each file gets its
+    ``features.csv`` row as text and ``(nodes, edges, parse seconds, union
+    graphs, union edges, union seconds)``, or its error as text."""
+    results, parsed = [None] * len(paths), []
+    for i, path in enumerate(paths):
+        started = time.perf_counter()
+        try:
+            graph = load_edge_list(path.read_text())
+        except Exception as exc:  # noqa: BLE001 - collected per file
+            results[i] = _fault(exc)
+            continue
+        parsed.append((i, graph, time.perf_counter() - started))
+    for cut in union_cuts([graph.edge_count for _, graph, _ in parsed]):
+        for i, result in _extract_union(parsed[cut]):
+            results[i] = result
+    return results
+
+
+def _extract_union(members: list) -> list:
+    """(index, result) for each ``(index, graph, parse seconds)`` of one
+    union; see ``_extract_one``."""
     started = time.perf_counter()
-    graph = load_edge_list(path.read_text())
-    return meta_graph_features(graph), graph, time.perf_counter() - started
-
-
-def _extract_task(path: Path):
-    """One file's result in a form that crosses a process boundary:
-    ``(values, node_count, edge_count, seconds)``, or the error's type and
-    message, since an exception object need not unpickle. It looks
-    ``_extract_one`` up at call time, so a rebound ``cli._extract_one`` (a
-    closure, which cannot be pickled) still runs while this function is what
-    the pool is sent."""
     try:
-        values, graph, seconds = _extract_one(path)
-    except Exception as exc:  # noqa: BLE001 - collected per file
-        # str, not repr: a decode error's repr carries the whole text
-        return f"{type(exc).__name__}: {exc}"
-    return values, graph.node_count, graph.edge_count, seconds
+        values = meta_graph_features_many([graph for _, graph, _ in members])
+    except Exception as exc:  # noqa: BLE001 - each graph is retried alone
+        if len(members) == 1:
+            return [(members[0][0], _fault(exc))]
+        return [one for member in members for one in _extract_union([member])]
+    seconds = time.perf_counter() - started
+    edges = sum(graph.edge_count for _, graph, _ in members)
+    return [(i, (",".join(map(repr, row.tolist())), graph.node_count, graph.edge_count,
+                 parse_seconds, len(members), edges, seconds))
+            for (i, graph, parse_seconds), row in zip(members, values)]
+
+
+def _fault(exc: Exception) -> str:
+    # str, not repr: a decode error's repr carries the whole text
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _extract_task(paths: list[Path]) -> list:
+    """``_extract_one`` looked up at call time, so a rebound
+    ``cli._extract_one`` (a closure, which cannot be pickled) still runs
+    while this function is what the pool is sent. Results cross the process
+    boundary as text and numbers, since an exception object need not
+    unpickle."""
+    return _extract_one(paths)
+
+
+def _batches(paths: list[Path], count: int) -> list[list[Path]]:
+    """The paths cut into at most ``count`` batches of about equal total
+    file size, each in path order: the largest file first, each into the
+    lightest batch so far (Graham's LPT rule)."""
+    sizes = [path.stat().st_size for path in paths]
+    batches = [[] for _ in range(count)]
+    loads = [0] * count
+    for i in sorted(range(len(paths)), key=lambda i: -sizes[i]):
+        lightest = loads.index(min(loads))
+        batches[lightest].append(i)
+        loads[lightest] += sizes[i]
+    return [[paths[i] for i in sorted(batch)] for batch in batches if batch]
 
 
 def _id_fault(stem: str, files_with_stem: int) -> str | None:
@@ -116,11 +168,14 @@ def cmd_features(cfg: RunConfig) -> int:
     # scipy first. The executor forks every worker before it starts its own
     # manager thread, and this command starts no other thread.
     workers = min(cfg.get("features", "workers"), len(todo), _usable_cores())
+    batches = _batches(todo, max(workers, 1))
     if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
-        results.update((path, _extract_task(path)) for path in todo)
+        done = map(_extract_task, batches)
     else:
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            results.update(zip(todo, pool.map(_extract_task, todo)))
+            done = list(pool.map(_extract_task, batches))
+    for batch, batch_results in zip(batches, done):
+        results.update(zip(batch, batch_results))
 
     rows, timings, failures = [], [], []
     for path in files:
@@ -130,22 +185,21 @@ def cmd_features(cfg: RunConfig) -> int:
             # a refused stem may hold a line break or a comma: quote it
             log.error("event=feature_fail graph=%r error=%s", path.stem, res)
             continue
-        values, nodes, edges, seconds = res
-        rows.append((path.stem, values))
-        timings.append((path.stem, seconds, nodes, edges))
-        log.info("event=feature graph=%s nodes=%d edges=%d seconds=%.4f",
-                 path.stem, nodes, edges, seconds)
+        row, *timing = res
+        rows.append(f"{path.stem},{row}\n")
+        timings.append((path.stem, *timing))
+        log.info("event=feature graph=%s nodes=%d edges=%d parse_seconds=%.4f "
+                 "union_graphs=%d union_edges=%d union_seconds=%.4f", path.stem, *timing)
 
     features_path = out_dir / "features.csv"
     with open(features_path, "w") as fh:
         fh.write(_stamp(cfg))
         fh.write("graph_id," + ",".join(feature_names()) + "\n")
-        for gid, values in rows:
-            fh.write(gid + "," + ",".join(repr(float(v)) for v in values) + "\n")
+        fh.writelines(rows)
     with open(out_dir / "feature_timings.csv", "w") as fh:
-        fh.write("graph_id,seconds,nodes,edges\n")
-        for gid, seconds, nodes, edges in timings:
-            fh.write(f"{gid},{seconds:.6f},{nodes},{edges}\n")
+        fh.write("graph_id,nodes,edges,parse_seconds,union_graphs,union_edges,union_seconds\n")
+        for gid, nodes, edges, parse_s, graphs, union_edges, union_s in timings:
+            fh.write(f"{gid},{nodes},{edges},{parse_s:.6f},{graphs},{union_edges},{union_s:.6f}\n")
     log.info("event=features_written path=%s graphs=%d failures=%d",
              features_path, len(rows), len(failures))
     if failures:

@@ -12,6 +12,13 @@ larger ones (see ``eccentricity``). The exact path is a bit-parallel BFS,
 64 sources per uint64 word, when one BFS from the highest-degree node v
 gives 2·e_v + 1 <= 64 (every source then finishes within 2·e_v levels),
 and one all-sources BFS call otherwise.
+
+A Graph may be the disjoint union of a batch of graphs
+(``graphs.disjoint_union``). Every extractor gives each graph of a union
+the values, and the bits, it gives that graph alone: counts, core numbers
+and per-component eccentricities do not see the other graphs, and the two
+that would, the wedge fill and PageRank, take the union's node offsets
+(``starts``) and work per graph.
 """
 
 from __future__ import annotations
@@ -46,10 +53,13 @@ def adjacency_matrix(graph: Graph) -> sp.csr_matrix:
 TWO_HOP_BLOCK_TERMS = 1 << 18   # cap on the product terms of one row block of A·A
 
 
-def two_hop_counts(graph: Graph, a: sp.csr_matrix | None = None) -> tuple[np.ndarray, int]:
+def two_hop_counts(graph: Graph, a: sp.csr_matrix | None = None,
+                   starts: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The common-neighbour count |N(u) & N(v)| of each edge, in edge_array
-    order, and the off-diagonal fill of A·A: the number of ordered pairs of
-    distinct nodes with a common neighbour.
+    order, and the off-diagonal fill of A·A, the number of ordered pairs of
+    distinct nodes with a common neighbour, of each part of the graph: the
+    graphs of a disjoint union whose node offsets are ``starts``, or the
+    whole graph as one part.
 
     A·A is built one block of rows at a time, ``a[lo:hi] @ a``, the row-by-row
     form of a sparse product (Gustavson 1978), and each block is dropped once
@@ -58,11 +68,11 @@ def two_hop_counts(graph: Graph, a: sp.csr_matrix | None = None) -> tuple[np.nda
     sum to at most TWO_HOP_BLOCK_TERMS, or a single row whose own bound is
     larger, so memory follows the cap and not Σ d²; the time is still Σ d².
 
-    The fill is the stored entries of every block less the nonzero diagonal
-    (the degrees). A sparse lookup scans its row, so each edge's count is
-    read from the endpoint u with the smaller 1 + Σ_{w∈N(u)} (deg(w) - 1),
-    a bound on the entries stored in row u that is exact at both ends of a
-    star's edge.
+    A part's fill is the entries stored in its own rows of the product less
+    its nonzero diagonal (its degrees). A sparse lookup scans its row, so
+    each edge's count is read from the endpoint u with the smaller
+    1 + Σ_{w∈N(u)} (deg(w) - 1), a bound on the entries stored in row u that
+    is exact at both ends of a star's edge.
     """
     if a is None:
         a = adjacency_matrix(graph)
@@ -73,13 +83,14 @@ def two_hop_counts(graph: Graph, a: sp.csr_matrix | None = None) -> tuple[np.nda
     swap = reach[u] > reach[v]
     rows, cols = np.where(swap, v, u), np.where(swap, u, v)
     counts = np.zeros(rows.size)
-    fill = -int(np.count_nonzero(deg))
+    stored = -(deg > 0).astype(np.int64)
     for product, lo, at in _two_hop_blocks(a, bound, rows):
-        fill += product.nnz
+        stored[lo:lo + product.shape[0]] += np.diff(product.indptr)
         r, c = rows[at], cols[at]
         if r.size:          # an empty fancy index returns a sparse matrix
             counts[at] = np.asarray(product[r - lo, c], dtype=np.float64).ravel()
-    return counts, fill
+    first = [0] if starts is None else starts[:-1]
+    return counts, np.add.reduceat(stored, first)
 
 
 def _two_hop_blocks(a: sp.csr_matrix, bound: np.ndarray, rows: np.ndarray):
@@ -268,38 +279,64 @@ def _tree_distances(block: sp.csr_matrix, v: int) -> np.ndarray:
     return depth
 
 
-def pagerank(graph: Graph, a: sp.csr_matrix | None = None) -> np.ndarray:
-    """PageRank by power iteration with uniform teleport.
+def pagerank(graph: Graph, a: sp.csr_matrix | None = None,
+             starts: np.ndarray | None = None) -> np.ndarray:
+    """PageRank by power iteration with uniform teleport, of each part of
+    the graph on its own: the graphs of a disjoint union whose node offsets
+    are ``starts``, or the whole graph as one part.
 
-    Isolated (dangling) nodes spread their mass uniformly. Converged when
-    the L1 change drops below PAGERANK_TOL, after PAGERANK_MAX_ITER at most.
+    Isolated (dangling) nodes spread their mass uniformly over their part.
+    A part stops when its L1 change drops below PAGERANK_TOL, after
+    PAGERANK_MAX_ITER at most, and keeps its values while the others go on;
+    a one-node part is [1.0]. Each part gets the bits it gets alone.
     """
     n = graph.node_count
-    if n == 1:
-        return np.ones(1)
+    starts = np.array([0, n]) if starts is None else starts
+    first, sizes = starts[:-1], np.diff(starts)
     if a is None:
         a = adjacency_matrix(graph)
     deg = graph.degrees().astype(np.float64)
     dangling = deg == 0
-    any_dangling = bool(dangling.any())
     inv_deg = np.where(dangling, 0.0, 1.0 / np.maximum(deg, 1.0))
-    x = np.full(n, 1.0 / n)
-    teleport = (1.0 - PAGERANK_DAMPING) / n
-    for _ in range(PAGERANK_MAX_ITER):
+    x = np.repeat(1.0 / sizes, sizes)
+    teleport = (1.0 - PAGERANK_DAMPING) / sizes
+    teleports = np.repeat(teleport, sizes)
+    active = sizes > 1
+    moving = None if active.all() else np.repeat(active, sizes)
+    sinks = [(p, slice(lo, lo + size), np.flatnonzero(dangling[lo:lo + size]) + lo)
+             for p, (lo, size) in enumerate(zip(first, sizes))
+             if active[p] and dangling[lo:lo + size].any()]
+    for _ in range(PAGERANK_MAX_ITER if active.any() else 0):
         spread = x * inv_deg
         # A is symmetric with sorted rows, so A·x sums each entry in the
-        # order Aᵀ·x does, bit for bit
+        # order Aᵀ·x does, bit for bit; a part's rows hold only its own nodes
         new = PAGERANK_DAMPING * (a @ spread)
         # with no dangling node their share is exactly +0.0, so the shift
         # is the teleport term alone, bit for bit
-        if any_dangling:
-            new += PAGERANK_DAMPING * x[dangling].sum() / n + teleport
+        if sinks:
+            shift = teleports.copy()
+            for p, part, at in sinks:
+                shift[part] = PAGERANK_DAMPING * x[at].sum() / sizes[p] + teleport[p]
+            new += shift
         else:
-            new += teleport
-        if np.abs(new - x).sum() < PAGERANK_TOL:
-            x = new
-            break
-        x = new
+            new += teleports
+        change = np.abs(new - x)
+        x = new if moving is None else np.where(moving, new, x)
+        # each part's L1 change, screened by a sequential sum: every order
+        # of summing m >= 0 terms lies within a relative (m - 1)·2⁻⁵³ of the
+        # exact sum, so outside a relative 1e-6 of the tolerance (parts of
+        # up to 10⁹ nodes) it falls on the side the pairwise sum does; a
+        # part inside that band takes its own pairwise sum
+        step = np.add.reduceat(change, first)
+        may_stop = active & (step < PAGERANK_TOL * (1 + 1e-6))
+        if may_stop.any():
+            for p in np.flatnonzero(may_stop):
+                if step[p] > PAGERANK_TOL * (1 - 1e-6):
+                    step[p] = change[first[p]:first[p] + sizes[p]].sum()
+            active &= step >= PAGERANK_TOL
+            if not active.any():
+                break
+            moving = np.repeat(active, sizes)
     return x
 
 
@@ -343,10 +380,12 @@ def kcore(graph: Graph) -> np.ndarray:
     return core
 
 
-def extract_structural(graph: Graph, a: sp.csr_matrix, tpe: np.ndarray) -> list[np.ndarray]:
+def extract_structural(graph: Graph, a: sp.csr_matrix, tpe: np.ndarray,
+                       starts: np.ndarray | None = None) -> list[np.ndarray]:
     """All seven distributions in EXTRACTOR_IDS order, from the graph's
     adjacency ``a`` and its per-edge common-neighbour counts ``tpe`` (the
-    first result of ``two_hop_counts``).
+    first result of ``two_hop_counts``). ``starts`` are the node offsets of
+    a disjoint union's graphs, for PageRank.
 
     An edgeless graph has no per-edge distribution; a single-entry zero
     vector stands in so downstream summaries stay fixed-size.
@@ -357,7 +396,7 @@ def extract_structural(graph: Graph, a: sp.csr_matrix, tpe: np.ndarray) -> list[
         _edge_counts_to_nodes(graph, tpe),
         tpe if tpe.size else np.zeros(1),
         eccentricity(graph, a),
-        pagerank(graph, a),
+        pagerank(graph, a, starts),
         kcore(graph),
     ]
     for name, values in zip(EXTRACTOR_IDS, dists):

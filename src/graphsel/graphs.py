@@ -108,6 +108,27 @@ def _csr_from_edges(n: int, edge_array: np.ndarray) -> tuple[np.ndarray, np.ndar
     return indptr, np.sort(src * n + dst) % n
 
 
+def disjoint_union(graphs) -> tuple[Graph, np.ndarray]:
+    """The graphs side by side as one Graph, and the node offset of each
+    (then the total): graph i's node u is node starts[i] + u of the union.
+
+    The union's CSR is the graphs' own blocks concatenated with their
+    offsets, so its edges and every neighbour list stay sorted without a
+    sort. A batch of one is that graph itself.
+    """
+    starts = np.concatenate([[0], np.cumsum([g.node_count for g in graphs])])
+    if len(graphs) == 1:
+        return graphs[0], starts
+    slots = np.concatenate([[0], np.cumsum([g.indices.size for g in graphs])])
+    indptr = np.concatenate([g.indptr[:-1] + s for g, s in zip(graphs, slots)] + [slots[-1:]])
+    n = int(starts[-1])
+    return Graph(n,
+                 np.concatenate([g.edge_array + s for g, s in zip(graphs, starts)]),
+                 indptr,
+                 np.concatenate([g.indices + s for g, s in zip(graphs, starts)]),
+                 np.arange(n, dtype=np.int64)), starts
+
+
 ID_MAX = int(np.iinfo(np.int64).max)
 
 

@@ -74,6 +74,8 @@ def from_csv(text: str) -> PerformanceMatrix:
     header = lines[0][1].split(",")
     if header[0] != "graph_id" or len(header) < 2:
         raise ValueError("performance csv must start with 'graph_id,<model ids>'")
+    if len(lines) == 1:
+        raise ValueError("performance csv has a header and no graph rows")
     model_ids = header[1:]
     graph_ids, rows, mask = [], [], []
     for ln_no, ln in lines[1:]:

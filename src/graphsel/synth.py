@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import meta_graph_features
+from .features import meta_graph_features_many
 from .graphs import Graph, from_edges
 from .perf import PerformanceMatrix
 
@@ -53,8 +53,8 @@ class SyntheticCorpus:
     seed: int
 
     def meta_features(self) -> np.ndarray:
-        """Feature matrix, one row per graph."""
-        return np.stack([meta_graph_features(g) for g in self.graphs])
+        """Feature matrix, one row per graph, extracted in unions."""
+        return meta_graph_features_many(self.graphs)
 
 
 def _make_graph(family: int, size: int, seed: int) -> Graph:

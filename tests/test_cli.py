@@ -15,8 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphsel import cli, learner
+from graphsel import cli, features, learner
 from graphsel.cli import DataError, main, read_features_csv
+from graphsel.config import SCHEMA
 from graphsel.features import FEATURE_DIM, SCHEMA_VERSION, feature_names
 from graphsel.gmnet import REL_INDEX
 from graphsel.learner import LearnerConfig
@@ -85,7 +86,8 @@ def test_features_artifacts(ws):
     assert lines[3].split(",")[0] == "g000"
 
     timings = (ws["feat_dir"] / "feature_timings.csv").read_text().strip().split("\n")
-    assert timings[0] == "graph_id,seconds,nodes,edges"
+    assert timings[0] == ("graph_id,nodes,edges,parse_seconds,"
+                          "union_graphs,union_edges,union_seconds")
     assert len(timings) == 1 + ws["n_graphs"]
 
 
@@ -204,7 +206,7 @@ def test_features_are_byte_identical_for_any_worker_count(mixed_dir, tmp_path, p
         assert multiprocessing.active_children() == []
         csvs.add((out / "features.csv").read_bytes())     # the config_hash stamp too
         timings = (out / "feature_timings.csv").read_text().strip().split("\n")
-        sizes.add(tuple((row.split(",")[0],) + tuple(row.split(",")[2:]) for row in timings))
+        sizes.add(tuple(tuple(row.split(",")[:3]) for row in timings))     # id, nodes, edges
     assert len(csvs) == 1 and len(sizes) == 1
 
 
@@ -224,20 +226,76 @@ def test_features_partial_failure_in_workers(tmp_path, caplog, pool_cores):
     assert "feature extraction failed for: ['broken']" in caplog.text
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_features_csv_is_the_same_for_any_union_bound(mixed_dir, tmp_path, monkeypatch,
+                                                      pool_cores, workers):
+    """Every graph in a union of its own, the default bound, or each
+    worker's graphs in one union: the same features.csv, and each timings
+    row names its union's size."""
+    csvs = set()
+    for bound in (0, features.UNION_EDGES, 10**12):
+        monkeypatch.setattr(features, "UNION_EDGES", bound)
+        out = tmp_path / f"b{bound}"
+        assert _features(mixed_dir, out, workers) == 0
+        csvs.add((out / "features.csv").read_bytes())
+        rows = [row.split(",") for row in
+                (out / "feature_timings.csv").read_text().strip().split("\n")[1:]]
+        assert len(rows) == 6
+        union_sizes = {int(row[4]) for row in rows}
+        if bound == 0:
+            assert union_sizes == {1}
+        if bound == 10**12:
+            assert sum(union_sizes) == 6        # one union per worker
+    assert len(csvs) == 1
+
+
+def test_a_bad_file_and_a_graph_that_fails_extraction_fail_alone(mixed_dir, tmp_path,
+                                                                 monkeypatch, caplog):
+    """A file that does not parse fails on its own; a union whose extraction
+    raises is retried one graph at a time, so only the graph that raises
+    fails and the rest keep the bytes they have in a union."""
+    gdir = tmp_path / "graphs"
+    gdir.mkdir()
+    for path in mixed_dir.iterdir():
+        (gdir / path.name).write_text(path.read_text())
+    (gdir / "broken").write_text("0 1\nnot an edge\n")
+    assert _features(mixed_dir, tmp_path / "clean", 1) == 0
+    clean = (tmp_path / "clean" / "features.csv").read_text().splitlines()
+
+    extract = cli.meta_graph_features_many
+
+    def refuses_the_path(graphs):
+        if any(g.node_count == 40 and g.edge_count == 39 for g in graphs):   # "path"
+            raise ValueError("refused")
+        return extract(graphs)
+
+    monkeypatch.setattr(cli, "meta_graph_features_many", refuses_the_path)
+    monkeypatch.setattr(features, "UNION_EDGES", 10**12)
+    assert _features(gdir, tmp_path / "out", 1) == 3
+    lines = (tmp_path / "out" / "features.csv").read_text().splitlines()
+    assert lines == [line for line in clean if not line.startswith("path,")]
+    assert "event=feature_fail graph='broken' error=EdgeListError: line 2: " in caplog.text
+    assert "event=feature_fail graph='path' error=ValueError: refused" in caplog.text
+    assert "feature extraction failed for: ['broken', 'path']" in caplog.text
+    rows = (tmp_path / "out" / "feature_timings.csv").read_text().strip().split("\n")[1:]
+    assert {row.split(",")[4] for row in rows} == {"1"}     # the rest, retried alone
+
+
 def test_pool_runs_a_rebound_extractor(mixed_dir, tmp_path, monkeypatch, pool_cores):
     """A closure in place of ``cli._extract_one`` cannot be pickled; the
     workers still run it, as the zero seconds it reports show."""
     extract = cli._extract_one
 
-    def untimed(path):
-        values, graph, _ = extract(path)
-        return values, graph, 0.0
+    def untimed(paths):
+        return [(row, nodes, edges, 0.0, graphs, union_edges, 0.0)
+                for row, nodes, edges, _, graphs, union_edges, _ in extract(paths)]
 
     monkeypatch.setattr(cli, "_extract_one", untimed)
     assert _features(mixed_dir, tmp_path, 2) == 0
     assert multiprocessing.active_children() == []
     timings = (tmp_path / "feature_timings.csv").read_text().strip().split("\n")[1:]
-    assert [row.split(",")[1] for row in timings] == ["0.000000"] * 6
+    assert {(row.split(",")[3], row.split(",")[6]) for row in timings} == {("0.000000",) * 2}
+    assert len(timings) == 6
 
 
 @pytest.mark.parametrize("n_files,workers", [(1, 4), (3, 1)])
@@ -278,6 +336,64 @@ def test_train_artifacts(ws, tmp_path, monkeypatch):
     assert [row.split(",") for row in rows] == \
         [[str(e["epoch"]), repr(e["loss"]), repr(e["val_mrr"]), repr(e["stop_score"])]
          for e in trained[0].training_log]
+
+
+def test_a_performance_csv_of_a_header_alone_is_a_data_error(ws, tmp_path, caplog):
+    header = next(line for line in ws["perf_csv"].read_text().splitlines()
+                  if line.startswith("graph_id,"))
+    empty = tmp_path / "perf.csv"
+    empty.write_text(f"# stamp\n{header}\n\n")
+    rc = main(TRAIN_SETS + [
+        "train", "--features-csv", str(ws["features_csv"]),
+        "--performance-csv", str(empty), "--output-dir", str(tmp_path)])
+    assert rc == 3
+    assert "performance csv has a header and no graph rows" in caplog.text
+
+
+@pytest.mark.parametrize("change", ["one column fewer", "one column more", "a renamed column"])
+def test_train_on_features_with_wrong_columns_exits_3(ws, tmp_path, caplog, change):
+    lines = ws["features_csv"].read_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("graph_id,"))
+    for i in range(at, len(lines)):
+        cells = lines[i].split(",")
+        if change == "one column fewer":
+            cells = cells[:-1]
+        elif change == "one column more":
+            cells.append("extra" if i == at else "0.5")
+        elif i == at:
+            cells[7] = "degree_renamed"
+        lines[i] = ",".join(cells)
+    bad = tmp_path / "features.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    caplog.set_level(logging.INFO, logger="graphsel")
+    rc = main(TRAIN_SETS + [
+        "train", "--features-csv", str(bad),
+        "--performance-csv", str(ws["perf_csv"]), "--output-dir", str(tmp_path / "out")])
+    assert rc == 3
+    assert "unexpected features header" in caplog.text
+    assert all("\n" not in r.getMessage() for r in caplog.records)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(key=st.sampled_from(sorted(SCHEMA)), text=st.text(max_size=40))
+def test_any_override_text_exits_2_or_3_in_one_line_log(tmp_path_factory, key, text):
+    """``--set section.key=<any text>`` for every schema key, then a command
+    that fails on a missing path: a refused value exits 2, an accepted one
+    reaches the missing path and exits 3, and each log record is one line."""
+    root = tmp_path_factory.mktemp("override")
+    records = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    logger = logging.getLogger("graphsel")
+    logger.addHandler(handler)
+    try:
+        rc = main(["--set", f"{key[0]}.{key[1]}={text}", "features",
+                   "--graph-dir", str(root / "missing"), "--output-dir", str(root / "out")])
+    finally:
+        logger.removeHandler(handler)
+    assert rc in (2, 3)
+    assert records and all("\n" not in r.getMessage() and "\r" not in r.getMessage()
+                           for r in records)
 
 
 def test_train_id_mismatch_is_a_data_error(ws, tmp_path):

@@ -3,13 +3,17 @@
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from graphsel import extractors
 from graphsel.extractors import ECC_EXACT_NODE_LIMIT
 from graphsel.features import (FEATURE_DIM, GLOBAL_STAT_NAMES, feature_names, global_stats,
-                               meta_graph_features, signed_log1p)
-from graphsel.graphs import from_edges, load_edge_list
+                               meta_graph_features, meta_graph_features_many, signed_log1p)
+from graphsel.graphs import disjoint_union, from_edges, load_edge_list
 
-from oracles import adjacency_dense, meta_graph_features_one
+from oracles import (adjacency_dense, eccentricity_brute, kcore_brute, meta_graph_features_one,
+                     pagerank_transposed, triangles_edge_brute, two_hop_counts_full)
 
 
 def random_graph(rng, n, p):
@@ -127,3 +131,85 @@ def edge_text(g):
 def test_features_equal_the_one_summary_per_distribution_composition(text):
     g = load_edge_list(text)
     assert meta_graph_features(g).tobytes() == meta_graph_features_one(g).tobytes()
+
+
+def _relabelled(rng, n, edges):
+    perm = rng.permutation(n)
+    return from_edges(n, [(int(perm[u]), int(perm[v])) for u, v in edges])
+
+
+# one component over the exact eccentricity limit: its values are swept bounds
+LARGE = _relabelled(np.random.default_rng(11), ECC_EXACT_NODE_LIMIT + 76, list(
+    nx.connected_watts_strogatz_graph(ECC_EXACT_NODE_LIMIT + 76, 4, 0.1, seed=11).edges()))
+
+
+@st.composite
+def batch_graphs(draw):
+    """A graph of a batch: a single node, an edgeless graph, a random graph
+    with isolated nodes (dangling PageRank), several random components with
+    their nodes interleaved, or the one large component."""
+    kind = draw(st.sampled_from(["single", "edgeless", "isolated", "components", "large"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "single":
+        return from_edges(1, [])
+    if kind == "edgeless":
+        return from_edges(draw(st.integers(2, 5)), [])
+    if kind == "large":
+        return LARGE
+    sizes = [draw(st.integers(2, 30)) for _ in range(draw(st.integers(1, 3)))]
+    p = draw(st.sampled_from([0.05, 0.2, 0.6]))
+    edges, offset = [], 0
+    for size in sizes:
+        iu, ju = np.triu_indices(size, k=1)
+        keep = rng.random(iu.size) < p
+        edges += list(zip(iu[keep] + offset, ju[keep] + offset))
+        offset += size
+    isolated = draw(st.integers(1, 4)) if kind == "isolated" else 0
+    return _relabelled(rng, offset + isolated, edges)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.lists(batch_graphs(), min_size=1, max_size=6))
+def test_a_batch_gives_each_graph_its_own_bytes_and_the_oracle_values(graphs):
+    """Each graph of a union gets the feature bytes of its batch of one and
+    of the one-summary-per-distribution oracle, and the union's extractors
+    give it the brute-force values: triangles, fill, eccentricity, core
+    numbers, and the bits of PageRank run on it alone."""
+    got = meta_graph_features_many(graphs)
+    union, starts = disjoint_union(graphs)
+    a = extractors.adjacency_matrix(union)
+    tpe, fills = extractors.two_hop_counts(union, a, starts)
+    dists = dict(zip(extractors.EXTRACTOR_IDS, extractors.extract_structural(union, a, tpe, starts)))
+    edge_starts = np.cumsum([0] + [g.edge_count for g in graphs])
+    for i, g in enumerate(graphs):
+        assert got[i].tobytes() == meta_graph_features(g).tobytes()
+        assert got[i].tobytes() == meta_graph_features_one(g).tobytes()
+        nodes = slice(starts[i], starts[i + 1])
+        counts, fill = two_hop_counts_full(g)
+        assert fills[i] == fill
+        assert tpe[edge_starts[i]:edge_starts[i + 1]].tobytes() == counts.tobytes()
+        assert dists["pagerank"][nodes].tobytes() == pagerank_transposed(g).tobytes()
+        if g is LARGE:
+            assert dists["eccentricity"][nodes].tobytes() == extractors.eccentricity(g).tobytes()
+            continue
+        assert np.array_equal(counts, triangles_edge_brute(g))
+        assert np.array_equal(dists["eccentricity"][nodes], eccentricity_brute(g))
+        assert np.array_equal(dists["kcore"][nodes], kcore_brute(g))
+
+
+def test_the_union_bound_cuts_batches_without_moving_a_byte(monkeypatch):
+    """A bound of 0 puts every graph with an edge in a union of its own, a
+    huge one puts all in one union; a graph over the bound runs alone."""
+    from graphsel import features
+    rng = np.random.default_rng(4)
+    graphs = [random_graph(rng, int(rng.integers(2, 40)), 0.2) for _ in range(8)]
+    graphs.insert(3, LARGE)
+    edges = [g.edge_count for g in graphs]
+    alone = np.stack([meta_graph_features(g) for g in graphs])
+    for bound in (0, 50, LARGE.edge_count - 1, 10**12):
+        monkeypatch.setattr(features, "UNION_EDGES", bound)
+        cuts = features.union_cuts(edges)
+        assert [i for cut in cuts for i in range(len(edges))[cut]] == list(range(len(edges)))
+        assert all(sum(edges[cut]) <= bound or cut.stop - cut.start == 1 for cut in cuts)
+        assert (slice(3, 4) in cuts) == (bound < LARGE.edge_count)
+        assert meta_graph_features_many(graphs).tobytes() == alone.tobytes()

@@ -75,6 +75,8 @@ def test_csv_parse_errors():
         from_csv("# config_hash=x\n# schema_version=2\ngraph_id,m1\ng0,abc\n")
     with pytest.raises(ValueError, match="^line 5: expected 2 cells, got 3$"):
         from_csv("# stamp\ngraph_id,m1\n\ng0,0.5\ng1,0.5,0.6\n")
+    with pytest.raises(ValueError, match="^performance csv has a header and no graph rows$"):
+        from_csv("# stamp\ngraph_id,m1,m2\n\n")
 
 
 def test_duplicate_ids_are_rejected():

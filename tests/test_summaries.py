@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
+from graphsel import summaries
 from graphsel.summaries import GROUP_RTOL, SUMMARY_DIM, SUMMARY_NAMES, summarize, summary_names
 
 from oracles import summarize_one, summary_brute
@@ -212,3 +213,38 @@ def test_a_row_whose_bin_step_underflows_keeps_its_bits_in_a_stack():
                   [3.0, 3.0, 3.0, 3.0, 3.0]])
     want = np.stack([summarize_one(row) for row in x])
     assert summarize(x).tobytes() == want.tobytes()
+
+
+RAGGED = st.lists(st.integers(1, 40).flatmap(rows_of), min_size=1, max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(RAGGED)
+def test_rows_of_any_lengths_summarise_each_row_as_the_one_distribution_oracle_bit_for_bit(rows):
+    """Ragged rows go in one call: each row, whatever the lengths beside it
+    and wherever it falls in the flat layout, gets the oracle's bits."""
+    want = np.stack([summarize_one(row) for row in rows])
+    got = summarize([np.array(row, dtype=np.float64) for row in rows])
+    assert got.shape == (len(rows), SUMMARY_DIM)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_a_list_of_rows_takes_only_1d_rows():
+    with pytest.raises(ValueError, match="1-D rows"):
+        summarize([np.ones(3), np.ones((2, 2))])
+    with pytest.raises(ValueError, match="empty"):
+        summarize([np.ones(3), np.zeros(0)])
+    with pytest.raises(ValueError, match="non-finite"):
+        summarize([np.ones(3), np.array([1.0, np.inf])])
+
+
+@pytest.mark.parametrize("cap", [1, 7, 64])
+def test_any_pass_size_gives_the_same_bytes(monkeypatch, cap):
+    """Rows go in passes of at most PASS_VALUES values, a longer row alone;
+    where the passes fall moves no bit."""
+    rng = np.random.default_rng(cap)
+    rows = [np.round(rng.normal(size=int(rng.integers(1, 40))), int(rng.integers(0, 3)))
+            for _ in range(30)]
+    whole = summarize(rows)
+    monkeypatch.setattr(summaries, "PASS_VALUES", cap)
+    assert summarize(rows).tobytes() == whole.tobytes()
